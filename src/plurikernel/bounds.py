@@ -30,19 +30,19 @@ from .domains import (
     DomainSpec,
     boundary_frame,
     osculating_radii,
-    require_on_boundary,
 )
 from .errors import ContainmentError, ValidationError
 from .kernels import (
     BoundaryCurve,
     BoundaryLimitResult,
     KernelValue,
+    _omega_general_ball,
     boundary_limit,
     omega_ball_value,
     omega_general_ball_value,
     poisson_disc,
 )
-from .utils import as_vector, herm, norm
+from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only
 
 
 class CandidateKind(str, Enum):
@@ -89,20 +89,14 @@ def peak_candidate(domain: DomainSpec, p) -> CandidateMember:
 
 def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
     """Kernel of the circumscribed tangent ball, restricted to the domain."""
-    rad = osculating_radii(domain, p)
-    if not rad.global_containment:
-        raise ContainmentError(
-            "circumscribed tangent ball not certified for this domain; "
-            "only peak candidates are available")
-    frame = boundary_frame(domain, p)
-    center = frame.p - rad.r_out * frame.nu
-    radius = rad.r_out
+    _, (center, radius) = tangent_balls(domain, p)
+    pole = boundary_frame(domain, p).p
 
     def evaluator(z) -> float:
-        return omega_general_ball_value(center, radius, frame.p, z)
+        return _omega_general_ball(center, radius, pole, as_vector(z, domain.n))
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.BALL_RESTRICTION,
-                           pole=frame.p, metadata={"center": center, "radius": radius})
+                           pole=pole, metadata={"center": center, "radius": radius})
 
 
 def lower_envelope(domain: DomainSpec, p, z, candidates: Sequence[CandidateMember]) -> float:
@@ -138,15 +132,18 @@ def candidate_normal_limit(domain: DomainSpec, member: CandidateMember,
 
 def tangent_balls(domain: DomainSpec, p):
     """Inscribed and circumscribed tangent balls at p as ((center, r_in), (center, r_out))."""
-    rad = osculating_radii(domain, p)
+    return domain._per_pole("balls", as_vector(p, domain.n), BOUNDARY_TOL, _tangent_balls)
+
+
+def _tangent_balls(domain: DomainSpec, p: np.ndarray, tol: float):
+    rad = osculating_radii(domain, p, tol)
     if not rad.global_containment:
         raise ContainmentError(
             "tangent-ball containment not certified for this domain; "
             "use lower_envelope for one-sided bounds")
-    frame = boundary_frame(domain, p)
-    inner = (frame.p - rad.r_in * frame.nu, rad.r_in)
-    outer = (frame.p - rad.r_out * frame.nu, rad.r_out)
-    return inner, outer
+    frame = boundary_frame(domain, p, tol)
+    c_in, c_out = read_only(frame.p - rad.r_in * frame.nu, frame.p - rad.r_out * frame.nu)
+    return (c_in, rad.r_in), (c_out, rad.r_out)
 
 
 def pole_upper_bound(domain: DomainSpec, p, z) -> float:
@@ -157,7 +154,7 @@ def pole_upper_bound(domain: DomainSpec, p, z) -> float:
     (c_in, r_in), _ = tangent_balls(domain, p)
     z = as_vector(z, domain.n)
     if norm(z - c_in) < r_in:
-        return omega_general_ball_value(c_in, r_in, as_vector(p, domain.n), z)
+        return _omega_general_ball(c_in, r_in, boundary_frame(domain, p).p, z)
     return 0.0
 
 
@@ -174,10 +171,10 @@ def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
         v = omega_general_ball_value(domain.ball_center, domain.ball_radius, p, z)
         return KernelValue.closed_form(v)
     (c_in, r_in), (c_out, r_out) = tangent_balls(domain, p)
-    p = require_on_boundary(domain, p)
-    lo = omega_general_ball_value(c_out, r_out, p, z)
+    p = boundary_frame(domain, p).p
+    lo = _omega_general_ball(c_out, r_out, p, z)
     if norm(z - c_in) < r_in:
-        hi = omega_general_ball_value(c_in, r_in, p, z)
+        hi = _omega_general_ball(c_in, r_in, p, z)
     else:
         hi = 0.0
     return KernelValue.interval(lo, hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import re
 import sys
 
 import numpy as np
@@ -65,19 +65,6 @@ def parse_point(text: str, n: int) -> np.ndarray:
     if len(vals) != n:
         raise ValidationError(f"point {text!r} has {len(vals)} components but n={n}")
     return np.asarray(vals, dtype=complex)
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("PLURIKERNEL_THREADS")
-    if raw is None:
-        return None
-    try:
-        t = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"PLURIKERNEL_THREADS must be an integer, got {raw!r}") from exc
-    if t < 1:
-        raise ValidationError("PLURIKERNEL_THREADS must be positive")
-    return t
 
 
 def _emit(args, payload_json: dict, rows=None, header=None) -> None:
@@ -220,7 +207,6 @@ def _cmd_reproduce(args) -> int:
         with open(args.export_rule, "w") as fh:
             rule_to_csv(rule, fh)
     field = ScalarField(args.f, domain.n)
-    threads = _threads_from_env()
     rows = []
     payloads = []
     for ptext in args.z:
@@ -238,7 +224,7 @@ def _cmd_reproduce(args) -> int:
             rows.append(list(np.concatenate([z.real, z.imag]))
                         + [dec.boundary_term, dec.correction, dec.value])
         else:
-            val = reproduce(lambda pts: np.real(field(pts)), z, rule, threads=threads)
+            val = reproduce(lambda pts: np.real(field(pts)), z, rule)
             payloads.append({"reproduced": val})
             rows.append(list(np.concatenate([z.real, z.imag])) + [val])
     if args.laplacian is not None:
@@ -308,10 +294,25 @@ def _cvec(v) -> list:
 
 # -- parser ----------------------------------------------------------------------
 
+#: A minus sign and a digit, a decimal point or ``i`` start a value (``--point -0.3,0``).
+_NEGATIVE_VALUE = re.compile(r"^-[\d.i]")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads negative point components as values and raises on usage errors."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="plurikernel",
-                                 description="kernels, bounds and boundary formulas "
-                                             "on strongly pseudoconvex domains")
+    ap = _Parser(prog="plurikernel",
+                 description="kernels, bounds and boundary formulas "
+                             "on strongly pseudoconvex domains")
     ap.add_argument("--version", action="version", version=f"plurikernel {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -383,8 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValidationError as exc:
+        _error_json("validation", str(exc), {})
+        return 2
     if hasattr(args, "h0") and args.h0 is not None and args.h0 <= 0:
         _error_json("validation", "tolerance/step parameters must be positive", {})
         return 2

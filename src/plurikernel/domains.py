@@ -38,10 +38,12 @@ from .errors import (
     ValidationError,
 )
 from .expressions import ScalarField, infer_dimension
-from .utils import BOUNDARY_TOL, as_vector, herm, norm, to_real
+from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only, to_real
 
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
+#: Entries a domain's pole memo holds before it is emptied.
+_POLE_MEMO_SIZE = 128
 
 
 class DomainKind(str, Enum):
@@ -66,6 +68,7 @@ class DomainSpec:
     hess_fn: Optional[Callable] = None           # custom, optional
     interior: np.ndarray = field(default=None)   # reference interior point
     label: str = ""
+    _poles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -196,6 +199,20 @@ class DomainSpec:
     def contains(self, z, tol: float = 0.0) -> bool:
         return self.psi(z) < -tol
 
+    def _per_pole(self, what: str, p: np.ndarray, tol: float, compute):
+        """Per-pole geometry: ``compute(self, p, tol)`` run once per (what, p, tol).
+
+        ``compute`` validates p, so a rejected pole is never stored and raises again.
+        """
+        key = (what, p.tobytes(), tol)
+        hit = self._poles.get(key)
+        if hit is None:
+            hit = compute(self, p, tol)
+            if len(self._poles) >= _POLE_MEMO_SIZE:
+                self._poles.clear()
+            self._poles[key] = hit
+        return hit
+
     def __repr__(self):
         return f"DomainSpec({self.label or self.kind.value}, n={self.n})"
 
@@ -249,8 +266,11 @@ def outward_normal(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> np.ndarr
 
 def boundary_frame(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> BoundaryFrame:
     """Outward normal, orthonormal complex tangent basis and restricted Levi form at p."""
-    p = require_on_boundary(domain, p, tol)
-    nu = outward_normal(domain, p, tol)
+    return domain._per_pole("frame", as_vector(p, domain.n), tol, _boundary_frame)
+
+
+def _boundary_frame(domain: DomainSpec, p: np.ndarray, tol: float) -> BoundaryFrame:
+    nu = outward_normal(domain, p, tol)    # checks that p is on the boundary
     basis = _complex_tangent_basis(nu)
     H = domain.hess_psi(p)
     # Levi(u, v) = sum_ij H_ij u_i conj(v_j) restricted to the tangent basis
@@ -263,8 +283,7 @@ def boundary_frame(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> Boundary
         if np.min(eigs) <= 0:
             raise PseudoconvexityError(
                 f"restricted Levi form not positive definite at p (min eig {np.min(eigs):.3e})")
-    return BoundaryFrame(p=p, nu=nu, tangent_basis=basis, levi=levi,
-                         theta_coeffs=np.conj(nu))
+    return BoundaryFrame(*read_only(p.copy(), nu, basis, levi, np.conj(nu)))
 
 
 def _complex_tangent_basis(nu: np.ndarray) -> np.ndarray:
@@ -322,6 +341,10 @@ class OsculatingRadii:
 
 def osculating_radii(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> OsculatingRadii:
     """Principal-curvature tangent ball radii from the real second fundamental form."""
+    return domain._per_pole("radii", as_vector(p, domain.n), tol, _osculating_radii)
+
+
+def _osculating_radii(domain: DomainSpec, p: np.ndarray, tol: float) -> OsculatingRadii:
     p = require_on_boundary(domain, p, tol)
     g = domain.grad_psi(p)
     if norm(g) < 1e-14:

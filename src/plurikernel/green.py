@@ -25,15 +25,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .domains import DomainKind, DomainSpec, levi_density, outward_normal, require_on_boundary
+from .bounds import kernel_value
+from .domains import DomainSpec, levi_density, outward_normal, require_on_boundary
 from .errors import ConvergenceError, ValidationError
 from .extrapolate import aitken
-from .kernels import (
-    green_general_ball,
-    is_neg_infinity,
-    omega_general_ball_value,
-    poisson_disc,
-)
+from .kernels import green_general_ball, is_neg_infinity
 from .utils import as_vector, norm
 
 
@@ -106,9 +102,7 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3,
 def omega_closed_form(domain: DomainSpec, p, z) -> float:
     """Closed-form kernel of disc/ball kinds in the canonical couple."""
     _require_symmetric_green(domain)
-    if domain.kind is DomainKind.DISC:
-        return poisson_disc(as_vector(p, 1)[0], as_vector(z, 1)[0])
-    return omega_general_ball_value(domain.ball_center, domain.ball_radius, p, z)
+    return kernel_value(domain, p, z).value
 
 
 def green_omega_identity_check(domain: DomainSpec, pairs: Sequence,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -258,8 +258,6 @@ class JuliaReport:
     target: np.ndarray
     diverged: bool = False
     ray_error: float = float("nan")
-    inclusion_violations: List = field(default_factory=list)
-    undetermined_count: int = 0
 
     @property
     def finite(self) -> bool:

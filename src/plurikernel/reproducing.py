@@ -26,7 +26,7 @@ integral uses the plain Laplacian against Lebesgue measure; the worked cases
 f = |w|^2 and |w|^4 at z = 0 then reproduce f(0) = 0 exactly.
 
 Node sums use numpy pairwise summation in a fixed order, so results are
-deterministic for a given rule, with or without threading.
+deterministic for a given rule.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -97,8 +96,7 @@ def _kernel_powers(rule: QuadratureRule, z: np.ndarray) -> np.ndarray:
     return om ** rule.n
 
 
-def reproduce(f: Callable, z, rule: QuadratureRule,
-              threads: Optional[int] = None) -> float:
+def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z."""
     z = as_vector(z, rule.n)
     if float(np.vdot(z, z).real) >= 1.0:
@@ -114,14 +112,7 @@ def reproduce(f: Callable, z, rule: QuadratureRule,
         fvals = np.array([float(np.asarray(f(xi), dtype=complex).reshape(-1)[0].real)
                           for xi in rule.nodes])
     integrand = fvals * _kernel_powers(rule, z) * rule.weights
-    if threads and threads > 1:
-        chunks = np.array_split(integrand, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(np.sum, chunks))
-        total = float(np.sum(partials))
-    else:
-        total = float(np.sum(integrand))
-    return total / TWO_PI ** rule.n
+    return float(np.sum(integrand)) / TWO_PI ** rule.n
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,16 @@ BOUNDARY_TOL = 1e-9
 
 
 def as_vector(z, n: int | None = None) -> np.ndarray:
-    """Coerce a scalar or sequence to a complex vector, optionally of length n."""
-    v = np.atleast_1d(np.asarray(z, dtype=complex))
-    if v.ndim != 1:
-        raise ValidationError(f"expected a point (1-d vector), got shape {v.shape}")
+    """Coerce to a complex vector, optionally of length n; a complex128 vector is not copied."""
+    if type(z) is np.ndarray and z.dtype == np.complex128 and z.ndim == 1:
+        v = z
+    else:
+        v = np.atleast_1d(np.asarray(z, dtype=complex))
+        if v.ndim != 1:
+            raise ValidationError(f"expected a point (1-d vector), got shape {v.shape}")
     if n is not None and len(v) != n:
         raise ValidationError(f"expected a point in C^{n}, got length {len(v)}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError("point has non-finite components")
     return v
 
@@ -27,9 +30,11 @@ def herm(v, w) -> complex:
     return complex(np.sum(np.asarray(v, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
 
 
-def real_inner(v, w) -> float:
-    """Euclidean inner product of C^n viewed as R^{2n}."""
-    return float(np.real(herm(v, w)))
+def read_only(*arrays) -> tuple:
+    """Mark arrays read-only, for results shared between callers; returns them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def norm(v) -> float:
@@ -40,12 +45,6 @@ def to_real(v: np.ndarray) -> np.ndarray:
     """Flatten a complex vector to (Re..., Im...) real coordinates."""
     v = np.asarray(v, dtype=complex)
     return np.concatenate([v.real, v.imag])
-
-
-def from_real(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    m = len(x) // 2
-    return x[:m] + 1j * x[m:]
 
 
 def sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -211,3 +211,22 @@ def test_kernel_value_dispatch():
 def test_sandwich_requires_interior_point():
     with pytest.raises(ValidationError):
         sandwich_bounds(ELL, E1, E1)
+
+
+def test_ball_written_as_ellipsoid_near_pole():
+    # ellipsoid:2,2 is the ball of radius r = 1/sqrt(2); its two tangent balls
+    # coincide, so both ends of the enclosure are the ball's closed form even
+    # where |kernel| is in the thousands and the ends differ by a few ulps
+    dom = DomainSpec.ellipsoid([2.0, 2.0])
+    r = 1.0 / math.sqrt(2.0)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        nu = v / np.linalg.norm(v)
+        p = r * nu
+        for k in range(2, 14):
+            z = p - 2.0 ** (-k) * nu
+            exact = -(1 - np.vdot(z, z).real / r ** 2) / abs(1 - np.vdot(p, z) / r ** 2) ** 2 / r
+            for kv in (kernel_value(dom, p, z), sandwich_bounds(dom, p, z)):
+                assert kv.lo == pytest.approx(exact, rel=1e-10)
+                assert kv.hi == pytest.approx(exact, rel=1e-10)

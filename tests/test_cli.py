@@ -156,18 +156,30 @@ def test_resolution_validation(capsys):
     assert json.loads(err)["code"] == "validation"
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("PLURIKERNEL_THREADS", "2")
-    code, out, _ = run_cli(capsys, [
-        "reproduce", "--domain", "unit_ball:2", "--f", "re(z1)",
-        "--z", "0.3,0", "--resolution", "16"])
-    assert code == 0
-    assert json.loads(out)["reproduced"] == pytest.approx(0.3, abs=1e-4)
-    monkeypatch.setenv("PLURIKERNEL_THREADS", "zero")
-    code, _, err = run_cli(capsys, [
-        "reproduce", "--domain", "unit_ball:2", "--f", "re(z1)",
-        "--z", "0.3,0", "--resolution", "16"])
-    assert code == 2
+def test_negative_point_component(capsys):
+    code, out, err = run_cli(capsys, [
+        "kernel", "--domain", "unit_ball:2", "--pole", "e1", "--point", "-0.3,0"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["provenance"] == "closed_form"
+    assert payload["value"] == pytest.approx(-0.91 / 1.69, rel=1e-15)
+
+
+def test_negative_point_after_positive(capsys):
+    code, out, err = run_cli(capsys, [
+        "kernel", "--domain", "unit_ball:2", "--pole", "e1",
+        "--point", "0.1,0", "-0.3,0", "-.5i,0"])
+    assert (code, err) == (0, "")
+    values = [v["value"] for v in json.loads(out)["values"]]
+    assert values == pytest.approx([-0.99 / 0.81, -0.91 / 1.69, -0.75 / 1.25], rel=1e-15)
+
+
+def test_usage_error_is_json(capsys):
+    code, out, err = run_cli(capsys, ["kernel", "--domain", "unit_ball:2", "--point", "0"])
+    assert (code, out) == (2, "")
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert "--pole" in blob["message"]
 
 
 def test_output_file(tmp_path, capsys):

@@ -105,16 +105,6 @@ def test_node_factors_match_demailly_density(rng):
         assert factor == pytest.approx(demailly_density(dom, z, xi), abs=1e-5)
 
 
-def test_reproduce_threads_deterministic():
-    rule = sphere_quadrature(2, 24)
-    f = lambda nodes: np.real(nodes[:, 0] * nodes[:, 1])
-    z = np.array([0.2, 0.4])
-    v4a = reproduce(f, z, rule, threads=4)
-    v4b = reproduce(f, z, rule, threads=4)
-    assert v4a == v4b  # bitwise reproducible for a fixed thread count
-    assert reproduce(f, z, rule) == pytest.approx(v4a, abs=1e-13)
-
-
 def test_riesz_square_modulus():
     # f = |w|^2: Lap f = 4; int_0^1 (-log r) 4 r dr * 2pi / 2pi = 1
     rule = sphere_quadrature(1, 64)
