@@ -34,7 +34,7 @@ from .errors import (
     PseudoconvexityError,
     ValidationError,
 )
-from .geodesics import GeodesicDisc, geodesic_through, lempert_left_inverse, restriction_identity_check
+from .geodesics import GeodesicDisc, geodesic_through, restriction_identity_check
 from .green import (
     NormalDerivativeResult,
     demailly_density,
@@ -54,15 +54,14 @@ from .julia import (
     jwc_derivative_probes,
     lambda_estimate,
     map_from_json,
+    pullback_kernel,
 )
 from .kernels import (
     NEG_INFINITY,
-    Biholomorphism,
     BoundaryCurve,
     BoundaryLimitResult,
     KernelValue,
     Provenance,
-    ball_automorphism_biholomorphism,
     boundary_limit,
     green_ball,
     is_neg_infinity,
@@ -71,9 +70,7 @@ from .kernels import (
     omega_ball,
     omega_general_ball,
     poisson_disc,
-    pullback_kernel,
     rescale_couple,
-    unitary_biholomorphism,
 )
 from .reproducing import (
     QuadratureRule,

@@ -36,6 +36,7 @@ from .errors import (
     NotOnBoundaryError,
     PseudoconvexityError,
     ValidationError,
+    malformed_spec,
 )
 from .expressions import ScalarField, infer_dimension
 from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only, to_real
@@ -508,6 +509,9 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray, max_iter: int = 200):
             raise ConvergenceError("domain appears unbounded along the ray", trace)
     x = to_surface(domain.interior + t_hi * direction)
     scale = max(norm(z), 1.0)
+    # the next iterate depends on x alone, so an iterate seen before starts a
+    # cycle that never meets the stop test
+    seen = set()
     for it in range(max_iter):
         w = z - x
         nu = outward_normal(domain, x, tol=1e-10)
@@ -516,6 +520,9 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray, max_iter: int = 200):
         trace.append((it, resid))
         if resid < 1e-12 * scale:
             return x, norm(z - x)
+        if x.tobytes() in seen:
+            raise ConvergenceError("foot-point iteration cycles without converging", trace)
+        seen.add(x.tobytes())
         x = to_surface(x + w_tan)
     raise ConvergenceError("foot-point iteration did not converge", trace)
 
@@ -615,6 +622,7 @@ def _fd_real_hessian(psi, z: np.ndarray, h: float = _HESS_STEP) -> np.ndarray:
 
 # -- JSON interface ----------------------------------------------------------
 
+@malformed_spec("domain spec")
 def domain_from_json(spec) -> DomainSpec:
     """Build a DomainSpec from a JSON object / string / ``kind:params`` shorthand.
 

@@ -5,6 +5,8 @@ failures (non-convergent iterations, uncertified bounds) are kept separate
 so the CLI can map them to distinct exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class PluriKernelError(Exception):
     """Base class for all library errors."""
@@ -43,3 +45,12 @@ class ConvergenceError(NumericalError):
 
 class ContainmentError(NumericalError):
     """Tangent-ball containment is not certified for the requested domain."""
+
+
+@contextmanager
+def malformed_spec(what: str):
+    """Report bad JSON, a missing key or a value of the wrong type in a spec as ValidationError."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc

@@ -183,11 +183,6 @@ def geodesic_through(z, p, normalize_chl: bool = True,
                         center=c0, radius=float(radius))
 
 
-def lempert_left_inverse(g: GeodesicDisc, w) -> complex:
-    """Left inverse of the geodesic: rho_tilde(w) in the disc, with rho = phi o rho_tilde."""
-    return g.rho_tilde(w)
-
-
 def default_disc_grid(count: int = 200, rmax: float = 0.95) -> np.ndarray:
     """Deterministic evaluation grid in the disc: tensor of radii and angles."""
     n_r = max(4, int(np.sqrt(count)))

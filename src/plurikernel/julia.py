@@ -21,6 +21,10 @@ tends to lambda, the mixed components decay at the square-root rate, and the
 tangent-tangent component stays bounded.  The three classical finiteness
 conditions (kernel ratio, Kobayashi distance defect, boundary distance
 ratio) are evaluated jointly by ``condition_equivalence_check``.
+
+Maps with a registered inverse (identity, unitary, ball automorphism) also
+pull back the unit-ball kernel, together with the induced defining couple
+(``pullback_kernel``).
 """
 
 from __future__ import annotations
@@ -33,10 +37,22 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import bounds as _bounds
-from .domains import DomainSpec, outward_normal, signed_boundary_distance
-from .errors import NumericalError, ValidationError
+from .domains import (
+    DomainKind,
+    DomainSpec,
+    outward_normal,
+    require_on_boundary,
+    signed_boundary_distance,
+)
+from .errors import NumericalError, ValidationError, malformed_spec
 from .extrapolate import Extrapolation, refine_until, richardson
-from .kernels import KernelValue, kobayashi, mobius_ball, mobius_ball_jacobian
+from .kernels import (
+    KernelValue,
+    kobayashi,
+    mobius_ball,
+    mobius_ball_jacobian,
+    omega_ball_value,
+)
 from .utils import as_vector, herm, norm, sample_ball
 
 _DIVERGENCE = 1e6
@@ -46,13 +62,19 @@ _DIVERGENCE = 1e6
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
-    """A holomorphic map between disc/ball domains with derivative access."""
+    """A holomorphic map between disc/ball domains with derivative access.
+
+    ``derivative(z)`` returns the complex Jacobian matrix J with
+    (df_z(v))_i = sum_j J_ij v_j.  ``inverse`` is set for biholomorphisms
+    whose inverse is registered; ``pullback_kernel`` requires it.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     source: DomainSpec
     target: DomainSpec
     describe: str = "map"
+    inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, z) -> np.ndarray:
         return as_vector(self.fn(as_vector(z, self.source.n)), self.target.n)
@@ -72,7 +94,8 @@ def identity_map(n: int) -> MapSpec:
     eye = np.eye(n, dtype=complex)
     dom = _ball_domain(n)
     return MapSpec(fn=lambda z: z, jacobian=lambda z: eye,
-                   source=dom, target=dom, describe=f"identity:{n}")
+                   source=dom, target=dom, describe=f"identity:{n}",
+                   inverse=lambda w: w)
 
 
 def blaschke_map(a: complex) -> MapSpec:
@@ -113,16 +136,20 @@ def ball_auto_map(anchor) -> MapSpec:
     return MapSpec(fn=lambda z: mobius_ball(a, z),
                    jacobian=lambda z: mobius_ball_jacobian(a, z),
                    source=_ball_domain(n), target=_ball_domain(n),
-                   describe="ball_auto")
+                   describe="ball_auto", inverse=lambda w: mobius_ball(a, w))
 
 
 def unitary_map(U) -> MapSpec:
     U = np.asarray(U, dtype=complex)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValidationError("unitary matrix must be square")
     if not np.allclose(U.conj().T @ U, np.eye(len(U)), atol=1e-10):
         raise ValidationError("matrix is not unitary")
     n = len(U)
+    Uh = U.conj().T
     return MapSpec(fn=lambda z: U @ z, jacobian=lambda z: U,
-                   source=_ball_domain(n), target=_ball_domain(n), describe="unitary")
+                   source=_ball_domain(n), target=_ball_domain(n), describe="unitary",
+                   inverse=lambda w: Uh @ w)
 
 
 def constant_map(c, source_n: int) -> MapSpec:
@@ -161,6 +188,7 @@ def compose_maps(outer: MapSpec, inner: MapSpec) -> MapSpec:
                    describe=f"{outer.describe} o {inner.describe}")
 
 
+@malformed_spec("map spec")
 def map_from_json(spec) -> MapSpec:
     """Build a registered map from a JSON object / string composition tree.
 
@@ -205,6 +233,54 @@ def map_from_json(spec) -> MapSpec:
             out = compose_maps(out, m)
         return out
     raise ValidationError(f"unregistered map type: {key!r}")
+
+
+# -- kernel pullback -----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PulledBackKernel:
+    """z -> Omega_{B, q}(F(z)) together with the pulled-back defining couple.
+
+    ``couple_coeffs`` is the vector c with theta'(v) = <v, c>.  For maps with
+    a registered inverse theta' = scale_to_standard * theta_p with theta_p the
+    canonical couple at the pole preimage, so multiplying values by
+    ``scale_to_standard`` renormalizes the kernel to the canonical couple.
+    """
+
+    evaluator: Callable[[np.ndarray], float]
+    couple_coeffs: np.ndarray
+    pole: np.ndarray
+    scale_to_standard: float
+
+    def standard_evaluator(self) -> Callable[[np.ndarray], float]:
+        rho = self.scale_to_standard
+        ev = self.evaluator
+        return lambda z: rho * ev(z)
+
+
+def pullback_kernel(F: MapSpec, q) -> PulledBackKernel:
+    """Pull back the unit-ball kernel with pole q under a map with a registered inverse.
+
+    The target kernel is the unit-ball kernel at q in the canonical couple.
+    The pulled-back couple is theta'(v) = theta_q(dF_p v) at p = F^{-1}(q); it
+    is a positive multiple of the canonical couple at p, and
+    ``scale_to_standard`` carries that multiple.
+    """
+    if not isinstance(F, MapSpec) or F.inverse is None:
+        raise ValidationError(f"pullback needs a map with a registered inverse, got {F!r}")
+    if F.target.kind not in (DomainKind.DISC, DomainKind.UNIT_BALL):
+        raise ValidationError("pullback targets the unit ball")
+    q = require_on_boundary(F.target, q)
+    n = F.target.n
+    p = as_vector(F.inverse(q), F.source.n)
+    coeffs = F.derivative(p).conj().T @ q
+    rho = herm(outward_normal(F.source, p), coeffs)
+    if abs(rho.imag) > 1e-9 * abs(rho) or rho.real <= 0:
+        raise ValidationError(f"pulled-back couple is not positively oriented: theta'(nu) = {rho}")
+    return PulledBackKernel(evaluator=lambda z: omega_ball_value(n, q, F(z)),
+                            couple_coeffs=coeffs,
+                            pole=p,
+                            scale_to_standard=float(rho.real))
 
 
 # -- horoballs -----------------------------------------------------------------
@@ -380,9 +456,6 @@ def _unitary_from_e1(p: np.ndarray) -> np.ndarray:
     M = np.eye(n, dtype=complex)
     M[:, 0] = p
     Q, _ = np.linalg.qr(M)
-    phase = herm(p, Q[:, 0])
-    Q[:, 0] *= phase / abs(phase)
-    # ensure exact first column
     Q[:, 0] = p
     return Q
 

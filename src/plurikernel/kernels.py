@@ -20,8 +20,7 @@ by the couple-rescaling rule  Omega_{B(c,r),p}(z) = (1/r) Omega((z-c)/r) at
 pole (p-c)/r.  The module also provides the standard involutive ball
 automorphisms, the Kobayashi distance (arctanh of the Mobius invariant), the
 symmetric Green function with logarithmic pole G(z, w) = log ||phi_z(w)||,
-Richardson-extrapolated boundary limits along curves, and pullbacks of
-kernels under registered biholomorphisms together with the induced couple.
+and Richardson-extrapolated boundary limits along curves.
 """
 
 from __future__ import annotations
@@ -361,106 +360,3 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
     return BoundaryLimitResult(estimate=best.real, predicted=predicted,
                                error=best.error, levels=len(vals))
 
-
-# -- registered biholomorphisms and kernel pullback ---------------------------
-
-@dataclass(frozen=True)
-class Biholomorphism:
-    """A registered biholomorphism with boundary extension.
-
-    ``derivative(z)`` returns the complex Jacobian matrix J with
-    (dF_z(v))_i = sum_j J_ij v_j.
-    """
-
-    name: str
-    map: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-
-
-def identity_biholomorphism(n: int) -> Biholomorphism:
-    eye = np.eye(n, dtype=complex)
-    return Biholomorphism(name="identity",
-                          map=lambda z: as_vector(z, n),
-                          derivative=lambda z: eye,
-                          inverse=lambda w: as_vector(w, n))
-
-
-def unitary_biholomorphism(U) -> Biholomorphism:
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValidationError("unitary matrix must be square")
-    if not np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=1e-10):
-        raise ValidationError("matrix is not unitary")
-    Uh = U.conj().T
-    return Biholomorphism(name="unitary",
-                          map=lambda z: U @ as_vector(z, U.shape[0]),
-                          derivative=lambda z: U,
-                          inverse=lambda w: Uh @ as_vector(w, U.shape[0]))
-
-
-def ball_automorphism_biholomorphism(anchor) -> Biholomorphism:
-    a = as_vector(anchor)
-    return Biholomorphism(name="ball_automorphism",
-                          map=lambda z: mobius_ball(a, z),
-                          derivative=lambda z: mobius_ball_jacobian(a, z),
-                          inverse=lambda w: mobius_ball(a, w))
-
-
-@dataclass(frozen=True, eq=False)
-class PulledBackKernel:
-    """z -> Omega_{D', q}(F(z)) together with the pulled-back defining couple.
-
-    ``couple_coeffs`` is the vector c with theta'(v) = <v, c>.  For registered
-    maps theta' = scale_to_standard * theta_p with theta_p the canonical
-    couple at the pole preimage, so multiplying values by
-    ``scale_to_standard`` renormalizes the kernel to the canonical couple.
-    """
-
-    evaluator: Callable[[np.ndarray], float]
-    couple_coeffs: np.ndarray
-    pole: np.ndarray
-    scale_to_standard: float
-
-    def standard_evaluator(self) -> Callable[[np.ndarray], float]:
-        rho = self.scale_to_standard
-        ev = self.evaluator
-        return lambda z: rho * ev(z)
-
-
-def pullback_kernel(F: Biholomorphism, q, kernel=None, source_normal=None) -> PulledBackKernel:
-    """Pull back a target-ball kernel with pole q under a registered biholomorphism.
-
-    ``kernel`` is the target evaluator (defaults to the unit-ball kernel at
-    pole q in the canonical couple).  The pulled-back couple is
-    theta'(v) = theta_q(dF_p v) at p = F^{-1}(q); for registered maps it is a
-    positive multiple of the canonical couple at p, and ``scale_to_standard``
-    carries that multiple.
-    """
-    if not isinstance(F, Biholomorphism):
-        raise ValidationError(f"unregistered map type: {type(F).__name__}")
-    q = as_vector(q)
-    n = len(q)
-    if kernel is None:
-        if abs(norm(q) - 1.0) > _SPHERE_TOL:
-            raise ValidationError("default target kernel requires a unit-sphere pole")
-        kernel = lambda w: omega_ball_value(n, q, w)
-        nu_q = q
-    else:
-        nu_q = q / norm(q)
-    p = as_vector(F.inverse(q))
-    J = np.asarray(F.derivative(p), dtype=complex)
-    coeffs = J.conj().T @ nu_q
-    if source_normal is None:
-        nn = norm(p)
-        if abs(nn - 1.0) > 1e-6:
-            raise ValidationError("source normal required when the source is not the unit ball")
-        source_normal = p / nn
-    rho = herm(as_vector(source_normal, n), coeffs)
-    if abs(rho.imag) > 1e-9 * abs(rho) or rho.real <= 0:
-        raise ValidationError(f"pulled-back couple is not positively oriented: theta'(nu) = {rho}")
-    fmap = F.map
-    return PulledBackKernel(evaluator=lambda z: kernel(fmap(z)),
-                            couple_coeffs=coeffs,
-                            pole=p,
-                            scale_to_standard=float(rho.real))

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +215,47 @@ def test_rule_export(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "re_z1,im_z1,weight"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["julia", "--map", '{"blaschke":{}}', "--p", "1", "--q", "1"],
+    ["julia", "--map", '{"power":"x"}', "--p", "1", "--q", "1"],
+    ["julia", "--map", "not_json", "--p", "1", "--q", "1"],
+    ["kernel", "--domain", '{"kind":"unit_ball"}', "--pole", "e1", "--point", "0"],
+    ["kernel", "--domain", "{bad", "--pole", "e1", "--point", "0"],
+    ["julia", "--map", '{"unitary":[[[1,0],[1,0]]]}', "--p", "1", "--q", "1"],
+], ids=["missing_key", "bad_type", "map_not_json", "missing_n", "domain_not_json",
+        "non_square_unitary"])
+def test_malformed_spec_is_json(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert blob["context"] == {"command": argv[0]}
+
+
+def _readme_cli_examples():
+    """(command line, JSON shown in the comment below it or None) from the README's sh blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines() + [""]
+        for line, after in zip(lines, lines[1:]):
+            if line.startswith("plurikernel "):
+                examples.append((line, after[2:] if after.startswith("# {") else None))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 7
+    for line, shown in examples:
+        code, out, err = run_cli(capsys, shlex.split(line)[1:])
+        assert (code, err) == (0, ""), line
+        if shown is not None:
+            # "..." in the README stands for a value it does not show
+            want = json.loads(shown.replace("...", '"..."'))
+            got = json.loads(out)
+            assert set(got) == set(want), line
+            assert {k: got[k] for k in want if want[k] != "..."} == \
+                {k: v for k, v in want.items() if v != "..."}, line

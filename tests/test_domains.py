@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plurikernel import (
+    ConvergenceError,
     DomainSpec,
     NotOnBoundaryError,
     PseudoconvexityError,
@@ -17,7 +18,7 @@ from plurikernel import (
 )
 from plurikernel.domains import boundary_samples, nearest_boundary_point
 from plurikernel.errors import DomainError
-from plurikernel.utils import herm
+from plurikernel.utils import herm, sample_ball
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -183,6 +184,17 @@ def test_signed_distance_custom_footpoint():
     assert signed_boundary_distance(dom, [0.3, 0.2]) == pytest.approx(ref, abs=1e-9)
 
 
+def test_footpoint_stall_stops_before_budget():
+    # the unit ball written as an expression: the finite-difference gradient
+    # keeps this point's tangential residual above the stop test, and the
+    # iterates repeat, so the iteration raises long before its 200 steps
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
+    z = sample_ball(np.random.default_rng(0), 2, 0.9)
+    with pytest.raises(ConvergenceError) as info:
+        signed_boundary_distance(dom, z)
+    assert 0 < len(info.value.trace) < 200
+
+
 @pytest.mark.parametrize("domain", [
     DomainSpec.disc(),
     DomainSpec.unit_ball(2),
@@ -268,3 +280,8 @@ def test_domain_from_json_rejects_unknown_fields():
         domain_from_json('{"kind": "unit_ball", "n": 2, "frobnicate": true}')
     with pytest.raises(ValidationError):
         domain_from_json('{"kind": "hyperboloid"}')
+    # bad JSON, missing keys and wrong types
+    for spec in ('{"kind": "unit_ball"}', "{bad", '{"kind": "ball", "center": [[0.5]], "radius": 1}',
+                 '{"kind": "ellipsoid", "a": "x"}', "unit_ball:x", ["unit_ball"]):
+        with pytest.raises(ValidationError):
+            domain_from_json(spec)

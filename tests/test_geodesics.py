@@ -6,7 +6,6 @@ from plurikernel import (
     ValidationError,
     geodesic_through,
     kobayashi,
-    lempert_left_inverse,
     restriction_identity_check,
 )
 from plurikernel.extrapolate import richardson
@@ -56,7 +55,7 @@ def test_chl_conditions_random(rng):
 def test_left_inverse_radial():
     g = geodesic_through([0, 0], E1)
     for w in [np.array([0.3, 0.5j]), np.array([-0.2 + 0.1j, 0.6])]:
-        assert lempert_left_inverse(g, w) == pytest.approx(w[0], abs=1e-13)
+        assert g.rho_tilde(w) == pytest.approx(w[0], abs=1e-13)
 
 
 def test_left_inverse_and_projection_identities(rng):

@@ -274,6 +274,12 @@ def test_map_from_json_rejects_unknown():
         map_from_json('{"frobnicate": 1}')
     with pytest.raises(ValidationError):
         map_from_json('{"blaschke": {"a": 0.5}, "power": 2}')
+    # bad JSON, missing keys and wrong types
+    for spec in ('{"blaschke": {}}', '{"power": "x"}', "not_json", '{"blaschke": {"a": []}}',
+                 '{"ball_auto": {"anchor": [[0.3]]}}', '{"compose": 5}',
+                 '{"compose": [{"power": "x"}]}'):
+        with pytest.raises(ValidationError):
+            map_from_json(spec)
 
 
 def test_map_range_validation():
@@ -283,6 +289,9 @@ def test_map_range_validation():
         blaschke_map(1.0)
     with pytest.raises(ValidationError):
         diag_map([2.0])
+    # U^H U = [[1, 1], [1, 1]] equals eye(1) by broadcasting, so shape is checked first
+    with pytest.raises(ValidationError, match="square"):
+        unitary_map([[1, 1]])
 
 
 def test_unitary_map_preserves_kernel(rng):

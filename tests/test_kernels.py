@@ -8,7 +8,6 @@ from plurikernel import (
     KernelValue,
     Provenance,
     ValidationError,
-    ball_automorphism_biholomorphism,
     boundary_limit,
     green_ball,
     is_neg_infinity,
@@ -19,13 +18,9 @@ from plurikernel import (
     poisson_disc,
     pullback_kernel,
     rescale_couple,
-    unitary_biholomorphism,
 )
-from plurikernel.kernels import (
-    identity_biholomorphism,
-    mobius_ball_jacobian,
-    omega_ball_value,
-)
+from plurikernel.julia import ball_auto_map, blaschke_map, identity_map, unitary_map
+from plurikernel.kernels import mobius_ball_jacobian, omega_ball_value
 from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -286,7 +281,7 @@ def test_boundary_limit_random_curves_match_prediction(rng):
 # -- kernel pullback -----------------------------------------------------------------
 
 def test_pullback_identity():
-    F = identity_biholomorphism(2)
+    F = identity_map(2)
     pulled = pullback_kernel(F, E1)
     for z in [np.array([0.2, 0.3j]), np.array([-0.4, 0.1])]:
         assert pulled.evaluator(z) == pytest.approx(omega_ball_value(2, E1, z), rel=1e-14)
@@ -297,7 +292,7 @@ def test_pullback_unitary(rng):
     # unitary invariance: pullback at pole U* q equals direct evaluation at q
     th = 0.7
     U = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
-    F = unitary_biholomorphism(U)
+    F = unitary_map(U)
     q = sample_sphere(rng, 2)
     pulled = pullback_kernel(F, q)
     assert pulled.scale_to_standard == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +305,7 @@ def test_pullback_unitary(rng):
 def test_pullback_ball_automorphism_standardized(rng):
     # renormalizing the pulled-back couple recovers the kernel at the preimage pole
     z0 = np.array([0.3, -0.2 + 0.1j])
-    F = ball_automorphism_biholomorphism(z0)
+    F = ball_auto_map(z0)
     q = sample_sphere(rng, 2)
     pulled = pullback_kernel(F, q)
     p = pulled.pole
@@ -324,6 +319,8 @@ def test_pullback_ball_automorphism_standardized(rng):
 def test_pullback_rejects_unregistered_maps():
     with pytest.raises(ValidationError):
         pullback_kernel(lambda z: z, E1)
+    with pytest.raises(ValidationError, match="registered inverse"):
+        pullback_kernel(blaschke_map(0.5), np.array([1.0], dtype=complex))
 
 
 # -- KernelValue ----------------------------------------------------------------------
