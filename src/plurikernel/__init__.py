@@ -67,8 +67,6 @@ from .kernels import (
     is_neg_infinity,
     kobayashi,
     mobius_ball,
-    omega_ball,
-    omega_general_ball,
     poisson_disc,
     rescale_couple,
 )

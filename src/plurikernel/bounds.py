@@ -36,7 +36,7 @@ from .kernels import (
     BoundaryCurve,
     BoundaryLimitResult,
     KernelValue,
-    _omega_general_ball,
+    _ball_kernel,
     boundary_limit,
     omega_ball_value,
     omega_general_ball_value,
@@ -93,7 +93,7 @@ def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
     pole = boundary_frame(domain, p).p
 
     def evaluator(z) -> float:
-        return _omega_general_ball(center, radius, pole, as_vector(z, domain.n))
+        return _ball_kernel(center, radius, pole, as_vector(z, domain.n))
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.BALL_RESTRICTION,
                            pole=pole, metadata={"center": center, "radius": radius})
@@ -146,18 +146,6 @@ def _tangent_balls(domain: DomainSpec, p: np.ndarray, tol: float):
     return (c_in, rad.r_in), (c_out, rad.r_out)
 
 
-def pole_upper_bound(domain: DomainSpec, p, z) -> float:
-    """Upper bound for the kernel: inscribed tangent ball kernel inside it, 0 outside.
-
-    Continuous in both arguments; dominates the kernel pointwise.
-    """
-    (c_in, r_in), _ = tangent_balls(domain, p)
-    z = as_vector(z, domain.n)
-    if norm(z - c_in) < r_in:
-        return _omega_general_ball(c_in, r_in, boundary_frame(domain, p).p, z)
-    return 0.0
-
-
 def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
     """Two-sided enclosure of the kernel from tangent-ball comparisons.
 
@@ -168,13 +156,12 @@ def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
     if domain.psi(z) >= 0:
         raise ValidationError("sandwich bounds are defined for interior points")
     if domain.is_ball_like:
-        v = omega_general_ball_value(domain.ball_center, domain.ball_radius, p, z)
-        return KernelValue.closed_form(v)
+        return kernel_value(domain, p, z)
     (c_in, r_in), (c_out, r_out) = tangent_balls(domain, p)
     p = boundary_frame(domain, p).p
-    lo = _omega_general_ball(c_out, r_out, p, z)
+    lo = _ball_kernel(c_out, r_out, p, z)
     if norm(z - c_in) < r_in:
-        hi = _omega_general_ball(c_in, r_in, p, z)
+        hi = _ball_kernel(c_in, r_in, p, z)
     else:
         hi = 0.0
     return KernelValue.interval(lo, hi)

@@ -29,7 +29,7 @@ from .domains import domain_from_json
 from .errors import NumericalError, PluriKernelError, ValidationError
 from .expressions import ScalarField
 from .geodesics import default_disc_grid, geodesic_through, restriction_identity_check
-from .green import demailly_density, normal_derivative_green, omega_closed_form
+from .green import demailly_density, normal_derivative_green
 from .julia import (
     SamplingPlan,
     condition_equivalence_check,
@@ -97,8 +97,6 @@ def _fmt(x) -> str:
 
 
 def _kv_payload(kv) -> dict:
-    if kv.pole_hit:
-        return {"value": "NEG_INFINITY", "provenance": kv.provenance.value}
     if kv.is_exact:
         return {"value": kv.value, "provenance": kv.provenance.value}
     return {"lo": kv.lo, "hi": kv.hi, "provenance": kv.provenance.value}
@@ -168,7 +166,7 @@ def _cmd_geodesic(args) -> int:
         "grid_points": int(len(grid)),
     }
     ts = np.linspace(-0.95, 0.95, 97)
-    rows = [[float(t), float(omega_closed_form(domain, g.boundary_point, g.phi(t)))]
+    rows = [[float(t), float(kernel_value(domain, g.boundary_point, g.phi(t)).value)]
             for t in ts]
     _emit(args, payload, rows=rows, header=["t", "omega_on_geodesic"])
     return 0
@@ -182,7 +180,7 @@ def _cmd_green(args) -> int:
     for ptext in args.point:
         z = parse_point(ptext, domain.n)
         nd = normal_derivative_green(domain, z, pole, h0=args.h0)
-        om = omega_closed_form(domain, pole, z)
+        om = kernel_value(domain, pole, z).value
         payloads.append({
             "normal_derivative": nd.value,
             "omega": om,

@@ -37,9 +37,10 @@ from .errors import (
     PseudoconvexityError,
     ValidationError,
     malformed_spec,
+    spec_count,
 )
 from .expressions import ScalarField, infer_dimension
-from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only, to_real
+from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only, sample_sphere, to_real
 
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
@@ -529,8 +530,6 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray, max_iter: int = 200):
 
 def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic (seeded) boundary sample points, |psi| = 0 to high accuracy."""
-    from .utils import sample_sphere
-
     pts = np.empty((count, domain.n), dtype=complex)
     for i in range(count):
         v = sample_sphere(rng, domain.n)
@@ -653,7 +652,7 @@ def domain_from_json(spec) -> DomainSpec:
     if kind == "disc":
         return DomainSpec.disc()
     if kind == "unit_ball":
-        return DomainSpec.unit_ball(int(spec["n"]))
+        return DomainSpec.unit_ball(spec_count(spec["n"]))
     if kind == "ball":
         center = [complex(re, im) for re, im in spec["center"]]
         return DomainSpec.ball(center, float(spec["radius"]))
@@ -661,7 +660,7 @@ def domain_from_json(spec) -> DomainSpec:
         return DomainSpec.ellipsoid(spec["a"])
     if kind == "custom":
         source = str(spec["psi"])
-        n = int(spec["n"]) if "n" in spec else infer_dimension(source)
+        n = spec_count(spec["n"]) if "n" in spec else infer_dimension(source)
         return DomainSpec.custom(source, n)
     raise ValidationError(f"unknown domain kind {kind!r}")
 

@@ -6,6 +6,7 @@ so the CLI can map them to distinct exit codes.
 """
 
 from contextlib import contextmanager
+from numbers import Integral
 
 
 class PluriKernelError(Exception):
@@ -54,3 +55,10 @@ def malformed_spec(what: str):
         yield
     except (LookupError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
+def spec_count(value) -> int:
+    """A count read from a spec: an integer, never a bool or a float to truncate."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"expected an integer count, got {value!r}")
+    return int(value)

@@ -32,6 +32,8 @@ from .extrapolate import aitken
 from .kernels import green_general_ball, is_neg_infinity
 from .utils import as_vector, norm
 
+_HALVINGS = 8       # halvings of the initial step in the difference-quotient ladder
+
 
 def _require_symmetric_green(domain: DomainSpec) -> None:
     if not domain.is_ball_like:
@@ -61,8 +63,7 @@ class NormalDerivativeResult:
     error: float
 
 
-def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3,
-                            halvings: int = 8) -> NormalDerivativeResult:
+def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> NormalDerivativeResult:
     """Extrapolated limit of G(z, p - h nu_p)/h for h -> 0+ (equals -dG/d nu_p)."""
     _require_symmetric_green(domain)
     z = as_vector(z, domain.n)
@@ -77,7 +78,7 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3,
 
     steps = []
     quotients = []
-    for k in range(halvings + 1):
+    for k in range(_HALVINGS + 1):
         h = h0 * 2.0 ** (-k)
         g = green_function(domain, z, p - h * nu)
         if is_neg_infinity(g):
@@ -99,19 +100,12 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3,
                                   lipschitz_estimate=lipschitz, error=ext.error)
 
 
-def omega_closed_form(domain: DomainSpec, p, z) -> float:
-    """Closed-form kernel of disc/ball kinds in the canonical couple."""
-    _require_symmetric_green(domain)
-    return kernel_value(domain, p, z).value
-
-
-def green_omega_identity_check(domain: DomainSpec, pairs: Sequence,
-                               h0: float = 1e-3, halvings: int = 8) -> float:
+def green_omega_identity_check(domain: DomainSpec, pairs: Sequence, h0: float = 1e-3) -> float:
     """Max over (z, p) pairs of |extrapolated -dG/d nu_p  -  closed-form kernel|."""
     worst = 0.0
     for z, p in pairs:
-        nd = normal_derivative_green(domain, z, p, h0=h0, halvings=halvings)
-        worst = max(worst, abs(nd.value - omega_closed_form(domain, p, z)))
+        nd = normal_derivative_green(domain, z, p, h0=h0)
+        worst = max(worst, abs(nd.value - kernel_value(domain, p, z).value))
     return worst
 
 
@@ -125,5 +119,4 @@ def demailly_density(domain: DomainSpec, z, p) -> float:
     z = as_vector(z, domain.n)
     if domain.psi(z) >= 0:
         raise ValidationError("z must be interior")
-    om = omega_closed_form(domain, p, z)
-    return abs(om) ** domain.n * levi_density(domain, p)
+    return abs(kernel_value(domain, p, z).value) ** domain.n * levi_density(domain, p)

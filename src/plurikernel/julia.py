@@ -32,19 +32,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import bounds as _bounds
+from .bounds import kernel_value, tangent_balls
 from .domains import (
     DomainKind,
     DomainSpec,
+    boundary_frame,
     outward_normal,
     require_on_boundary,
     signed_boundary_distance,
 )
-from .errors import NumericalError, ValidationError, malformed_spec
+from .errors import NumericalError, ValidationError, malformed_spec, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
 from .kernels import (
     KernelValue,
@@ -56,6 +58,12 @@ from .kernels import (
 from .utils import as_vector, herm, norm, sample_ball
 
 _DIVERGENCE = 1e6
+_RAY_START_LEVEL = 3        # lambda_estimate: normal-ray levels, h = 2^-level
+_RAY_MAX_LEVEL = 26
+_COMPACT_RADIUS = 0.9       # lambda_estimate: exhaustion radius for the grid
+_APERTURE = 0.25            # jwc_derivative_probes: cone aperture and levels
+_PROBE_START_LEVEL = 3
+_PROBE_MAX_LEVEL = 20
 
 
 # -- registered holomorphic maps ----------------------------------------------
@@ -209,7 +217,7 @@ def map_from_json(spec) -> MapSpec:
         a = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
         return blaschke_map(a)
     if key == "power":
-        return power_map(int(val))
+        return power_map(spec_count(val))
     if key == "diag":
         return diag_map([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                          for v in val])
@@ -218,12 +226,12 @@ def map_from_json(spec) -> MapSpec:
     if key == "unitary":
         return unitary_map([[complex(re, im) for re, im in row] for row in val])
     if key == "identity":
-        return identity_map(int(val))
+        return identity_map(spec_count(val))
     if key == "constant":
         return constant_map([complex(re, im) for re, im in val["c"]],
-                            int(val["n_source"]))
+                            spec_count(val["n_source"]))
     if key == "product":
-        return product_map(int(val))
+        return product_map(spec_count(val))
     if key == "compose":
         maps = [map_from_json(m) for m in val]
         if not maps:
@@ -297,19 +305,11 @@ class Horoball:
         """+1 certified inside, -1 certified outside, 0 undetermined (interval gap)."""
         kv = self.kernel(z)
         threshold = -1.0 / self.radius
-        if kv.pole_hit:
-            return 1
         if kv.hi < threshold:
             return 1
         if kv.lo >= threshold:
             return -1
         return 0
-
-
-def domain_kernel(domain: DomainSpec, p) -> Callable[[np.ndarray], KernelValue]:
-    """Kernel evaluator of a domain at pole p (closed form or certified interval)."""
-    p = as_vector(p, domain.n)
-    return lambda z: _bounds.kernel_value(domain, p, z)
 
 
 # -- dilation estimation ---------------------------------------------------------
@@ -320,9 +320,6 @@ class SamplingPlan:
 
     seed: int = 0
     grid_count: int = 400
-    ray_start_level: int = 3
-    ray_max_level: int = 26
-    compact_radius: float = 0.9   # exhaustion radius for the grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,11 +339,18 @@ class JuliaReport:
 
 def _ratio_lower(kv_num: KernelValue, kv_den: KernelValue) -> float:
     """Certified lower bound of Omega_p(z)/Omega_q(f(z)) from enclosures (both <= 0)."""
-    if kv_num.pole_hit or kv_den.pole_hit:
-        raise NumericalError("kernel pole hit while sampling the ratio")
     if kv_den.lo >= 0.0:
         return float("inf")
     return kv_num.hi / kv_den.lo
+
+
+def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
+    """Refine Omega_p(z)/Omega_q(f(z)) from enclosure ends along z = p - h nu."""
+    kern_p = partial(kernel_value, mapspec.source, p)
+    kern_q = partial(kernel_value, mapspec.target, q)
+    return refine_until(lambda h: kern_p(p - h * nu).hi / kern_q(mapspec(p - h * nu)).lo,
+                        start_level=start_level, max_level=max_level,
+                        divergence_threshold=_DIVERGENCE)
 
 
 def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float):
@@ -374,8 +378,8 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    kern_p = domain_kernel(src, p)
-    kern_q = domain_kernel(tgt, q)
+    kern_p = partial(kernel_value, src, p)
+    kern_q = partial(kernel_value, tgt, q)
     nu = outward_normal(src, p)
     rng = np.random.default_rng(plan.seed)
 
@@ -386,18 +390,18 @@ def lambda_estimate(mapspec: MapSpec, p, q,
         return _ratio_lower(kern_p(z), kern_q(w))
 
     sup = 0.0
-    for z in _interior_samples(src, plan.grid_count, rng, plan.compact_radius):
+    for z in _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS):
         sup = max(sup, ratio_at(z))
 
     ray = refine_until(lambda h: ratio_at(p - h * nu),
-                       start_level=plan.ray_start_level,
-                       max_level=plan.ray_max_level,
+                       start_level=_RAY_START_LEVEL,
+                       max_level=_RAY_MAX_LEVEL,
                        divergence_threshold=_DIVERGENCE)
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
     ray_vals = [ratio_at(p - 2.0 ** (-k) * nu)
-                for k in range(plan.ray_start_level, plan.ray_start_level + 6)]
+                for k in range(_RAY_START_LEVEL, _RAY_START_LEVEL + 6)]
     sup = max(sup, max(ray_vals))
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
@@ -477,8 +481,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    kern_p = domain_kernel(src, p)
-    kern_q = domain_kernel(tgt, q)
+    kern_p = partial(kernel_value, src, p)
+    kern_q = partial(kernel_value, tgt, q)
     rng = np.random.default_rng(seed)
     violations: List[InclusionViolation] = []
     undetermined = 0
@@ -489,7 +493,7 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     else:
         # horoballs of an inscribed tangent ball are certified subsets of the
         # domain's horoballs (the inner kernel dominates from above)
-        (inner_center, inner_radius), _ = _bounds.tangent_balls(src, p)
+        (inner_center, inner_radius), _ = tangent_balls(src, p)
 
     for R in radii:
         ball = Horoball(pole=p, radius=R, kernel=kern_p)
@@ -509,8 +513,6 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
             checked += 1
             kv = kern_q(mapspec(z))
             required = -1.0 / (lam * R)
-            if kv.pole_hit:
-                continue
             if kv.hi < required:
                 continue
             if kv.lo >= required:
@@ -559,8 +561,7 @@ class ProbeReport:
     levels: int
 
 
-def jwc_derivative_probes(mapspec: MapSpec, p, q, aperture: float = 0.25,
-                          start_level: int = 3, max_level: int = 20) -> ProbeReport:
+def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
     """Evaluate the four derivative probes along cone directions at p.
 
     The source and target must be disc/ball kinds so the geodesic projections
@@ -572,25 +573,19 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q, aperture: float = 0.25,
         raise ValidationError("derivative probes require disc/ball source and target")
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    kern_p = domain_kernel(src, p)
-    kern_q = domain_kernel(tgt, q)
     nu = outward_normal(src, p)
 
-    probe_ray = refine_until(
-        lambda h: kern_p(p - h * nu).hi / kern_q(mapspec(p - h * nu)).lo,
-        start_level=6, max_level=23, divergence_threshold=_DIVERGENCE)
+    probe_ray = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
     if probe_ray.diverged:
         raise ValidationError(
             "boundary dilation diverges along the normal ray; probes refused")
 
     # tangent directions at p (complex orthogonal complement of nu)
-    from .domains import boundary_frame
-
     frame = boundary_frame(src, p)
     tangents = list(frame.tangent_basis)
     directions = [nu]
     for tau in tangents:
-        for eps in (aperture, -aperture, 1j * aperture, -1j * aperture):
+        for eps in (_APERTURE, -_APERTURE, 1j * _APERTURE, -1j * _APERTURE):
             d = nu + eps * tau
             directions.append(d / norm(d))
 
@@ -619,7 +614,7 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q, aperture: float = 0.25,
     central = {1: [], 2: [], 3: []}
     tail2 = tail3 = 0.0
     levels = 0
-    for k in range(start_level, max_level + 1):
+    for k in range(_PROBE_START_LEVEL, _PROBE_MAX_LEVEL + 1):
         h = 2.0 ** (-k)
         for idx, d in enumerate(directions):
             z = p - h * d
@@ -715,12 +710,7 @@ def condition_equivalence_check(mapspec: MapSpec, p, z0=None, z0_target=None,
     if q is None:
         v1, fin1 = float("inf"), False
     else:
-        kern_p = domain_kernel(src, p)
-        kern_q = domain_kernel(tgt, q)
-        cond1 = refine_until(
-            lambda h: kern_p(p - h * nu).hi / kern_q(mapspec(p - h * nu)).lo,
-            start_level=start_level, max_level=max_level,
-            divergence_threshold=_DIVERGENCE)
+        cond1 = _kernel_ratio_ray(mapspec, p, q, nu, start_level, max_level)
         v1, fin1 = _classify(cond1)
 
     v3, fin3 = _classify(ratio3)

@@ -41,7 +41,7 @@ _SPHERE_TOL = 1e-9
 
 
 class _NegInfinity:
-    """Explicit sentinel for negative-infinite values (pole hits).
+    """Explicit sentinel for negative-infinite values (Green-function pole hits).
 
     Orders below every float but supports no arithmetic, so it can never
     silently propagate through computations.
@@ -90,21 +90,17 @@ def is_neg_infinity(x) -> bool:
 class Provenance(str, Enum):
     CLOSED_FORM = "closed_form"
     SANDWICH_INTERVAL = "sandwich_interval"
-    ENVELOPE_LOWER_BOUND = "envelope_lower_bound"
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    """A kernel evaluation: exact value or certified enclosure, always <= 0."""
+    """A kernel evaluation: exact value or certified enclosure, always finite and <= 0."""
 
     lo: float
     hi: float
     provenance: Provenance
-    pole_hit: bool = False      # value is negative infinity (z at the pole)
 
     def __post_init__(self):
-        if self.pole_hit:
-            return
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValidationError("kernel enclosure must be finite")
         # relative slack: where |kernel| is large, coinciding tangent balls
@@ -122,22 +118,15 @@ class KernelValue:
                            provenance=Provenance.CLOSED_FORM)
 
     @staticmethod
-    def interval(lo: float, hi: float,
-                 provenance: Provenance = Provenance.SANDWICH_INTERVAL) -> "KernelValue":
-        return KernelValue(lo=float(lo), hi=float(hi), provenance=provenance)
-
-    @staticmethod
-    def neg_infinity(provenance: Provenance = Provenance.CLOSED_FORM) -> "KernelValue":
-        return KernelValue(lo=0.0, hi=0.0, provenance=provenance, pole_hit=True)
+    def interval(lo: float, hi: float) -> "KernelValue":
+        return KernelValue(lo=float(lo), hi=float(hi), provenance=Provenance.SANDWICH_INTERVAL)
 
     @property
     def is_exact(self) -> bool:
-        return not self.pole_hit and self.lo == self.hi
+        return self.lo == self.hi
 
     @property
     def value(self) -> float:
-        if self.pole_hit:
-            raise ValidationError("negative-infinite kernel value has no float value")
         if not self.is_exact:
             raise ValidationError("interval kernel value has no single value; use lo/hi")
         return self.hi
@@ -150,8 +139,6 @@ class KernelValue:
         """Multiply the enclosure by a positive factor."""
         if factor <= 0:
             raise ValidationError("scaling factor must be positive")
-        if self.pole_hit:
-            return self
         return KernelValue(lo=self.lo * factor, hi=self.hi * factor,
                            provenance=self.provenance)
 
@@ -229,10 +216,10 @@ def kobayashi(domain, z, w) -> float:
 
 def omega_ball_value(n: int, p, z) -> float:
     """Raw kernel value -(1 - ||z||^2)/|1 - <z, p>|^2 of the unit ball at pole p."""
-    return _omega_ball(as_vector(p, n), as_vector(z, n))
+    return _unit_ball_kernel(as_vector(p, n), as_vector(z, n))
 
 
-def _omega_ball(p: np.ndarray, z: np.ndarray) -> float:
+def _unit_ball_kernel(p: np.ndarray, z: np.ndarray) -> float:
     """omega_ball_value for vectors already coerced by as_vector to one length."""
     if abs(norm(p) - 1.0) > _SPHERE_TOL:
         raise ValidationError("pole must lie on the unit sphere")
@@ -245,26 +232,17 @@ def _omega_ball(p: np.ndarray, z: np.ndarray) -> float:
     return -max(1.0 - nz ** 2, 0.0) / denom
 
 
-def omega_ball(n: int, p, z) -> KernelValue:
-    """Pluricomplex Poisson kernel of the unit ball of C^n, canonical couple."""
-    return KernelValue.closed_form(omega_ball_value(n, p, z))
-
-
 def omega_general_ball_value(center, radius: float, p, z) -> float:
     """Kernel of the ball B(center, radius) via the scaling rule (1/r) Omega((z-c)/r)."""
     c = as_vector(center)
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    return _omega_general_ball(c, radius, as_vector(p, len(c)), as_vector(z, len(c)))
+    return _ball_kernel(c, radius, as_vector(p, len(c)), as_vector(z, len(c)))
 
 
-def _omega_general_ball(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
+def _ball_kernel(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
     """omega_general_ball_value for coerced vectors and a positive radius."""
-    return _omega_ball((p - c) / radius, (z - c) / radius) / radius
-
-
-def omega_general_ball(center, radius: float, p, z) -> KernelValue:
-    return KernelValue.closed_form(omega_general_ball_value(center, radius, p, z))
+    return _unit_ball_kernel((p - c) / radius, (z - c) / radius) / radius
 
 
 def rescale_couple(value, rho: float):

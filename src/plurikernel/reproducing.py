@@ -53,7 +53,6 @@ class QuadratureRule:
     weights: np.ndarray        # (M,) positive
     n: int                     # complex dimension
     resolution: int
-    domain_tag: str = "unit_ball"
 
     @property
     def total_mass(self) -> float:

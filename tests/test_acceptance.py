@@ -159,7 +159,7 @@ def test_criterion_08_jwc_probes():
     worst1 = 0.0
     worst23 = 0.0
     for mapspec, p, q, oracle in cases:
-        rep = jwc_derivative_probes(mapspec, p, q, max_level=20)
+        rep = jwc_derivative_probes(mapspec, p, q)
         worst1 = max(worst1, abs(rep.probe1_limit - oracle))
         worst23 = max(worst23, rep.probe2_tail, rep.probe3_tail)
     assert worst1 < 1e-5

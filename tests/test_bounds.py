@@ -15,11 +15,11 @@ from plurikernel import (
     sandwich_bounds,
     uniform_bound_check,
 )
-from plurikernel.bounds import candidate_normal_limit, pole_upper_bound
+from plurikernel.bounds import candidate_normal_limit
 from plurikernel.domains import boundary_samples
 from plurikernel.extrapolate import richardson
 from plurikernel.kernels import omega_ball_value
-from plurikernel.utils import herm, sample_ball
+from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 ELL = DomainSpec.ellipsoid([1.0, 2.0])
@@ -151,14 +151,14 @@ def _ellipsoid_pole_near(q, eps):
 
 
 def test_pole_upper_bound_semicontinuous_in_pole():
-    # the inscribed-ball upper bound g(z, p) is continuous in both arguments,
-    # so lim over poles q_k -> q of g(z, q_k) equals g(z, q)
+    # the inscribed-ball upper bound g(z, p), the sandwich's hi end, is
+    # continuous in both arguments, so lim over poles q_k -> q of g(z, q_k) equals g(z, q)
     z = np.array([0.2, 0.1j])
-    g0 = pole_upper_bound(ELL, E1, z)
+    g0 = sandwich_bounds(ELL, E1, z).hi
     gaps = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         qk = _ellipsoid_pole_near(E1, eps)
-        gaps.append(abs(pole_upper_bound(ELL, qk, z) - g0))
+        gaps.append(abs(sandwich_bounds(ELL, qk, z).hi - g0))
     assert gaps[-1] < 1e-6 and gaps[-2] < 1e-6
     assert gaps[0] > gaps[2] > gaps[3]
 
@@ -206,6 +206,25 @@ def test_kernel_value_dispatch():
     dom = DomainSpec.custom("z1*conj(z1) - 1", n=1)
     with pytest.raises(ContainmentError):
         kernel_value(dom, [1.0], [0.0])
+
+
+def test_sandwich_equals_kernel_value_on_balls():
+    # on ball-like domains sandwich_bounds and kernel_value are one closed form:
+    # over a seeded sweep, half of it approaching the pole, they agree bit for bit
+    rng = np.random.default_rng(7)
+    domains = (DomainSpec.disc(), BALL2, DomainSpec.ball([0.2 + 0.1j, -0.3], 1.5))
+    for dom in domains:
+        c, r = dom.ball_center, dom.ball_radius
+        for _ in range(20):
+            u = sample_sphere(rng, dom.n)
+            p = c + r * u
+            for k in range(50):
+                w = sample_sphere(rng, dom.n)
+                if k % 2:
+                    w = u + 0.1 * rng.random() * w
+                    w = w / np.linalg.norm(w)
+                z = c + r * (1.0 - 10.0 ** -rng.uniform(0.0, 4.0)) * w
+                assert sandwich_bounds(dom, p, z) == kernel_value(dom, p, z), (dom.label, p, z)
 
 
 def test_sandwich_requires_interior_point():

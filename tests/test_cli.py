@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -224,8 +225,11 @@ def test_rule_export(tmp_path, capsys):
     ["kernel", "--domain", '{"kind":"unit_ball"}', "--pole", "e1", "--point", "0"],
     ["kernel", "--domain", "{bad", "--pole", "e1", "--point", "0"],
     ["julia", "--map", '{"unitary":[[[1,0],[1,0]]]}', "--p", "1", "--q", "1"],
+    ["julia", "--map", '{"power":2.5}', "--p", "1", "--q", "1"],
+    ["julia", "--map", '{"identity":true}', "--p", "1", "--q", "1"],
+    ["kernel", "--domain", '{"kind":"unit_ball","n":2.7}', "--pole", "e1", "--point", "0"],
 ], ids=["missing_key", "bad_type", "map_not_json", "missing_n", "domain_not_json",
-        "non_square_unitary"])
+        "non_square_unitary", "float_count", "bool_count", "float_n"])
 def test_malformed_spec_is_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
@@ -259,3 +263,26 @@ def test_readme_cli_examples(capsys):
             assert set(got) == set(want), line
             assert {k: got[k] for k in want if want[k] != "..."} == \
                 {k: v for k, v in want.items() if v != "..."}, line
+
+
+#: A comment that is a single number: the value of the statement on its line.
+_NUMBER_COMMENT = re.compile(r"#\s*(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)\s*$")
+
+
+def test_readme_python_examples():
+    """Runs the README's python blocks statement by statement and checks every `# <number>`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    compared = 0
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        namespace = {}
+        for stmt in ast.parse(block).body:
+            shown = _NUMBER_COMMENT.search(lines[stmt.end_lineno - 1])
+            if shown is None:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+                continue
+            assert isinstance(stmt, ast.Expr), lines[stmt.end_lineno - 1]
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == float(shown.group(1)), lines[stmt.end_lineno - 1]
+            compared += 1
+    assert compared >= 3

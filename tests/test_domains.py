@@ -282,6 +282,9 @@ def test_domain_from_json_rejects_unknown_fields():
         domain_from_json('{"kind": "hyperboloid"}')
     # bad JSON, missing keys and wrong types
     for spec in ('{"kind": "unit_ball"}', "{bad", '{"kind": "ball", "center": [[0.5]], "radius": 1}',
-                 '{"kind": "ellipsoid", "a": "x"}', "unit_ball:x", ["unit_ball"]):
+                 '{"kind": "ellipsoid", "a": "x"}', "unit_ball:x", ["unit_ball"],
+                 # a count that is not an integer is refused, not truncated
+                 '{"kind": "unit_ball", "n": 2.7}', '{"kind": "unit_ball", "n": true}',
+                 '{"kind": "custom", "psi": "z1*conj(z1)-1", "n": 1.5}', "unit_ball:2.7"):
         with pytest.raises(ValidationError):
             domain_from_json(spec)

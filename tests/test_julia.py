@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from plurikernel import (
     condition_equivalence_check,
     horoball_inclusion_check,
     jwc_derivative_probes,
+    kernel_value,
     lambda_estimate,
     map_from_json,
 )
@@ -20,7 +22,6 @@ from plurikernel.julia import (
     compose_maps,
     constant_map,
     diag_map,
-    domain_kernel,
     identity_map,
     power_map,
     product_map,
@@ -82,7 +83,7 @@ def test_lambda_composition_multiplicative():
 
 def test_e_p_sequence_transport():
     f = blaschke_map(0.5)
-    kern_q = domain_kernel(DomainSpec.disc(), P1)
+    kern_q = partial(kernel_value, DomainSpec.disc(), P1)
     vals = []
     for k in range(3, 30):
         z = P1 * (1 - 2.0 ** (-k))
@@ -94,7 +95,7 @@ def test_e_p_sequence_transport():
 # -- horoballs -------------------------------------------------------------------
 
 def test_horoball_membership_disc():
-    kern = domain_kernel(DomainSpec.disc(), P1)
+    kern = partial(kernel_value, DomainSpec.disc(), P1)
     ball = Horoball(pole=P1, radius=1.0, kernel=kern)
     # P(z) < -1 iff |1-z|^2 < 1 - |z|^2: the horocycle through 0 has boundary at 0
     assert ball.contains([0.5]) == 1
@@ -103,7 +104,7 @@ def test_horoball_membership_disc():
 
 def test_horoball_membership_interval_cases():
     ell = DomainSpec.ellipsoid([1.0, 2.0])
-    kern = domain_kernel(ell, E1)
+    kern = partial(kernel_value, ell, E1)
     z = 0.5 * E1              # enclosure [-3, -2]
     assert Horoball(pole=E1, radius=1.0, kernel=kern).contains(z) == 1     # hi < -1
     assert Horoball(pole=E1, radius=0.25, kernel=kern).contains(z) == -1   # lo >= -4
@@ -277,7 +278,10 @@ def test_map_from_json_rejects_unknown():
     # bad JSON, missing keys and wrong types
     for spec in ('{"blaschke": {}}', '{"power": "x"}', "not_json", '{"blaschke": {"a": []}}',
                  '{"ball_auto": {"anchor": [[0.3]]}}', '{"compose": 5}',
-                 '{"compose": [{"power": "x"}]}'):
+                 '{"compose": [{"power": "x"}]}',
+                 # a count that is not an integer is refused, not truncated
+                 '{"power": 2.5}', '{"power": true}', '{"identity": 2.9}', '{"product": 1.5}',
+                 '{"constant": {"c": [[0.1, 0]], "n_source": 1.5}}'):
         with pytest.raises(ValidationError):
             map_from_json(spec)
 
