@@ -7,6 +7,7 @@ from .bounds import (
     CandidateMember,
     ball_restriction_candidate,
     kernel_value,
+    kernel_values,
     lower_envelope,
     peak_candidate,
     sandwich_bounds,

@@ -37,12 +37,15 @@ from .kernels import (
     BoundaryLimitResult,
     KernelValue,
     _ball_kernel,
+    _ball_kernels,
+    _poisson_discs,
+    _unit_ball_kernels,
     boundary_limit,
     omega_ball_value,
     omega_general_ball_value,
     poisson_disc,
 )
-from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only
+from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, row_norms
 
 
 class CandidateKind(str, Enum):
@@ -201,3 +204,49 @@ def kernel_value(domain: DomainSpec, p, z) -> KernelValue:
         return sandwich_bounds(domain, p, z)
     raise ContainmentError(
         "no certified two-sided kernel bounds for custom domains; use lower_envelope")
+
+
+def kernel_values(domain: DomainSpec, p, Z):
+    """``kernel_value`` at every row of an (M, n) array Z, as float arrays ``(lo, hi)``.
+
+    Closed forms on the disc and balls (``lo == hi``), the tangent-ball
+    sandwich on ellipsoids.  The pole is checked once; every row gets the
+    scalar path's tests, and fails with the same error types.
+    """
+    if domain.kind is DomainKind.CUSTOM:
+        raise ContainmentError(
+            "no certified two-sided kernel bounds for custom domains; use lower_envelope")
+    Z = as_rows(Z, domain.n)
+    if domain.kind is DomainKind.ELLIPSOID:
+        if np.any(domain.psi_rows(Z) >= 0):
+            raise ValidationError("sandwich bounds are defined for interior points")
+        (c_in, r_in), (c_out, r_out) = tangent_balls(domain, p)
+        p = boundary_frame(domain, p).p
+        lo = _ball_kernels(c_out, r_out, p, Z)
+        hi = np.zeros(len(Z))
+        inside = row_norms(Z - c_in) < r_in
+        if inside.any():
+            hi[inside] = _ball_kernels(c_in, r_in, p, Z[inside])
+        return _enclosures(lo, hi)
+    p = as_vector(p, domain.n)
+    if domain.kind is DomainKind.DISC:
+        value = _poisson_discs(p[0], Z[:, 0])
+    elif domain.kind is DomainKind.UNIT_BALL:
+        value = _unit_ball_kernels(p, Z)
+    else:
+        value = _ball_kernels(domain.center, domain.radius, p, Z)
+    return value, value.copy()
+
+
+def _enclosures(lo: np.ndarray, hi: np.ndarray):
+    """KernelValue's tests and clamps, applied to arrays of enclosure ends."""
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValidationError("kernel enclosure must be finite")
+    bad = lo > hi + 1e-12 * np.maximum(1.0, np.abs(hi))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"invalid enclosure [{lo[i]}, {hi[i]}]")
+    if np.any(hi > 1e-9):
+        raise ValidationError(f"kernel values must be <= 0, got hi = {np.max(hi)}")
+    hi = np.minimum(hi, 0.0)
+    return np.minimum(lo, hi), hi

@@ -40,7 +40,7 @@ from .errors import (
     spec_count,
 )
 from .expressions import ScalarField, infer_dimension
-from .utils import BOUNDARY_TOL, as_vector, herm, norm, read_only, sample_sphere, to_real
+from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, sample_sphere, to_real
 
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
@@ -135,6 +135,18 @@ class DomainSpec:
         if not np.isfinite(value):
             raise DomainError(f"defining function returned non-finite value at {z}")
         return float(np.real(value))
+
+    def psi_rows(self, Z) -> np.ndarray:
+        """``psi`` at every row of an (M, n) array, rounded as ``psi`` rounds one point."""
+        Z = as_rows(Z, self.n)
+        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL):
+            return np.real(np.sum(Z * np.conj(Z), axis=1)) - 1.0
+        if self.kind is DomainKind.BALL:
+            D = Z - self.center
+            return np.real(np.sum(D * np.conj(D), axis=1)) - self.radius ** 2
+        if self.kind is DomainKind.ELLIPSOID:
+            return np.sum(self.coeffs * np.abs(Z) ** 2, axis=1) - 1.0
+        return np.array([self.psi(z) for z in Z], dtype=float)
 
     def grad_psi(self, z) -> np.ndarray:
         """Wirtinger gradient (d psi / d z_j)."""

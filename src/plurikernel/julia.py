@@ -37,7 +37,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .bounds import kernel_value, tangent_balls
+from .bounds import kernel_value, kernel_values, tangent_balls
 from .domains import (
     DomainKind,
     DomainSpec,
@@ -48,14 +48,8 @@ from .domains import (
 )
 from .errors import NumericalError, ValidationError, malformed_spec, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
-from .kernels import (
-    KernelValue,
-    kobayashi,
-    mobius_ball,
-    mobius_ball_jacobian,
-    omega_ball_value,
-)
-from .utils import as_vector, herm, norm, sample_ball
+from .kernels import KernelValue, kobayashi, mobius_ball, mobius_ball_jacobian
+from .utils import as_rows, as_vector, herm, norm, sample_ball
 
 _DIVERGENCE = 1e6
 _RAY_START_LEVEL = 3        # lambda_estimate: normal-ray levels, h = 2^-level
@@ -72,6 +66,11 @@ _PROBE_MAX_LEVEL = 20
 class MapSpec:
     """A holomorphic map between disc/ball domains with derivative access.
 
+    ``fn`` acts on the last axis: given a point of shape (n,) it returns the
+    image point, given an (M, n) array of points it returns the (M, m) array
+    of their images, row for row.  Calling the map accepts both shapes and
+    raises ``ValidationError`` when ``fn`` returns another shape.
+
     ``derivative(z)`` returns the complex Jacobian matrix J with
     (df_z(v))_i = sum_j J_ij v_j.  ``inverse`` is set for biholomorphisms
     whose inverse is registered; ``pullback_kernel`` requires it.
@@ -85,6 +84,12 @@ class MapSpec:
     inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, z) -> np.ndarray:
+        if np.ndim(z) == 2:
+            Z = as_rows(z, self.source.n)
+            W = as_rows(self.fn(Z), self.target.n)
+            if len(W) != len(Z):
+                raise ValidationError(f"map sent {len(Z)} points to {len(W)}")
+            return W
         return as_vector(self.fn(as_vector(z, self.source.n)), self.target.n)
 
     def derivative(self, z) -> np.ndarray:
@@ -113,7 +118,7 @@ def blaschke_map(a: complex) -> MapSpec:
         raise ValidationError("blaschke parameter must satisfy |a| < 1")
     dom = DomainSpec.disc()
     return MapSpec(
-        fn=lambda z: np.array([(z[0] + a) / (1 + np.conj(a) * z[0])]),
+        fn=lambda z: (z + a) / (1 + np.conj(a) * z),
         jacobian=lambda z: np.array([[(1 - abs(a) ** 2) / (1 + np.conj(a) * z[0]) ** 2]]),
         source=dom, target=dom, describe=f"blaschke(a={a})")
 
@@ -122,7 +127,7 @@ def power_map(k: int) -> MapSpec:
     if k < 1:
         raise ValidationError("power must be a positive integer")
     dom = DomainSpec.disc()
-    return MapSpec(fn=lambda z: np.array([z[0] ** k]),
+    return MapSpec(fn=lambda z: z ** k,
                    jacobian=lambda z: np.array([[k * z[0] ** (k - 1)]]),
                    source=dom, target=dom, describe=f"power:{k}")
 
@@ -155,9 +160,14 @@ def unitary_map(U) -> MapSpec:
         raise ValidationError("matrix is not unitary")
     n = len(U)
     Uh = U.conj().T
-    return MapSpec(fn=lambda z: U @ z, jacobian=lambda z: U,
+    return MapSpec(fn=lambda z: _apply(U, z), jacobian=lambda z: U,
                    source=_ball_domain(n), target=_ball_domain(n), describe="unitary",
-                   inverse=lambda w: Uh @ w)
+                   inverse=lambda w: _apply(Uh, w))
+
+
+def _apply(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z on the last axis of z: one point or every row, rounded alike."""
+    return np.matmul(A, z[..., None])[..., 0]
 
 
 def constant_map(c, source_n: int) -> MapSpec:
@@ -166,8 +176,8 @@ def constant_map(c, source_n: int) -> MapSpec:
         raise ValidationError("constant value must be interior to the target ball")
     m = len(c)
     Z = np.zeros((m, source_n), dtype=complex)
-    return MapSpec(fn=lambda z: c.copy(), jacobian=lambda z: Z,
-                   source=_ball_domain(source_n), target=_ball_domain(m),
+    return MapSpec(fn=lambda z: np.broadcast_to(c, z.shape[:-1] + (m,)).copy(),
+                   jacobian=lambda z: Z, source=_ball_domain(source_n), target=_ball_domain(m),
                    describe="constant")
 
 
@@ -182,7 +192,7 @@ def product_map(n: int) -> MapSpec:
             rows[0, j] = np.prod(np.delete(z, j)) if n > 1 else 1.0
         return rows
 
-    return MapSpec(fn=lambda z: np.array([np.prod(z)]), jacobian=jac,
+    return MapSpec(fn=lambda z: np.prod(z, axis=-1, keepdims=True), jacobian=jac,
                    source=_ball_domain(n), target=DomainSpec.disc(),
                    describe=f"product:{n}")
 
@@ -247,7 +257,7 @@ def map_from_json(spec) -> MapSpec:
 
 @dataclass(frozen=True, eq=False)
 class PulledBackKernel:
-    """z -> Omega_{B, q}(F(z)) together with the pulled-back defining couple.
+    """z -> Omega_q(F(z)) on the target together with the pulled-back defining couple.
 
     ``couple_coeffs`` is the vector c with theta'(v) = <v, c>.  For maps with
     a registered inverse theta' = scale_to_standard * theta_p with theta_p the
@@ -269,7 +279,8 @@ class PulledBackKernel:
 def pullback_kernel(F: MapSpec, q) -> PulledBackKernel:
     """Pull back the unit-ball kernel with pole q under a map with a registered inverse.
 
-    The target kernel is the unit-ball kernel at q in the canonical couple.
+    The target kernel is ``kernel_value(F.target, q, .)``, the disc or unit
+    ball kernel at q in the canonical couple.
     The pulled-back couple is theta'(v) = theta_q(dF_p v) at p = F^{-1}(q); it
     is a positive multiple of the canonical couple at p, and
     ``scale_to_standard`` carries that multiple.
@@ -279,13 +290,12 @@ def pullback_kernel(F: MapSpec, q) -> PulledBackKernel:
     if F.target.kind not in (DomainKind.DISC, DomainKind.UNIT_BALL):
         raise ValidationError("pullback targets the unit ball")
     q = require_on_boundary(F.target, q)
-    n = F.target.n
     p = as_vector(F.inverse(q), F.source.n)
     coeffs = F.derivative(p).conj().T @ q
     rho = herm(outward_normal(F.source, p), coeffs)
     if abs(rho.imag) > 1e-9 * abs(rho) or rho.real <= 0:
         raise ValidationError(f"pulled-back couple is not positively oriented: theta'(nu) = {rho}")
-    return PulledBackKernel(evaluator=lambda z: omega_ball_value(n, q, F(z)),
+    return PulledBackKernel(evaluator=lambda z: kernel_value(F.target, q, F(z)).value,
                             couple_coeffs=coeffs,
                             pole=p,
                             scale_to_standard=float(rho.real))
@@ -304,12 +314,16 @@ class Horoball:
     def contains(self, z) -> int:
         """+1 certified inside, -1 certified outside, 0 undetermined (interval gap)."""
         kv = self.kernel(z)
-        threshold = -1.0 / self.radius
-        if kv.hi < threshold:
-            return 1
-        if kv.lo >= threshold:
-            return -1
-        return 0
+        return int(_side(kv.lo, kv.hi, -1.0 / self.radius))
+
+
+def _side(lo, hi, threshold):
+    """Membership in {kernel < threshold} from enclosure ends, scalars or arrays.
+
+    +1 certified inside (hi below the threshold), -1 certified outside (lo at
+    or above it), 0 undetermined (the enclosure straddles it).
+    """
+    return np.where(hi < threshold, 1, np.where(lo >= threshold, -1, 0))
 
 
 # -- dilation estimation ---------------------------------------------------------
@@ -337,11 +351,12 @@ class JuliaReport:
         return not self.diverged and np.isfinite(self.lambda_estimate)
 
 
-def _ratio_lower(kv_num: KernelValue, kv_den: KernelValue) -> float:
-    """Certified lower bound of Omega_p(z)/Omega_q(f(z)) from enclosures (both <= 0)."""
-    if kv_den.lo >= 0.0:
-        return float("inf")
-    return kv_num.hi / kv_den.lo
+def _ratio_lower(num_hi, den_lo):
+    """Certified lower bound of Omega_p(z)/Omega_q(f(z)) from enclosure ends (both <= 0).
+
+    Takes floats or arrays; +inf where the target end is 0.
+    """
+    return np.divide(num_hi, den_lo, out=np.full(np.shape(num_hi), np.inf), where=den_lo < 0.0)
 
 
 def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
@@ -353,18 +368,27 @@ def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: i
                         divergence_threshold=_DIVERGENCE)
 
 
-def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float):
+def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) -> np.ndarray:
+    """``count`` seeded interior points, as an array, drawn one ``sample_ball`` at a time.
+
+    Each batch draws exactly the points still missing (within a budget of
+    50 * count draws), so the accepted points are those a draw-and-test loop
+    would accept, in the same order.
+    """
+    radius = radius_cap * domain.bounding_radius()
+    budget = 50 * count
     out = []
-    attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        z = sample_ball(rng, domain.n, radius_cap * domain.bounding_radius())
-        z = domain.interior + z
-        if domain.psi(z) < -1e-9:
-            out.append(z)
-    if len(out) < count:
+    got = attempts = 0
+    while got < count and attempts < budget:
+        k = min(count - got, budget - attempts)
+        attempts += k
+        Z = domain.interior + np.array([sample_ball(rng, domain.n, radius) for _ in range(k)])
+        Z = Z[domain.psi_rows(Z) < -1e-9]
+        out.append(Z)
+        got += len(Z)
+    if got < count:
         raise NumericalError("interior sampling failed to reach the requested count")
-    return out
+    return np.concatenate(out) if out else np.empty((0, domain.n), dtype=complex)
 
 
 def lambda_estimate(mapspec: MapSpec, p, q,
@@ -387,11 +411,17 @@ def lambda_estimate(mapspec: MapSpec, p, q,
         w = mapspec(z)
         if tgt.psi(w) >= 0:
             raise ValidationError("map sends a sample outside the target domain")
-        return _ratio_lower(kern_p(z), kern_q(w))
+        return float(_ratio_lower(kern_p(z).hi, kern_q(w).lo))
 
-    sup = 0.0
-    for z in _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS):
-        sup = max(sup, ratio_at(z))
+    def ratios(Z) -> np.ndarray:
+        """ratio_at at every row of Z, one array call per kernel."""
+        W = mapspec(Z)
+        if np.any(tgt.psi_rows(W) >= 0):
+            raise ValidationError("map sends a sample outside the target domain")
+        return _ratio_lower(kernel_values(src, p, Z)[1], kernel_values(tgt, q, W)[0])
+
+    grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
+    sup = float(np.max(ratios(grid), initial=0.0))
 
     ray = refine_until(lambda h: ratio_at(p - h * nu),
                        start_level=_RAY_START_LEVEL,
@@ -400,9 +430,8 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
-    ray_vals = [ratio_at(p - 2.0 ** (-k) * nu)
-                for k in range(_RAY_START_LEVEL, _RAY_START_LEVEL + 6)]
-    sup = max(sup, max(ray_vals))
+    h = 2.0 ** -np.arange(_RAY_START_LEVEL, _RAY_START_LEVEL + 6)
+    sup = max(sup, float(np.max(ratios(p - h[:, None] * nu))))
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
                        target=q, ray_error=ray.error)
@@ -435,29 +464,26 @@ class InclusionReport:
         return not self.violations
 
 
-def _sample_horoball_ball(rng, n: int, p: np.ndarray, R: float) -> np.ndarray:
-    """Direct sample from the horoball of the unit ball at pole p, radius R.
+def _horoball_draws(rng, n: int, R: float, count: int, Q: Optional[np.ndarray]) -> np.ndarray:
+    """``count`` direct samples from the horoball of the unit ball at pole Q e1, radius R.
 
     In coordinates with p = e1 the horoball is the ellipsoid
-    (1+R)|w1 - 1/(1+R)|^2 + R ||w'||^2 < R^2/(1+R).
+    (1+R)|w1 - 1/(1+R)|^2 + R ||w'||^2 < R^2/(1+R); ``Q`` is a unitary
+    sending e1 to p, or None when p = e1.  One ``sample_ball`` per row.
     """
-    u = sample_ball(rng, n, 1.0)
-    c = 1.0 / (1.0 + R)
-    w = np.empty(n, dtype=complex)
-    w[0] = c + (R / (1.0 + R)) * u[0]
-    if n > 1:
-        w[1:] = math.sqrt(R / (1.0 + R)) * u[1:]
-    e1 = np.zeros(n, dtype=complex)
-    e1[0] = 1.0
-    if norm(p - e1) < 1e-15:
-        return w
-    return _unitary_from_e1(p) @ w
+    U = np.array([sample_ball(rng, n, 1.0) for _ in range(count)])
+    W = np.empty_like(U)
+    W[:, 0] = 1.0 / (1.0 + R) + (R / (1.0 + R)) * U[:, 0]
+    W[:, 1:] = math.sqrt(R / (1.0 + R)) * U[:, 1:]
+    return W if Q is None else _apply(Q, W)
 
 
-def _unitary_from_e1(p: np.ndarray) -> np.ndarray:
-    """A unitary sending e1 to p (deterministic completion)."""
+def _unitary_from_e1(p: np.ndarray) -> Optional[np.ndarray]:
+    """A unitary sending e1 to p (deterministic completion); None when p is e1."""
     n = len(p)
     M = np.eye(n, dtype=complex)
+    if norm(p - M[:, 0]) < 1e-15:
+        return None
     M[:, 0] = p
     Q, _ = np.linalg.qr(M)
     Q[:, 0] = p
@@ -472,6 +498,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
 
     Membership on both sides goes through kernel values; interval kernels
     count indeterminate cases in ``undetermined`` instead of failing them.
+    Samples are drawn in batches of the count still missing and classified
+    as arrays; the draws are those of a draw-and-test loop.
     Also reports the tightness ratio along the normal ray:
     mu(h) = image radius / (lam * source radius), which tends to 1 exactly
     when the dilation is attained along the normal.
@@ -494,33 +522,31 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
         # horoballs of an inscribed tangent ball are certified subsets of the
         # domain's horoballs (the inner kernel dominates from above)
         (inner_center, inner_radius), _ = tangent_balls(src, p)
+    Q = _unitary_from_e1((p - inner_center) / inner_radius)
 
+    budget = 100 * samples_per_radius
     for R in radii:
-        ball = Horoball(pole=p, radius=R, kernel=kern_p)
-        got = 0
-        attempts = 0
-        while got < samples_per_radius and attempts < 100 * samples_per_radius:
-            attempts += 1
-            z = inner_center + inner_radius * _sample_horoball_ball(
-                rng, src.n, (p - inner_center) / inner_radius, R / inner_radius)
-            side = ball.contains(z)
-            if side == 0:
-                undetermined += 1
+        required = -1.0 / (lam * R)
+        got = attempts = 0
+        while got < samples_per_radius and attempts < budget:
+            k = min(samples_per_radius - got, budget - attempts)
+            attempts += k
+            Z = inner_center + inner_radius * _horoball_draws(
+                rng, src.n, R / inner_radius, k, Q)
+            side = _side(*kernel_values(src, p, Z), -1.0 / R)
+            undetermined += int(np.count_nonzero(side == 0))
+            Z = Z[side > 0]
+            got += len(Z)
+            if not len(Z):
                 continue
-            if side < 0:
-                continue
-            got += 1
-            checked += 1
-            kv = kern_q(mapspec(z))
-            required = -1.0 / (lam * R)
-            if kv.hi < required:
-                continue
-            if kv.lo >= required:
-                violations.append(InclusionViolation(point=z, radius=R,
-                                                     target_value_hi=kv.hi,
-                                                     required=required))
-            else:
-                undetermined += 1
+            lo, hi = kernel_values(tgt, q, mapspec(Z))
+            image_side = _side(lo, hi, required)
+            undetermined += int(np.count_nonzero(image_side == 0))
+            violations.extend(InclusionViolation(point=Z[i], radius=R,
+                                                 target_value_hi=float(hi[i]),
+                                                 required=required)
+                              for i in np.flatnonzero(image_side < 0))
+        checked += got
         if got < samples_per_radius:
             raise NumericalError(f"could not draw {samples_per_radius} horoball samples "
                                  f"at R={R} (got {got})")

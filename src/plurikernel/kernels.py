@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .extrapolate import Extrapolation, richardson
-from .utils import as_vector, herm, norm
+from .utils import as_rows, as_vector, herm, norm, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
 _SPHERE_TOL = 1e-9
@@ -156,26 +156,62 @@ def poisson_disc(p: complex, zeta: complex) -> float:
     return -(1.0 - abs(zeta) ** 2) / abs(p - zeta) ** 2
 
 
+# The array forms of the closed forms round every step as the scalar forms do,
+# so that both agree bit for bit: Python's abs(complex) is hypot, which np.abs
+# is not, and Python's float ** 2 is libm pow, which x * x is not.
+
+def _cabs(w: np.ndarray) -> np.ndarray:
+    """Entrywise abs(complex), rounded as Python rounds it."""
+    return np.hypot(w.real, w.imag)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """Entrywise float ** 2, rounded as Python rounds it."""
+    return np.float_power(x, 2)
+
+
+def _poisson_discs(p: complex, zeta: np.ndarray) -> np.ndarray:
+    """poisson_disc at every entry of a complex array, with the same tests."""
+    p = complex(p)
+    if abs(abs(p) - 1.0) > _SPHERE_TOL:
+        raise ValidationError(f"pole must be unimodular, |p| = {abs(p)}")
+    r = _cabs(zeta)
+    if np.any(r >= 1.0):
+        raise ValidationError(f"point must be in the open disc, |zeta| = {np.max(r)}")
+    denom = _square(_cabs(p - zeta))
+    if np.any(denom == 0.0):
+        raise ValidationError("kernel evaluated at its pole")
+    return -(1.0 - _square(r)) / denom
+
+
 # -- ball automorphisms and invariants ---------------------------------------
 
 def mobius_ball(z0, w) -> np.ndarray:
     """The standard involutive automorphism phi_{z0} of the unit ball.
 
     phi_{z0}(z0) = 0, phi_{z0} o phi_{z0} = id, maps the closed ball onto
-    itself; phi_0 = -id.
+    itself; phi_0 = -id.  Acts on the last axis: w is a point (n,) or an
+    (M, n) array of points, mapped row by row.
     """
     z0 = as_vector(z0)
-    w = as_vector(w, len(z0))
+    if np.ndim(w) == 2:
+        w = as_rows(w, len(z0))
+        too_long = np.any(row_norms(w) > 1.0 + 1e-12)
+    else:
+        w = as_vector(w, len(z0))
+        too_long = norm(w) > 1.0 + 1e-12
     a2 = float(np.real(herm(z0, z0)))
     if a2 >= 1.0:
         raise ValidationError("automorphism anchor must be inside the open ball")
-    if norm(w) > 1.0 + 1e-12:
+    if too_long:
         raise ValidationError("point must be in the closed ball")
     if a2 == 0.0:
         return -w
     s = math.sqrt(1.0 - a2)
-    proj = (herm(w, z0) / a2) * z0
-    return (z0 - proj - s * (w - proj)) / (1.0 - herm(w, z0))
+    ip = np.sum(w * np.conj(z0), axis=-1, keepdims=True)     # <w, z0>
+    # parts divided apart: numpy's complex / real rounds differently
+    proj = (ip.real / a2 + 1j * (ip.imag / a2)) * z0
+    return (z0 - proj - s * (w - proj)) / (1.0 - ip)
 
 
 def mobius_ball_jacobian(z0, w) -> np.ndarray:
@@ -243,6 +279,24 @@ def omega_general_ball_value(center, radius: float, p, z) -> float:
 def _ball_kernel(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
     """omega_general_ball_value for coerced vectors and a positive radius."""
     return _unit_ball_kernel((p - c) / radius, (z - c) / radius) / radius
+
+
+def _unit_ball_kernels(p: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """_unit_ball_kernel at every row of an (M, n) array, with the same tests."""
+    if abs(norm(p) - 1.0) > _SPHERE_TOL:
+        raise ValidationError("pole must lie on the unit sphere")
+    nz = row_norms(W)
+    if np.any(nz > 1.0 + _SPHERE_TOL):
+        raise ValidationError("point must lie in the closed ball")
+    denom = _square(_cabs(1.0 - np.sum(W * np.conj(p), axis=1)))
+    if np.any(denom < 1e-300):
+        raise ValidationError("kernel evaluated at its pole")
+    return -np.maximum(1.0 - _square(nz), 0.0) / denom
+
+
+def _ball_kernels(c: np.ndarray, radius: float, p: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """_ball_kernel at every row of an (M, n) array."""
+    return _unit_ball_kernels((p - c) / radius, (W - c) / radius) / radius
 
 
 def rescale_couple(value, rho: float):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -25,6 +27,16 @@ def as_vector(z, n: int | None = None) -> np.ndarray:
     return v
 
 
+def as_rows(Z, n: int) -> np.ndarray:
+    """Coerce to an (M, n) complex array of points, each passing ``as_vector``'s tests."""
+    A = np.asarray(Z, dtype=complex)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValidationError(f"expected an (M, {n}) array of points in C^{n}, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError("point has non-finite components")
+    return A
+
+
 def herm(v, w) -> complex:
     """Standard Hermitian product <v, w> = sum v_j * conj(w_j)."""
     return complex(np.sum(np.asarray(v, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
@@ -41,6 +53,12 @@ def norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=complex)))
 
 
+def row_norms(W: np.ndarray) -> np.ndarray:
+    """``norm`` of every row of an (M, n) complex array, rounded as ``norm`` rounds one row."""
+    re, im = W.real, W.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
 def to_real(v: np.ndarray) -> np.ndarray:
     """Flatten a complex vector to (Re..., Im...) real coordinates."""
     v = np.asarray(v, dtype=complex)
@@ -48,9 +66,15 @@ def to_real(v: np.ndarray) -> np.ndarray:
 
 
 def sample_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform point on the unit sphere of C^n."""
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    """Uniform point on the unit sphere of C^n.
+
+    The point is (x + iy)/|x + iy| for 2n standard normal draws; it rounds
+    as ``v / np.linalg.norm(v)`` does, without that call's overhead.
+    """
+    g = rng.standard_normal(2 * n)
+    v = g[:n] + 1j * g[n:]
+    x, y = v.real, v.imag
+    return v / math.sqrt(x.dot(x) + y.dot(y))
 
 
 def sample_ball(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.ndarray:

@@ -6,17 +6,19 @@ import pytest
 from plurikernel import (
     ContainmentError,
     DomainSpec,
+    NotOnBoundaryError,
     Provenance,
     ValidationError,
     ball_restriction_candidate,
     kernel_value,
+    kernel_values,
     lower_envelope,
     peak_candidate,
     sandwich_bounds,
     uniform_bound_check,
 )
 from plurikernel.bounds import candidate_normal_limit
-from plurikernel.domains import boundary_samples
+from plurikernel.domains import boundary_samples, outward_normal
 from plurikernel.extrapolate import richardson
 from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import herm, sample_ball, sample_sphere
@@ -249,3 +251,93 @@ def test_ball_written_as_ellipsoid_near_pole():
             for kv in (kernel_value(dom, p, z), sandwich_bounds(dom, p, z)):
                 assert kv.lo == pytest.approx(exact, rel=1e-10)
                 assert kv.hi == pytest.approx(exact, rel=1e-10)
+
+
+# -- kernel_values: the array entry point ---------------------------------------------
+
+KV_DOMAINS = (DomainSpec.disc(), BALL2, DomainSpec.unit_ball(3),
+              DomainSpec.ball([0.2 + 0.1j, -0.3], 1.5), ELL, DomainSpec.ellipsoid([1.0, 2.0, 3.0]))
+
+
+def _kv_sweep(dom, rng, poles=10, points=80):
+    """(pole, (M, n) points): half uniform in the domain, half on chords to the pole."""
+    c = dom.interior
+    for p in boundary_samples(dom, poles, rng):
+        b = boundary_samples(dom, points, rng)
+        t = 0.999 * rng.random(points) ** (1.0 / (2 * dom.n))
+        Z = c + t[:, None] * (b - c)
+        s = 10.0 ** -rng.uniform(0.0, 8.0, points // 2)
+        Z[::2] = p + s[:, None] * (Z[::2] - p)
+        yield p, Z
+
+
+def _ulps(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+def _error_class(call):
+    try:
+        call()
+    except Exception as exc:      # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return None
+
+
+def test_kernel_values_match_kernel_value_row_for_row():
+    # 4,800 rows over six domains; within about 2e-8 of the pole, 11 ellipsoid
+    # rows have sandwich ends that round out of order, and both paths refuse them
+    rng = np.random.default_rng(11)
+    differ = refused = 0
+    for dom in KV_DOMAINS:
+        for p, Z in _kv_sweep(dom, rng):
+            ok = np.ones(len(Z), dtype=bool)
+            for i, z in enumerate(Z):
+                error = _error_class(lambda: kernel_value(dom, p, z))
+                if error is not None:
+                    ok[i] = False
+                    refused += 1
+                    assert _error_class(lambda: kernel_values(dom, p, z[None])) is error
+            kvs = [kernel_value(dom, p, z) for z in Z[ok]]
+            want_lo = np.array([kv.lo for kv in kvs])
+            want_hi = np.array([kv.hi for kv in kvs])
+            lo, hi = kernel_values(dom, p, Z[ok])
+            assert np.max(_ulps(lo, want_lo)) <= 2 and np.max(_ulps(hi, want_hi)) <= 2, dom.label
+            if dom.is_ball_like:
+                assert np.array_equal(lo, hi)
+            differ += int(np.count_nonzero((lo != want_lo) | (hi != want_hi)))
+    assert refused <= 11
+    # every accepted row is bit-equal, not only within 2 ulp
+    assert differ == 0
+
+
+@pytest.mark.parametrize("dom", KV_DOMAINS, ids=lambda d: d.label)
+def test_kernel_values_raise_as_kernel_value(dom):
+    n = dom.n
+    p = dom.ball_center + dom.ball_radius * np.eye(n)[0] if dom.is_ball_like else np.eye(n)[0]
+    p = p.astype(complex)
+    inside = p - 0.5 * outward_normal(dom, p)
+    far = dom.interior + 3.0 * (p - dom.interior)
+    nan_row = np.full(n, np.nan, dtype=complex)
+    cases = [(p, [inside, far]),            # a row outside the domain
+             (p, [inside, p]),              # a row at the pole
+             (p, [inside, nan_row]),        # a non-finite row
+             (0.9 * p, [inside])]           # a pole off the boundary
+    for pole, rows in cases:
+        scalar = _error_class(lambda: [kernel_value(dom, pole, z) for z in rows])
+        assert scalar is not None
+        assert _error_class(lambda: kernel_values(dom, pole, np.array(rows))) is scalar
+    assert _error_class(lambda: kernel_values(dom, 0.9 * p, np.array([inside]))) is (
+        ValidationError if dom.is_ball_like else NotOnBoundaryError)
+
+
+def test_kernel_values_refuse_custom_domains_and_bad_shapes():
+    dom = DomainSpec.custom("z1*conj(z1) - 1", n=1)
+    with pytest.raises(ContainmentError):
+        kernel_value(dom, [1.0], [0.0])
+    with pytest.raises(ContainmentError):
+        kernel_values(dom, [1.0], [[0.0]])
+    with pytest.raises(ValidationError):
+        kernel_values(BALL2, E1, [0.0, 0.0])          # a point, not an array of rows
+    with pytest.raises(ValidationError):
+        kernel_values(BALL2, E1, np.zeros((3, 3)))    # rows of the wrong length
+

@@ -7,6 +7,7 @@ import pytest
 from plurikernel import (
     DomainSpec,
     Horoball,
+    MapSpec,
     SamplingPlan,
     ValidationError,
     condition_equivalence_check,
@@ -27,6 +28,7 @@ from plurikernel.julia import (
     product_map,
     unitary_map,
 )
+from plurikernel.kernels import mobius_ball
 from plurikernel.utils import sample_ball
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -304,3 +306,135 @@ def test_unitary_map_preserves_kernel(rng):
     f = unitary_map(U)
     rep = lambda_estimate(f, E1, U @ E1, PLAN)
     assert rep.lambda_estimate == pytest.approx(1.0, abs=1e-9)
+
+
+# -- maps act on the last axis ---------------------------------------------------------
+
+def _nine_maps():
+    th = 0.4
+    U = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
+    return [identity_map(2), blaschke_map(0.3 + 0.2j), power_map(3), diag_map([0.8, 0.5j]),
+            ball_auto_map([0.2, 0.1j]), unitary_map(U), constant_map([0.1, 0.2j], 3),
+            product_map(3), compose_maps(power_map(2), blaschke_map(0.4))]
+
+
+def test_maps_act_row_by_row(rng):
+    for m in _nine_maps():
+        Z = np.array([sample_ball(rng, m.source.n, 0.95) for _ in range(50)])
+        W = m(Z)
+        assert W.shape == (50, m.target.n), m.describe
+        assert np.array_equal(W, np.array([m(z) for z in Z])), m.describe
+        if m.inverse is not None:
+            assert np.array_equal(m.inverse(W), np.array([m.inverse(w) for w in W])), m.describe
+    a = np.array([0.3, -0.2 + 0.1j])
+    Z = np.array([sample_ball(rng, 2, 1.0) for _ in range(50)])
+    assert np.array_equal(mobius_ball(a, Z), np.array([mobius_ball(a, z) for z in Z]))
+
+
+def test_map_with_wrong_output_shape_is_refused():
+    dom = DomainSpec.unit_ball(2)
+    eye = np.eye(2, dtype=complex)
+    for fn in (lambda z: np.array([z[0], z[1]]),   # indexes points, not coordinates
+               lambda z: z[..., :1],                # drops a coordinate
+               lambda z: np.zeros(2, complex)):     # ignores the rows
+        m = MapSpec(fn=fn, jacobian=lambda z: eye, source=dom, target=dom)
+        with pytest.raises(ValidationError):
+            m(np.zeros((5, 2)))
+
+
+# -- seeded estimator outputs -------------------------------------------------------------
+
+def _bench_maps():
+    """The benchmark's five maps as (label, map, p, q, dilation)."""
+    one = np.array([1.0 + 0j])
+    a = np.array([0.3 + 0.1j, -0.2 + 0.15j])
+    p = np.array([0.6, 0.8j])
+    a2 = float(np.vdot(a, a).real)
+    proj = (np.vdot(a, p) / a2) * a     # q = phi_a(p), written out as the benchmark does
+    q = (a - proj - math.sqrt(1.0 - a2) * (p - proj)) / (1.0 - np.vdot(a, p))
+    lam_auto = (1 - a2) / abs(1 - np.vdot(a, p)) ** 2
+    return [("blaschke", blaschke_map(0.4), one, one, 0.6 / 1.4),
+            ("power", power_map(3), one, one, 3.0),
+            ("ball_auto", ball_auto_map(a), p, q, lam_auto),
+            ("diag", diag_map([1.0, 0.5 + 0.3j]), E1, E1, 1.0),
+            ("compose", compose_maps(blaschke_map(0.3), power_map(2)), one, one, 2 * 0.7 / 1.3)]
+
+
+# Recorded from the per-point estimators that the array evaluation replaced:
+# lambda_estimate's (estimate, ray limit, diverged) and horoball_inclusion_check's
+# (checked, violations, undetermined, ray tightness), seeds 11 and 2024.
+ESTIMATOR_PINS = {
+    ("blaschke", 11): ((0.4285714296357972, 0.4285714296357972, False), (300, 0, 0, 1.000000001862644)),
+    ("power", 11): ((3.0, 3.0, False), (300, 0, 0, 1.0)),
+    ("ball_auto", 11): ((1.5555349182763794, 1.555534909583108, False), (300, 0, 0, 0.999999996872982)),
+    ("diag", 11): ((1.0, 1.0, False), (300, 0, 0, 1.0)),
+    ("compose", 11): ((1.0769230700216388, 1.0769230700216388, False), (300, 0, 0, 0.9999999979377859)),
+    ("blaschke", 2024): ((0.4285714296357972, 0.4285714296357972, False), (300, 0, 0, 1.000000001862644)),
+    ("power", 2024): ((3.0, 3.0, False), (300, 0, 0, 1.0)),
+    ("ball_auto", 2024): ((1.5555349182763785, 1.555534909583108, False), (300, 0, 0, 0.999999996872982)),
+    ("diag", 2024): ((1.0, 1.0, False), (300, 0, 0, 1.0)),
+    ("compose", 2024): ((1.0769230700216388, 1.0769230700216388, False), (300, 0, 0, 0.9999999979377859)),
+}
+
+
+def _within_2_ulp(got, want):
+    return abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))
+
+
+@pytest.mark.parametrize("seed", [11, 2024])
+def test_estimator_outputs_pinned(seed):
+    for label, m, p, q, lam in _bench_maps():
+        (est, ray, diverged), (checked, violations, undetermined, tight) = ESTIMATOR_PINS[label, seed]
+        rep = lambda_estimate(m, p, q, SamplingPlan(seed=seed))
+        assert rep.diverged is diverged, label
+        assert _within_2_ulp(rep.lambda_estimate, est), label
+        assert _within_2_ulp(rep.normal_ray_limit, ray), label
+        inc = horoball_inclusion_check(m, p, q, lam, samples_per_radius=100, seed=seed)
+        assert (inc.checked, len(inc.violations), inc.undetermined) == (checked, violations, undetermined)
+        assert _within_2_ulp(inc.ray_tightness.real, tight), label
+
+
+# Half the dilation makes about half the horoball samples violations; the
+# violating points themselves, recorded from the per-point sampler, show that
+# every seeded draw is the same point.
+VIOLATION_PINS = {
+    ("blaschke", 11): (136, 82.71042363315559 - 4.913731914634576j),
+    ("blaschke", 2024): (143, 77.2390040234928 - 6.233245733598306j),
+    ("ball_auto", 11): (175, 0.6837794985940882 + 83.20375702275226j),
+    ("ball_auto", 2024): (174, 1.4979448014320909 + 83.67279504843178j),
+}
+
+
+@pytest.mark.parametrize("label,seed", sorted(VIOLATION_PINS))
+def test_horoball_draws_pinned(label, seed):
+    _, m, p, q, lam = next(case for case in _bench_maps() if case[0] == label)
+    count, point_sum = VIOLATION_PINS[label, seed]
+    inc = horoball_inclusion_check(m, p, q, 0.5 * lam, samples_per_radius=100, seed=seed)
+    assert (inc.checked, len(inc.violations), inc.undetermined) == (300, count, 0)
+    assert complex(sum(v.point[-1] for v in inc.violations)) == point_sum
+
+
+def test_estimators_on_an_ellipsoid_source():
+    # the inclusion of ellipsoid:1,2 into the unit ball: the source kernel is
+    # an interval, classified as an array like the closed forms
+    eye = np.eye(2, dtype=complex)
+    inc = MapSpec(fn=lambda z: z, jacobian=lambda z: eye, source=DomainSpec.ellipsoid([1.0, 2.0]),
+                  target=DomainSpec.unit_ball(2), describe="inclusion")
+    for seed in (11, 2024):
+        rep = lambda_estimate(inc, E1, E1, SamplingPlan(seed=seed, grid_count=200))
+        assert (rep.lambda_estimate, rep.normal_ray_limit) == (0.9999999999999997, 0.9999999999999997)
+        chk = horoball_inclusion_check(inc, E1, E1, 1.0, radii=(0.1, 1.0),
+                                       samples_per_radius=100, seed=seed)
+        assert (chk.checked, len(chk.violations), chk.undetermined) == (200, 0, 0)
+        assert chk.ray_tightness.real == 0.9999999999999997
+
+
+def test_sample_ball_draws():
+    # the seeded draws: two normal(size=n) vectors as x + iy, normalised, and
+    # one uniform u scaling the radius by u^(1/2n), bit for bit
+    for n in (1, 2, 3):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2000):
+            v = ref.normal(size=n) + 1j * ref.normal(size=n)
+            want = v / np.linalg.norm(v) * 0.9 * ref.random() ** (1.0 / (2 * n))
+            assert np.array_equal(sample_ball(rng, n, 0.9), want)

@@ -316,6 +316,19 @@ def test_pullback_ball_automorphism_standardized(rng):
         assert std(z) == pytest.approx(omega_ball_value(2, p, z), abs=1e-9, rel=1e-9)
 
 
+def test_pullback_disc_target_uses_the_disc_kernel():
+    # the evaluator is the target's kernel_value, also on the disc: 1,000 seeded
+    # points near the circle agree bit for bit (the ball formula with n = 1
+    # differed in the last digits on most of them)
+    rng = np.random.default_rng(3)
+    q = np.array([np.exp(0.3j)])
+    disc = DomainSpec.disc()
+    pulled = pullback_kernel(identity_map(1), q)
+    for _ in range(1000):
+        z = np.array([(1.0 - 10.0 ** -rng.uniform(1.0, 6.0)) * np.exp(2j * np.pi * rng.random())])
+        assert pulled.evaluator(z) == kernel_value(disc, q, z).value
+
+
 def test_pullback_rejects_unregistered_maps():
     with pytest.raises(ValidationError):
         pullback_kernel(lambda z: z, E1)
