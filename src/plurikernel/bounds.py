@@ -38,14 +38,14 @@ from .kernels import (
     KernelValue,
     _ball_kernel,
     _ball_kernels,
-    _poisson_discs,
-    _unit_ball_kernels,
     boundary_limit,
-    omega_ball_value,
-    omega_general_ball_value,
     poisson_disc,
 )
 from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, row_norms
+
+
+#: candidate_normal_limit: last level of the normal-ray ladder, h = 2^-level.
+_CANDIDATE_MAX_LEVEL = 24
 
 
 class CandidateKind(str, Enum):
@@ -116,8 +116,7 @@ def lower_envelope(domain: DomainSpec, p, z, candidates: Sequence[CandidateMembe
     return max(c.evaluator(z) for c in candidates)
 
 
-def candidate_normal_limit(domain: DomainSpec, member: CandidateMember,
-                           max_level: int = 24) -> BoundaryLimitResult:
+def candidate_normal_limit(domain: DomainSpec, member: CandidateMember) -> BoundaryLimitResult:
     """Extrapolated boundary rate of a candidate along the inward normal.
 
     Family membership requires the limit to be >= -2 (the transversal rate of
@@ -130,7 +129,7 @@ def candidate_normal_limit(domain: DomainSpec, member: CandidateMember,
     curve = BoundaryCurve(gamma=lambda t: frame.p - (1.0 - t) * frame.nu,
                           gamma_prime_at_1=frame.nu)
     return boundary_limit(member.evaluator, curve, frame.nu,
-                          start_level=start, max_level=max_level)
+                          start_level=start, max_level=_CANDIDATE_MAX_LEVEL)
 
 
 def tangent_balls(domain: DomainSpec, p):
@@ -170,16 +169,16 @@ def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
     return KernelValue.interval(lo, hi)
 
 
-def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points,
-                        tol: float = 1e-9) -> float:
+def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points) -> float:
     """max over K x P of |peak candidate(p)(z)|: a uniform-in-pole bound on |kernel|.
 
     Since each peak candidate lies below the kernel, which is negative, the
-    returned max dominates sup_p |kernel_p(z)| over the compact grid K.
+    returned max dominates sup_p |kernel_p(z)| over the compact grid K, whose
+    points must lie deeper than the boundary tolerance.
     """
     pts = [as_vector(z, domain.n) for z in interior_points]
     for z in pts:
-        if domain.psi(z) >= -tol:
+        if domain.psi(z) >= -BOUNDARY_TOL:
             raise ValidationError("compact grid touches the boundary")
     worst = 0.0
     for p in boundary_points:
@@ -190,16 +189,10 @@ def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points,
 
 
 def kernel_value(domain: DomainSpec, p, z) -> KernelValue:
-    """Best available kernel evaluation: closed form for disc/balls, enclosure otherwise."""
-    if domain.kind is DomainKind.DISC:
-        z = as_vector(z, 1)
-        p = as_vector(p, 1)
-        return KernelValue.closed_form(poisson_disc(p[0], z[0]))
-    if domain.kind is DomainKind.UNIT_BALL:
-        return KernelValue.closed_form(omega_ball_value(domain.n, p, z))
+    """Best available kernel evaluation: closed form on balls, enclosure otherwise."""
     if domain.kind is DomainKind.BALL:
-        return KernelValue.closed_form(
-            omega_general_ball_value(domain.center, domain.radius, p, z))
+        return KernelValue.closed_form(_ball_kernel(
+            domain.center, domain.radius, as_vector(p, domain.n), as_vector(z, domain.n)))
     if domain.kind is DomainKind.ELLIPSOID:
         return sandwich_bounds(domain, p, z)
     raise ContainmentError(
@@ -209,8 +202,8 @@ def kernel_value(domain: DomainSpec, p, z) -> KernelValue:
 def kernel_values(domain: DomainSpec, p, Z):
     """``kernel_value`` at every row of an (M, n) array Z, as float arrays ``(lo, hi)``.
 
-    Closed forms on the disc and balls (``lo == hi``), the tangent-ball
-    sandwich on ellipsoids.  The pole is checked once; every row gets the
+    Closed forms on balls (``lo == hi``), the tangent-ball sandwich on
+    ellipsoids.  The pole is checked once; every row gets the
     scalar path's tests, and fails with the same error types.
     """
     if domain.kind is DomainKind.CUSTOM:
@@ -228,13 +221,7 @@ def kernel_values(domain: DomainSpec, p, Z):
         if inside.any():
             hi[inside] = _ball_kernels(c_in, r_in, p, Z[inside])
         return _enclosures(lo, hi)
-    p = as_vector(p, domain.n)
-    if domain.kind is DomainKind.DISC:
-        value = _poisson_discs(p[0], Z[:, 0])
-    elif domain.kind is DomainKind.UNIT_BALL:
-        value = _unit_ball_kernels(p, Z)
-    else:
-        value = _ball_kernels(domain.center, domain.radius, p, Z)
+    value = _ball_kernels(domain.center, domain.radius, as_vector(p, domain.n), Z)
     return value, value.copy()
 
 

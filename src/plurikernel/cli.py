@@ -153,7 +153,7 @@ def _cmd_geodesic(args) -> int:
     pole = parse_point(args.pole, domain.n)
     through = parse_point(args.through, domain.n)
     g = geodesic_through(through, pole, normalize_chl=not args.raw,
-                         center=domain.ball_center, radius=domain.ball_radius)
+                         center=domain.center, radius=domain.radius)
     grid = default_disc_grid(args.grid)
     dev = restriction_identity_check(pole, g, grid)
     payload = {
@@ -196,7 +196,8 @@ def _cmd_green(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     domain = domain_from_json(args.domain)
-    if domain.kind.value not in ("disc", "unit_ball") or domain.n not in (1, 2):
+    unit = domain.is_ball_like and domain.radius == 1.0 and not domain.center.any()
+    if not unit or domain.n not in (1, 2):
         raise ValidationError("reproduction rules cover the disc and the unit ball of C^2")
     if args.resolution < 4:
         raise ValidationError("resolution must be at least 4")

@@ -2,9 +2,10 @@
 
 A domain is described by a smooth real field psi on C^n with psi < 0 inside,
 psi = 0 on the boundary and nonvanishing gradient there.  Built-in kinds
-(disc, unit ball, translated/scaled balls, axis-aligned Hermitian ellipsoids
-``sum a_j |z_j|^2 = 1``) carry analytic first and second derivatives; custom
-domains fall back to central finite differences.
+(balls B(c, r), of which the disc and the unit ball are B(0, 1), and
+axis-aligned Hermitian ellipsoids ``sum a_j |z_j|^2 = 1``) carry analytic
+first and second derivatives; custom domains fall back to central finite
+differences.
 
 Derivative conventions: ``grad_psi`` holds the Wirtinger derivatives
 ``d psi / d z_j`` and ``hess_psi`` the mixed complex Hessian
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -49,8 +50,6 @@ _POLE_MEMO_SIZE = 128
 
 
 class DomainKind(str, Enum):
-    DISC = "disc"
-    UNIT_BALL = "unit_ball"
     BALL = "ball"
     ELLIPSOID = "ellipsoid"
     CUSTOM = "custom"
@@ -76,15 +75,15 @@ class DomainSpec:
 
     @staticmethod
     def disc() -> "DomainSpec":
-        return DomainSpec(kind=DomainKind.DISC, n=1, interior=np.zeros(1, complex),
-                          label="disc")
+        """The unit disc, B(0, 1) in C."""
+        return replace(DomainSpec.ball([0], 1.0), label="disc")
 
     @staticmethod
     def unit_ball(n: int) -> "DomainSpec":
+        """The unit ball B(0, 1) of C^n."""
         if n < 1:
             raise ValidationError("dimension must be positive")
-        return DomainSpec(kind=DomainKind.UNIT_BALL, n=n,
-                          interior=np.zeros(n, complex), label=f"unit_ball:{n}")
+        return replace(DomainSpec.ball(np.zeros(n), 1.0), label=f"unit_ball:{n}")
 
     @staticmethod
     def ball(center, radius: float) -> "DomainSpec":
@@ -124,8 +123,6 @@ class DomainSpec:
 
     def psi(self, z) -> float:
         z = as_vector(z, self.n)
-        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL):
-            return float(np.real(herm(z, z))) - 1.0
         if self.kind is DomainKind.BALL:
             d = z - self.center
             return float(np.real(herm(d, d))) - self.radius ** 2
@@ -139,8 +136,6 @@ class DomainSpec:
     def psi_rows(self, Z) -> np.ndarray:
         """``psi`` at every row of an (M, n) array, rounded as ``psi`` rounds one point."""
         Z = as_rows(Z, self.n)
-        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL):
-            return np.real(np.sum(Z * np.conj(Z), axis=1)) - 1.0
         if self.kind is DomainKind.BALL:
             D = Z - self.center
             return np.real(np.sum(D * np.conj(D), axis=1)) - self.radius ** 2
@@ -151,8 +146,6 @@ class DomainSpec:
     def grad_psi(self, z) -> np.ndarray:
         """Wirtinger gradient (d psi / d z_j)."""
         z = as_vector(z, self.n)
-        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL):
-            return np.conj(z)
         if self.kind is DomainKind.BALL:
             return np.conj(z - self.center)
         if self.kind is DomainKind.ELLIPSOID:
@@ -164,7 +157,7 @@ class DomainSpec:
     def hess_psi(self, z) -> np.ndarray:
         """Mixed complex Hessian  H_ij = d^2 psi / (d z_i d conj(z_j))."""
         z = as_vector(z, self.n)
-        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL, DomainKind.BALL):
+        if self.kind is DomainKind.BALL:
             return np.eye(self.n, dtype=complex)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(self.coeffs).astype(complex)
@@ -178,7 +171,7 @@ class DomainSpec:
     def real_hessian(self, z) -> np.ndarray:
         """Second derivatives of psi on R^{2n} in (Re z, Im z) coordinates."""
         z = as_vector(z, self.n)
-        if self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL, DomainKind.BALL):
+        if self.kind is DomainKind.BALL:
             return 2.0 * np.eye(2 * self.n)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(np.concatenate([2 * self.coeffs, 2 * self.coeffs]))
@@ -188,24 +181,16 @@ class DomainSpec:
 
     @property
     def is_ball_like(self) -> bool:
-        return self.kind in (DomainKind.DISC, DomainKind.UNIT_BALL, DomainKind.BALL)
+        return self.kind is DomainKind.BALL
 
     @property
     def is_convex_kind(self) -> bool:
         return self.kind is not DomainKind.CUSTOM
 
-    @property
-    def ball_center(self) -> np.ndarray:
-        return self.center if self.kind is DomainKind.BALL else np.zeros(self.n, complex)
-
-    @property
-    def ball_radius(self) -> float:
-        return self.radius if self.kind is DomainKind.BALL else 1.0
-
     def bounding_radius(self) -> float:
         """Radius of a ball around the reference interior point containing the domain."""
         if self.is_ball_like:
-            return self.ball_radius
+            return self.radius
         if self.kind is DomainKind.ELLIPSOID:
             return float(1.0 / math.sqrt(np.min(self.coeffs)))
         return float("inf")
@@ -387,7 +372,7 @@ def signed_boundary_distance(domain: DomainSpec, z) -> float:
     """Signed Euclidean distance to the boundary: negative inside, zero on it."""
     z = as_vector(z, domain.n)
     if domain.is_ball_like:
-        return norm(z - domain.ball_center) - domain.ball_radius
+        return norm(z - domain.center) - domain.radius
     if domain.kind is DomainKind.ELLIPSOID:
         q, dist = _ellipsoid_nearest_point(domain.coeffs, z)
         return dist if domain.psi(z) > 0 else -dist
@@ -399,13 +384,13 @@ def nearest_boundary_point(domain: DomainSpec, z) -> np.ndarray:
     """The boundary point realizing the distance in signed_boundary_distance."""
     z = as_vector(z, domain.n)
     if domain.is_ball_like:
-        d = z - domain.ball_center
+        d = z - domain.center
         nd = norm(d)
         if nd < 1e-15:
             d = np.zeros(domain.n, complex)
             d[0] = 1.0
             nd = 1.0
-        return domain.ball_center + domain.ball_radius * d / nd
+        return domain.center + domain.radius * d / nd
     if domain.kind is DomainKind.ELLIPSOID:
         return _ellipsoid_nearest_point(domain.coeffs, z)[0]
     return _footpoint_nearest(domain, z)[0]
@@ -546,7 +531,7 @@ def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -
     for i in range(count):
         v = sample_sphere(rng, domain.n)
         if domain.is_ball_like:
-            pts[i] = domain.ball_center + domain.ball_radius * v
+            pts[i] = domain.center + domain.radius * v
         elif domain.kind is DomainKind.ELLIPSOID:
             s = math.sqrt(1.0 / float(np.sum(domain.coeffs * np.abs(v) ** 2)))
             pts[i] = v * s

@@ -90,25 +90,24 @@ def aitken(values, passes: int | None = None) -> Extrapolation:
 
 
 def refine_until(f, *, start_level: int = 3, max_level: int = 26,
-                 ratio: float = 2.0, orders=None, target: float = 0.0,
                  divergence_threshold: float = 1e9) -> Extrapolation:
-    """Sample f at h_k = ratio**-k for k = start_level.. and Richardson-extrapolate.
+    """Sample f at h_k = 2**-k for k = start_level.. and Richardson-extrapolate.
 
-    Stops early when the error estimate falls below ``target`` or when the raw
-    values blow past ``divergence_threshold`` (reported as divergence, with the
-    last raw value as the limit).
+    Stops early when the error estimate is exactly 0, which no later level
+    can improve, or when the raw values blow past ``divergence_threshold``
+    (reported as divergence, with the last raw value as the limit).
     """
     vals = []
     best = None
     for k in range(start_level, max_level + 1):
-        v = f(ratio ** (-k))
+        v = f(2.0 ** (-k))
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         vals.append(v)
         if len(vals) >= 3:
-            best = richardson(vals, ratio=ratio, orders=orders)
-            if best.error <= target:
+            best = richardson(vals)
+            if best.error == 0.0:
                 break
     if best is None:
-        best = richardson(vals, ratio=ratio, orders=orders)
+        best = richardson(vals)
     return best

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import mobius_ball, omega_general_ball_value, poisson_disc
+from .kernels import _to_unit_ball, mobius_ball, omega_general_ball_value, poisson_disc
 from .utils import as_vector, herm, norm
 
 
@@ -90,7 +90,7 @@ class GeodesicDisc:
     @property
     def nu(self) -> np.ndarray:
         """Outward unit normal of the ball at the anchor boundary point."""
-        return (self.boundary_point - self.center) / self.radius
+        return _to_unit_ball(self.center, self.radius, self.boundary_point)
 
 
 def geodesic_through(z, p, normalize_chl: bool = True,
@@ -106,8 +106,8 @@ def geodesic_through(z, p, normalize_chl: bool = True,
         center = np.zeros(len(as_vector(p)), dtype=complex)
     c0 = as_vector(center)
     n = len(c0)
-    z = (as_vector(z, n) - c0) / radius
-    p = (as_vector(p, n) - c0) / radius
+    z = _to_unit_ball(c0, radius, as_vector(z, n))
+    p = _to_unit_ball(c0, radius, as_vector(p, n))
     if abs(norm(p) - 1.0) > 1e-9:
         raise ValidationError("anchor point p must lie on the boundary sphere")
     if norm(z) >= 1.0 - 1e-12:

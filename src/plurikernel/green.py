@@ -43,9 +43,9 @@ def _require_symmetric_green(domain: DomainSpec) -> None:
 
 
 def green_function(domain: DomainSpec, z, w):
-    """Green function with pole z for disc/ball kinds; NEG_INFINITY at w = z."""
+    """Green function with pole z on a ball; NEG_INFINITY at w = z."""
     _require_symmetric_green(domain)
-    return green_general_ball(domain.ball_center, domain.ball_radius, z, w)
+    return green_general_ball(domain.center, domain.radius, z, w)
 
 
 @dataclass(frozen=True)

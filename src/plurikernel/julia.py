@@ -23,8 +23,8 @@ conditions (kernel ratio, Kobayashi distance defect, boundary distance
 ratio) are evaluated jointly by ``condition_equivalence_check``.
 
 Maps with a registered inverse (identity, unitary, ball automorphism) also
-pull back the unit-ball kernel, together with the induced defining couple
-(``pullback_kernel``).
+pull back the kernel of their target ball, together with the induced
+defining couple (``pullback_kernel``).
 """
 
 from __future__ import annotations
@@ -39,16 +39,16 @@ import numpy as np
 
 from .bounds import kernel_value, kernel_values, tangent_balls
 from .domains import (
-    DomainKind,
     DomainSpec,
     boundary_frame,
+    nearest_boundary_point,
     outward_normal,
     require_on_boundary,
     signed_boundary_distance,
 )
 from .errors import NumericalError, ValidationError, malformed_spec, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
-from .kernels import KernelValue, kobayashi, mobius_ball, mobius_ball_jacobian
+from .kernels import KernelValue, _to_unit_ball, kobayashi, mobius_ball, mobius_ball_jacobian
 from .utils import as_rows, as_vector, herm, norm, sample_ball
 
 _DIVERGENCE = 1e6
@@ -58,6 +58,8 @@ _COMPACT_RADIUS = 0.9       # lambda_estimate: exhaustion radius for the grid
 _APERTURE = 0.25            # jwc_derivative_probes: cone aperture and levels
 _PROBE_START_LEVEL = 3
 _PROBE_MAX_LEVEL = 20
+_EQUIV_START_LEVEL = 3      # condition_equivalence_check: normal-ray levels
+_EQUIV_MAX_LEVEL = 24
 
 
 # -- registered holomorphic maps ----------------------------------------------
@@ -99,13 +101,9 @@ class MapSpec:
         return J
 
 
-def _ball_domain(n: int) -> DomainSpec:
-    return DomainSpec.disc() if n == 1 else DomainSpec.unit_ball(n)
-
-
 def identity_map(n: int) -> MapSpec:
     eye = np.eye(n, dtype=complex)
-    dom = _ball_domain(n)
+    dom = DomainSpec.unit_ball(n)
     return MapSpec(fn=lambda z: z, jacobian=lambda z: eye,
                    source=dom, target=dom, describe=f"identity:{n}",
                    inverse=lambda w: w)
@@ -137,18 +135,16 @@ def diag_map(coeffs) -> MapSpec:
     if np.any(np.abs(d) > 1.0 + 1e-12):
         raise ValidationError("diagonal entries must have modulus <= 1")
     J = np.diag(d)
-    n = len(d)
-    return MapSpec(fn=lambda z: d * z, jacobian=lambda z: J,
-                   source=_ball_domain(n), target=_ball_domain(n),
+    dom = DomainSpec.unit_ball(len(d))
+    return MapSpec(fn=lambda z: d * z, jacobian=lambda z: J, source=dom, target=dom,
                    describe="diag(" + ",".join(f"{x:g}" for x in np.abs(d)) + ")")
 
 
 def ball_auto_map(anchor) -> MapSpec:
     a = as_vector(anchor)
-    n = len(a)
+    dom = DomainSpec.unit_ball(len(a))
     return MapSpec(fn=lambda z: mobius_ball(a, z),
-                   jacobian=lambda z: mobius_ball_jacobian(a, z),
-                   source=_ball_domain(n), target=_ball_domain(n),
+                   jacobian=lambda z: mobius_ball_jacobian(a, z), source=dom, target=dom,
                    describe="ball_auto", inverse=lambda w: mobius_ball(a, w))
 
 
@@ -158,10 +154,10 @@ def unitary_map(U) -> MapSpec:
         raise ValidationError("unitary matrix must be square")
     if not np.allclose(U.conj().T @ U, np.eye(len(U)), atol=1e-10):
         raise ValidationError("matrix is not unitary")
-    n = len(U)
+    dom = DomainSpec.unit_ball(len(U))
     Uh = U.conj().T
     return MapSpec(fn=lambda z: _apply(U, z), jacobian=lambda z: U,
-                   source=_ball_domain(n), target=_ball_domain(n), describe="unitary",
+                   source=dom, target=dom, describe="unitary",
                    inverse=lambda w: _apply(Uh, w))
 
 
@@ -177,8 +173,8 @@ def constant_map(c, source_n: int) -> MapSpec:
     m = len(c)
     Z = np.zeros((m, source_n), dtype=complex)
     return MapSpec(fn=lambda z: np.broadcast_to(c, z.shape[:-1] + (m,)).copy(),
-                   jacobian=lambda z: Z, source=_ball_domain(source_n), target=_ball_domain(m),
-                   describe="constant")
+                   jacobian=lambda z: Z, source=DomainSpec.unit_ball(source_n),
+                   target=DomainSpec.unit_ball(m), describe="constant")
 
 
 def product_map(n: int) -> MapSpec:
@@ -193,7 +189,7 @@ def product_map(n: int) -> MapSpec:
         return rows
 
     return MapSpec(fn=lambda z: np.prod(z, axis=-1, keepdims=True), jacobian=jac,
-                   source=_ball_domain(n), target=DomainSpec.disc(),
+                   source=DomainSpec.unit_ball(n), target=DomainSpec.disc(),
                    describe=f"product:{n}")
 
 
@@ -277,25 +273,26 @@ class PulledBackKernel:
 
 
 def pullback_kernel(F: MapSpec, q) -> PulledBackKernel:
-    """Pull back the unit-ball kernel with pole q under a map with a registered inverse.
+    """Pull back a ball kernel with pole q under a map with a registered inverse.
 
-    The target kernel is ``kernel_value(F.target, q, .)``, the disc or unit
-    ball kernel at q in the canonical couple.
+    The target kernel is ``kernel_value(F.target, q, .)``, the kernel of the
+    ball B(c, r) at q in the canonical couple theta_q(v) = <v, (q - c)/r>.
     The pulled-back couple is theta'(v) = theta_q(dF_p v) at p = F^{-1}(q); it
     is a positive multiple of the canonical couple at p, and
     ``scale_to_standard`` carries that multiple.
     """
     if not isinstance(F, MapSpec) or F.inverse is None:
         raise ValidationError(f"pullback needs a map with a registered inverse, got {F!r}")
-    if F.target.kind not in (DomainKind.DISC, DomainKind.UNIT_BALL):
-        raise ValidationError("pullback targets the unit ball")
-    q = require_on_boundary(F.target, q)
+    tgt = F.target
+    if not tgt.is_ball_like:
+        raise ValidationError("pullback targets a ball")
+    q = require_on_boundary(tgt, q)
     p = as_vector(F.inverse(q), F.source.n)
-    coeffs = F.derivative(p).conj().T @ q
+    coeffs = F.derivative(p).conj().T @ _to_unit_ball(tgt.center, tgt.radius, q)
     rho = herm(outward_normal(F.source, p), coeffs)
     if abs(rho.imag) > 1e-9 * abs(rho) or rho.real <= 0:
         raise ValidationError(f"pulled-back couple is not positively oriented: theta'(nu) = {rho}")
-    return PulledBackKernel(evaluator=lambda z: kernel_value(F.target, q, F(z)).value,
+    return PulledBackKernel(evaluator=lambda z: kernel_value(tgt, q, F(z)).value,
                             couple_coeffs=coeffs,
                             pole=p,
                             scale_to_standard=float(rho.real))
@@ -517,12 +514,12 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     checked = 0
 
     if src.is_ball_like:
-        inner_center, inner_radius = src.ball_center, src.ball_radius
+        inner_center, inner_radius = src.center, src.radius
     else:
         # horoballs of an inscribed tangent ball are certified subsets of the
         # domain's horoballs (the inner kernel dominates from above)
         (inner_center, inner_radius), _ = tangent_balls(src, p)
-    Q = _unitary_from_e1((p - inner_center) / inner_radius)
+    Q = _unitary_from_e1(_to_unit_ball(inner_center, inner_radius, p))
 
     budget = 100 * samples_per_radius
     for R in radii:
@@ -696,47 +693,43 @@ def _classify(ext: Extrapolation, tol: float = 1e-3):
     return ext.real, True
 
 
-def condition_equivalence_check(mapspec: MapSpec, p, z0=None, z0_target=None,
-                                start_level: int = 3,
-                                max_level: int = 24) -> EquivalenceReport:
+def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     """Evaluate dilation, Kobayashi defect and distance ratio along the normal ray.
 
-    The target boundary point q is detected from the ray image; when the
-    image stays away from the target boundary all three conditions are
-    reported infinite.
+    Source and target must be balls.  The Kobayashi defect is measured from
+    their reference interior points.  The target boundary point q is
+    detected from the ray image; when the image stays away from the target
+    boundary all three conditions are reported infinite.
     """
     src, tgt = mapspec.source, mapspec.target
+    if not (src.is_ball_like and tgt.is_ball_like):
+        raise ValidationError("finiteness conditions require ball source and target")
     p = as_vector(p, src.n)
     nu = outward_normal(src, p)
-    z0 = src.interior if z0 is None else as_vector(z0, src.n)
-    z0t = tgt.interior if z0_target is None else as_vector(z0_target, tgt.n)
 
     # candidate target boundary point from the deep ray image
-    w_deep = mapspec(p - 2.0 ** (-max_level) * nu)
+    w_deep = mapspec(p - 2.0 ** (-_EQUIV_MAX_LEVEL) * nu)
     dist_deep = abs(signed_boundary_distance(tgt, w_deep))
-    q = None
-    if dist_deep < 1e-4:
-        wc = (w_deep - tgt.ball_center)
-        q = tgt.ball_center + tgt.ball_radius * wc / norm(wc)
+    q = nearest_boundary_point(tgt, w_deep) if dist_deep < 1e-4 else None
 
     # condition 3: boundary distance ratio
     ratio3 = refine_until(
         lambda h: abs(signed_boundary_distance(tgt, mapspec(p - h * nu)))
         / abs(signed_boundary_distance(src, p - h * nu)),
-        start_level=start_level, max_level=max_level,
+        start_level=_EQUIV_START_LEVEL, max_level=_EQUIV_MAX_LEVEL,
         divergence_threshold=_DIVERGENCE)
 
     # condition 2: Kobayashi distance defect
     cond2 = refine_until(
-        lambda h: kobayashi(src, z0, p - h * nu)
-        - kobayashi(tgt, mapspec(p - h * nu), z0t),
-        start_level=start_level, max_level=max_level)
+        lambda h: kobayashi(src, src.interior, p - h * nu)
+        - kobayashi(tgt, mapspec(p - h * nu), tgt.interior),
+        start_level=_EQUIV_START_LEVEL, max_level=_EQUIV_MAX_LEVEL)
 
     # condition 1: kernel ratio toward the detected q
     if q is None:
         v1, fin1 = float("inf"), False
     else:
-        cond1 = _kernel_ratio_ray(mapspec, p, q, nu, start_level, max_level)
+        cond1 = _kernel_ratio_ray(mapspec, p, q, nu, _EQUIV_START_LEVEL, _EQUIV_MAX_LEVEL)
         v1, fin1 = _classify(cond1)
 
     v3, fin3 = _classify(ratio3)

@@ -153,7 +153,10 @@ def poisson_disc(p: complex, zeta: complex) -> float:
         raise ValidationError(f"pole must be unimodular, |p| = {abs(p)}")
     if abs(zeta) >= 1.0:
         raise ValidationError(f"point must be in the open disc, |zeta| = {abs(zeta)}")
-    return -(1.0 - abs(zeta) ** 2) / abs(p - zeta) ** 2
+    denom = abs(p - zeta) ** 2
+    if denom == 0.0:
+        raise ValidationError("kernel evaluated at its pole")
+    return -(1.0 - abs(zeta) ** 2) / denom
 
 
 # The array forms of the closed forms round every step as the scalar forms do,
@@ -230,18 +233,18 @@ def mobius_ball_jacobian(z0, w) -> np.ndarray:
 
 
 def kobayashi(domain, z, w) -> float:
-    """Kobayashi distance of the disc or unit ball: arctanh of the Mobius invariant.
+    """Kobayashi distance of a ball B(c, r): arctanh of the Mobius invariant.
 
-    For the disc this is the Poincare distance (1/2) log((1+m)/(1-m)) with
-    m = |phi_z(w)|.
+    Points are carried to the unit ball by (z - c)/r.  For the disc this is
+    the Poincare distance (1/2) log((1+m)/(1-m)) with m = |phi_z(w)|.
     """
-    from .domains import DomainKind, DomainSpec
+    from .domains import DomainSpec
 
-    if not isinstance(domain, DomainSpec) or domain.kind not in (
-            DomainKind.DISC, DomainKind.UNIT_BALL):
-        raise ValidationError("kobayashi distance is provided for the disc and unit ball")
-    z = as_vector(z, domain.n)
-    w = as_vector(w, domain.n)
+    if not isinstance(domain, DomainSpec) or not domain.is_ball_like:
+        raise ValidationError("kobayashi distance is provided for balls")
+    c, r = domain.center, domain.radius
+    z = _to_unit_ball(c, r, as_vector(z, domain.n))
+    w = _to_unit_ball(c, r, as_vector(w, domain.n))
     if norm(z) >= 1.0 or norm(w) >= 1.0:
         raise ValidationError("points must lie in the open ball")
     m = norm(mobius_ball(z, w))
@@ -249,6 +252,15 @@ def kobayashi(domain, z, w) -> float:
 
 
 # -- pluricomplex Poisson kernel of balls -------------------------------------
+
+def _to_unit_ball(c: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
+    """w = (z - c)/r on the last axis: B(c, r) carried onto B(0, 1).
+
+    Exact on B(0, 1), where z - 0 rounds to z; dividing by 1 is skipped.
+    """
+    w = z - c
+    return w if radius == 1.0 else w / radius
+
 
 def omega_ball_value(n: int, p, z) -> float:
     """Raw kernel value -(1 - ||z||^2)/|1 - <z, p>|^2 of the unit ball at pole p."""
@@ -277,8 +289,14 @@ def omega_general_ball_value(center, radius: float, p, z) -> float:
 
 
 def _ball_kernel(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
-    """omega_general_ball_value for coerced vectors and a positive radius."""
-    return _unit_ball_kernel((p - c) / radius, (z - c) / radius) / radius
+    """omega_general_ball_value for coerced vectors and a positive radius.
+
+    In C the unit-ball core is the disc's, poisson_disc, with denominator
+    |q - w|^2, so every 1-D ball gives the disc's value.
+    """
+    q, w = _to_unit_ball(c, radius, p), _to_unit_ball(c, radius, z)
+    value = poisson_disc(q[0], w[0]) if len(c) == 1 else _unit_ball_kernel(q, w)
+    return value if radius == 1.0 else value / radius
 
 
 def _unit_ball_kernels(p: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -294,9 +312,11 @@ def _unit_ball_kernels(p: np.ndarray, W: np.ndarray) -> np.ndarray:
     return -np.maximum(1.0 - _square(nz), 0.0) / denom
 
 
-def _ball_kernels(c: np.ndarray, radius: float, p: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _ball_kernels(c: np.ndarray, radius: float, p: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """_ball_kernel at every row of an (M, n) array."""
-    return _unit_ball_kernels((p - c) / radius, (W - c) / radius) / radius
+    q, W = _to_unit_ball(c, radius, p), _to_unit_ball(c, radius, Z)
+    value = _poisson_discs(q[0], W[:, 0]) if len(c) == 1 else _unit_ball_kernels(q, W)
+    return value if radius == 1.0 else value / radius
 
 
 def rescale_couple(value, rho: float):
@@ -329,8 +349,8 @@ def green_ball(n: int, z, w):
 def green_general_ball(center, radius: float, z, w):
     """Green function of B(center, radius) by biholomorphic invariance."""
     c = as_vector(center)
-    return green_ball(len(c), (as_vector(z, len(c)) - c) / radius,
-                      (as_vector(w, len(c)) - c) / radius)
+    return green_ball(len(c), _to_unit_ball(c, radius, as_vector(z, len(c))),
+                      _to_unit_ball(c, radius, as_vector(w, len(c))))
 
 
 # -- boundary limits -----------------------------------------------------------

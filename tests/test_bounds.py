@@ -216,7 +216,7 @@ def test_sandwich_equals_kernel_value_on_balls():
     rng = np.random.default_rng(7)
     domains = (DomainSpec.disc(), BALL2, DomainSpec.ball([0.2 + 0.1j, -0.3], 1.5))
     for dom in domains:
-        c, r = dom.ball_center, dom.ball_radius
+        c, r = dom.center, dom.radius
         for _ in range(20):
             u = sample_sphere(rng, dom.n)
             p = c + r * u
@@ -313,7 +313,7 @@ def test_kernel_values_match_kernel_value_row_for_row():
 @pytest.mark.parametrize("dom", KV_DOMAINS, ids=lambda d: d.label)
 def test_kernel_values_raise_as_kernel_value(dom):
     n = dom.n
-    p = dom.ball_center + dom.ball_radius * np.eye(n)[0] if dom.is_ball_like else np.eye(n)[0]
+    p = dom.center + dom.radius * np.eye(n)[0] if dom.is_ball_like else np.eye(n)[0]
     p = p.astype(complex)
     inside = p - 0.5 * outward_normal(dom, p)
     far = dom.interior + 3.0 * (p - dom.interior)

@@ -152,6 +152,15 @@ def test_numerical_error_exit_code(capsys):
     assert json.loads(err)["code"] == "numerical"
 
 
+def test_disc_pole_inside_circle_is_json_error(capsys):
+    code, out, err = run_cli(capsys, [
+        "kernel", "--domain", "disc", "--pole", "0.9999999995", "--point", "0.9999999995"])
+    assert (code, out) == (2, "")
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert blob["message"] == "kernel evaluated at its pole"
+
+
 def test_resolution_validation(capsys):
     code, _, err = run_cli(capsys, [
         "reproduce", "--domain", "disc", "--f", "re(z1)", "--z", "0",

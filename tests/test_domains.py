@@ -265,7 +265,7 @@ def test_domain_from_json_forms():
     assert domain_from_json("unit_ball:3").n == 3
     assert domain_from_json("disc").n == 1
     d = domain_from_json('{"kind": "ball", "center": [[0.5, 0.0], [0.0, 0.0]], "radius": 0.5}')
-    assert d.ball_radius == 0.5
+    assert d.radius == 0.5
     e = domain_from_json("ellipsoid:1,2")
     assert np.allclose(e.coeffs, [1.0, 2.0])
     c = domain_from_json('{"kind": "custom", "psi": "z1*conj(z1)-1", "n": 1}')

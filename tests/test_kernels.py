@@ -48,6 +48,17 @@ def test_poisson_disc_validation():
         poisson_disc(1.0, 1.2)
 
 
+def test_disc_kernel_at_pole_inside_circle():
+    # a pole within the boundary tolerance inside the circle is a point of the
+    # open disc too; the kernel there is the typed pole error, not a division by 0
+    p = 1 - 5e-10
+    with pytest.raises(ValidationError, match="kernel evaluated at its pole"):
+        poisson_disc(p, p)
+    for dom in (DomainSpec.disc(), DomainSpec.unit_ball(1), DomainSpec.ball([0], 1)):
+        with pytest.raises(ValidationError, match="kernel evaluated at its pole"):
+            kernel_value(dom, [p], [p])
+
+
 # -- Mobius automorphisms ------------------------------------------------------
 
 def test_mobius_examples(rng):

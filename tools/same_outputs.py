@@ -1,0 +1,112 @@
+"""Check that the working tree's program gives the same outputs as a git revision's.
+
+    python tools/same_outputs.py REV [--seeds 1 2]
+
+For each seed, one round of every benchmark workload's operations
+(``bench/workloads.py``'s plan and build functions, each operation run
+through ``bench/checks.run_op``) runs in two fresh processes: one imports
+the package from REV's ``src/``, unpacked with ``git archive`` into a
+temporary directory, the other from the working tree's ``src/``.  Both use
+the working tree's ``bench/``.  Every output, a failed operation included,
+is compared by its ``repr``.  Prints, per seed and workload, the number of
+outputs, the number that differ and the first few differences; exits 1 if
+any output differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+SHOWN = 3       # differences printed per workload
+
+sys.path.insert(0, str(BENCH))
+from run import worker_env  # noqa: E402  (the benchmark worker's environment)
+
+
+def emit(seed: int) -> None:
+    """Child process: one round of every workload, as {workload: [repr, ...]} on stdout."""
+    import numpy as np
+
+    import plurikernel as P
+    import workloads as W
+    from checks import run_op
+
+    result = {}
+    for name, (plan_fn, build_fn) in W.WORKLOADS.items():
+        cases = build_fn(P, plan_fn(np.random.default_rng(seed)))
+        result[name] = [[f"{case.label} / {kind}", repr(run_op(fn))]
+                        for case in cases for kind, fn in case.ops]
+    print(json.dumps(result))
+
+
+def outputs(src: Path, seed: int) -> dict:
+    """One round of every workload in a fresh process importing the package from ``src``."""
+    env = worker_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(BENCH)])
+    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed)], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"the outputs of {src} at seed {seed} could not be computed")
+    return json.loads(proc.stdout)
+
+
+def unpack_src(rev: str, into: Path) -> Path:
+    """``git archive`` REV's src/ into a directory; returns the unpacked src/."""
+    proc = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                          capture_output=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"git archive {rev} src failed: {proc.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tf:
+        tf.extractall(into, filter="data")
+    return into / "src"
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print the per-workload comparison; returns the number of differing outputs."""
+    total = 0
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name, []), new.get(name, [])
+        diffs = [(i, x, y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        differ = len(diffs) + abs(len(a) - len(b))
+        total += differ
+        print(f"  {name}: {len(b)} outputs, {differ} differ"
+              + (f" (the revision has {len(a)})" if len(a) != len(b) else ""))
+        for i, (what, x), (_, y) in diffs[:SHOWN]:
+            print(f"    #{i} {what}\n      rev:  {x}\n      tree: {y}")
+    return total
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--emit", type=int, default=None, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.emit is not None:
+        emit(args.emit)
+        return 0
+    if args.rev is None:
+        ap.error("a revision is required")
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        rev_src = unpack_src(args.rev, Path(tmp))
+        for seed in args.seeds:
+            print(f"seed {seed}: {args.rev} against the working tree")
+            differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
+    print(f"{differ} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
