@@ -96,18 +96,45 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     Stops early when the error estimate is exactly 0, which no later level
     can improve, or when the raw values blow past ``divergence_threshold``
     (reported as divergence, with the last raw value as the limit).
+
+    The tableau grows by one entry per column and level: each new entry is
+    ``richardson``'s expression on the last two entries of the column before,
+    so every estimate equals ``richardson`` of the values so far, bit for bit.
     """
     vals = []
+    newest = []          # newest[j]: the last entry of tableau column j
     best = None
     for k in range(start_level, max_level + 1):
         v = f(2.0 ** (-k))
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         vals.append(v)
+        older, newest = newest, [np.complex128(v)]
+        for j, below in enumerate(older, start=1):
+            fac = 2.0 ** np.float64(j)
+            newest.append((fac * newest[-1] - below) / (fac - 1.0))
         if len(vals) >= 3:
-            best = richardson(vals)
+            best = _newest_estimate(vals[-2:], older, newest)
             if best.error == 0.0:
                 break
     if best is None:
         best = richardson(vals)
     return best
+
+
+def _newest_estimate(last_two, older, newest) -> Extrapolation:
+    """``richardson``'s choice of limit from each column's last two entries.
+
+    ``last_two`` are the last two raw values; ``older`` and ``newest`` hold
+    each column's second-to-last and last entries.  The last column has a
+    single entry and carries no error estimate.
+    """
+    seq = np.asarray(last_two)
+    best = complex(seq[-1])
+    best_err = abs(seq[-1] - seq[-2])
+    for below, top in zip(older[1:], newest[1:]):
+        err = abs(top - below)
+        if err <= best_err:
+            best_err = err
+            best = complex(top)
+    return Extrapolation(limit=best, error=float(best_err))

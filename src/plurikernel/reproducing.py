@@ -35,24 +35,35 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .utils import as_vector
+from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
+_BLOCK = 1 << 16      # nodes per block in reproduce: a block's temporaries stay in cache
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Boundary nodes and positive weights approximating the boundary measure."""
+    """Boundary nodes and positive weights approximating the boundary measure.
+
+    ``nodes`` and ``weights`` are read-only views: a rule is shared by every
+    call made on it, so a field that writes into its argument raises.
+    """
 
     nodes: np.ndarray          # (M, n) complex boundary points
     weights: np.ndarray        # (M,) positive
     n: int                     # complex dimension
     resolution: int
+
+    def __post_init__(self):
+        nodes, weights = read_only(self.nodes.view(), self.weights.view())
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def total_mass(self) -> float:
@@ -62,56 +73,88 @@ class QuadratureRule:
         return len(self.weights)
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(m: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1] of order m, read-only, computed once."""
+    return read_only(*np.polynomial.legendre.leggauss(m))
+
+
 def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
     """Quadrature for the boundary measure of the unit ball, n in {1, 2}."""
     if resolution < 4:
         raise ValidationError("resolution must be at least 4")
+    theta = TWO_PI * np.arange(resolution) / resolution
     if n == 1:
-        theta = TWO_PI * np.arange(resolution) / resolution
         nodes = np.exp(1j * theta)[:, None]
         weights = np.full(resolution, TWO_PI / resolution)
         return QuadratureRule(nodes=nodes, weights=weights, n=1, resolution=resolution)
     if n == 2:
-        x, wx = np.polynomial.legendre.leggauss(resolution)
+        # node (i, j, k) is (cos eta_i e^{i th_j}, sin eta_i e^{i th_k}), in C order
+        x, wx = _gauss_legendre(resolution)
         eta = (x + 1.0) * (math.pi / 4.0)
         weta = wx * (math.pi / 4.0)
-        theta = TWO_PI * np.arange(resolution) / resolution
         wtheta = TWO_PI / resolution
-        E, T1, T2 = np.meshgrid(eta, theta, theta, indexing="ij")
-        WE = np.meshgrid(weta, theta, theta, indexing="ij")[0]
-        z1 = np.cos(E) * np.exp(1j * T1)
-        z2 = np.sin(E) * np.exp(1j * T2)
-        nodes = np.stack([z1.ravel(), z2.ravel()], axis=1)
-        # weight = levi density (= 2) * surface element * quadrature weights
-        weights = (2.0 * np.cos(E) * np.sin(E) * WE * wtheta * wtheta).ravel()
-        return QuadratureRule(nodes=nodes, weights=weights, n=2, resolution=resolution)
+        c, s, e = np.cos(eta), np.sin(eta), np.exp(1j * theta)
+        nodes = np.empty((resolution, resolution, resolution, 2), dtype=complex)
+        nodes[..., 0] = (c[:, None] * e)[:, :, None]
+        nodes[..., 1] = s[:, None, None] * e
+        # weight = levi density (= 2) * surface element * quadrature weights,
+        # constant over each eta slab
+        weights = np.repeat(2.0 * c * s * weta * wtheta * wtheta, resolution * resolution)
+        return QuadratureRule(nodes=nodes.reshape(-1, 2), weights=weights, n=2,
+                              resolution=resolution)
     raise ValidationError(f"sphere quadrature implemented for n in {{1, 2}}, got n={n}")
 
 
-def _kernel_powers(rule: QuadratureRule, z: np.ndarray) -> np.ndarray:
-    """|Omega_{xi_i}(z)|^n for all nodes, vectorized."""
-    inner = rule.nodes @ np.conj(z)
-    om = (1.0 - float(np.vdot(z, z).real)) / np.abs(1.0 - inner) ** 2
-    return om ** rule.n
+class _NotRowwise(Exception):
+    """A field that cannot be evaluated on a block of rule nodes at once."""
+
+
+def _block_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
+    """f on a block of nodes as one real value per row; _NotRowwise if it cannot be."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = np.asarray(f(nodes), dtype=float)
+    except Exception as exc:
+        raise _NotRowwise from exc
+    if nodes.shape[1] == 1 and vals.shape == nodes.shape:
+        vals = vals[:, 0]      # a field on the circle's (M, 1) nodes, one column
+    if vals.shape != (len(nodes),):
+        raise _NotRowwise
+    return vals
+
+
+def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
+    """(2 pi)^{-n} sum_i values(rows)_i |Omega_{xi_i}(z)|^n w_i over _BLOCK-row blocks."""
+    num = 1.0 - float(np.vdot(z, z).real)
+    zc = np.conj(z)
+    integrand = np.empty(len(rule))
+    for start in range(0, len(rule), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        fvals = values(rows)
+        om = num / np.abs(1.0 - rule.nodes[rows] @ zc) ** 2
+        integrand[rows] = fvals * om ** rule.n * rule.weights[rows]
+    # one pairwise sum over the whole rule: the result does not depend on _BLOCK
+    return float(np.sum(integrand)) / TWO_PI ** rule.n
 
 
 def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
-    """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z."""
+    """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z.
+
+    ``f`` is called on blocks of rows of ``rule.nodes`` and must act row by
+    row.  If it raises, warns or returns the wrong shape on any block, the
+    whole rule is evaluated again node by node (one call per node).
+    """
     z = as_vector(z, rule.n)
     if float(np.vdot(z, z).real) >= 1.0:
         raise ValidationError("reproduction point must be interior")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fvals = np.asarray(f(rule.nodes), dtype=float)
-        if fvals.shape != (len(rule),):
-            raise TypeError
-    except Exception:
-        # not vectorized: evaluate node by node
+        return _node_sum(lambda rows: _block_values(f, rule.nodes[rows]), z, rule)
+    except _NotRowwise:
         fvals = np.array([float(np.asarray(f(xi), dtype=complex).reshape(-1)[0].real)
                           for xi in rule.nodes])
-    integrand = fvals * _kernel_powers(rule, z) * rule.weights
-    return float(np.sum(integrand)) / TWO_PI ** rule.n
+        return _node_sum(lambda rows: fvals[rows], z, rule)
 
 
 @dataclass(frozen=True)
@@ -141,13 +184,12 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
         raise ValidationError("evaluation point must be inside the disc")
     boundary = reproduce(f, z, rule)
 
-    x, wx = np.polynomial.legendre.leggauss(radial)
+    x, wx = _gauss_legendre(radial)
     r = (x + 1.0) / 2.0
     wr = wx / 2.0
     theta = TWO_PI * np.arange(angular) / angular
-    R, TH = np.meshgrid(r, theta, indexing="ij")
-    W = np.meshgrid(wr, theta, indexing="ij")[0] * (TWO_PI / angular) * R
-    w_pts = R * np.exp(1j * TH)
+    W = (wr * (TWO_PI / angular) * r)[:, None]     # constant along each circle
+    w_pts = r[:, None] * np.exp(1j * theta)
     z0 = z[0]
     with np.errstate(divide="ignore"):
         g = np.log(np.abs((z0 - w_pts) / (1.0 - np.conj(z0) * w_pts)))

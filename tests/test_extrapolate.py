@@ -48,6 +48,35 @@ def test_refine_until_convergence():
     assert ext.real == pytest.approx(-2.0, abs=1e-10)
 
 
+def _refine_with_full_tableau(f, start_level, max_level, divergence_threshold=1e9):
+    """refine_until with the whole Richardson tableau rebuilt at every level."""
+    vals = []
+    best = None
+    for k in range(start_level, max_level + 1):
+        v = f(2.0 ** (-k))
+        if not np.isfinite(v) or abs(v) > divergence_threshold:
+            return None
+        vals.append(v)
+        if len(vals) >= 3:
+            best = richardson(vals)
+            if best.error == 0.0:
+                break
+    return best if best is not None else richardson(vals)
+
+
+def test_refine_until_equals_full_tableau_bit_for_bit(rng):
+    fields = [lambda h: -2.0 + 0.7 * h + h * h, lambda h: 2.0 + h, lambda h: 1.0,
+              lambda h: complex(np.cos(h), np.sin(3.0 * h))]
+    for a, b, c in rng.normal(size=(20, 3)):
+        fields.append(lambda h, a=a, b=b, c=c:
+                      a + b * np.sqrt(h) + c * np.log1p(h) + 1e-13 * np.sin(1e7 * h))
+    for f in fields:
+        for start, stop in ((3, 26), (4, 24), (3, 5), (3, 4)):
+            ref = _refine_with_full_tableau(f, start, stop)
+            ext = refine_until(f, start_level=start, max_level=stop)
+            assert (ext.limit, ext.error) == (ref.limit, ref.error)
+
+
 def test_empty_sequences_rejected():
     with pytest.raises(ValueError):
         richardson([])

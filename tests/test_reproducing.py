@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,106 @@ def test_reproduce_scalar_callable_fallback():
     rule = sphere_quadrature(1, 32)
     val = reproduce(lambda xi: float(np.real(xi[0])), [0.2], rule)
     assert val == pytest.approx(0.2, abs=1e-10)
+
+
+def _meshgrid_rule(res):
+    """The Hopf rule's nodes and weights built on res^3 meshgrids, the reference."""
+    x, wx = np.polynomial.legendre.leggauss(res)
+    eta = (x + 1.0) * (math.pi / 4.0)
+    weta = wx * (math.pi / 4.0)
+    theta = TWO_PI * np.arange(res) / res
+    wtheta = TWO_PI / res
+    E, T1, T2 = np.meshgrid(eta, theta, theta, indexing="ij")
+    WE = np.meshgrid(weta, theta, theta, indexing="ij")[0]
+    nodes = np.stack([(np.cos(E) * np.exp(1j * T1)).ravel(),
+                      (np.sin(E) * np.exp(1j * T2)).ravel()], axis=1)
+    weights = (2.0 * np.cos(E) * np.sin(E) * WE * wtheta * wtheta).ravel()
+    return nodes, weights
+
+
+def _whole_array_reproduce(f, z, rule):
+    """reproduce's formula on the whole rule at once, the reference."""
+    inner = rule.nodes @ np.conj(z)
+    om = (1.0 - float(np.vdot(z, z).real)) / np.abs(1.0 - inner) ** 2
+    integrand = np.asarray(f(rule.nodes), dtype=float) * om ** rule.n * rule.weights
+    return float(np.sum(integrand)) / TWO_PI ** rule.n
+
+
+def _per_node(field):
+    """field, refusing node arrays: reproduce then calls it once per node."""
+    def f(xi):
+        if np.ndim(xi) != 1:
+            raise TypeError("one node at a time")
+        return field(xi)
+    return f
+
+
+def test_factor_built_rule_equals_meshgrid_rule():
+    for res in (4, 5, 8, 32, 33):
+        rule = sphere_quadrature(2, res)
+        nodes, weights = _meshgrid_rule(res)
+        assert np.array_equal(rule.nodes, nodes), res
+        assert np.array_equal(rule.weights, weights), res
+
+
+def test_reproduce_in_blocks_equals_whole_array_formula(rng):
+    rule = sphere_quadrature(2, 64)          # 262,144 nodes: four blocks
+    fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
+              lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
+    for _ in range(4):
+        z = sample_ball(rng, 2, 0.9)
+        for f in fields:
+            assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+
+
+def test_field_warning_on_one_block_falls_back_node_by_node():
+    rule = sphere_quadrature(2, 64)
+    z = np.array([0.3, 0.2j])
+    blocks = []
+
+    def field(nodes):
+        return np.real(nodes[..., 0] * nodes[..., 1])
+
+    def f(nodes):
+        if np.ndim(nodes) == 2:
+            blocks.append(len(nodes))
+            if len(blocks) == 3:
+                warnings.warn("third block")
+        return field(nodes)
+
+    per_node = reproduce(_per_node(field), z, rule)
+    assert reproduce(f, z, rule) == per_node
+    assert len(blocks) == 3
+
+
+def test_circle_field_on_node_column_is_vectorised():
+    # np.abs(w) ** 2 on the circle's (M, 1) nodes is (M, 1): one call, same
+    # value as node by node
+    rule = sphere_quadrature(1, 256)
+    calls = []
+
+    def abs2(w):
+        calls.append(np.shape(w))
+        return np.abs(w) ** 2
+
+    for z in (0.0, 0.3, 0.6 * np.exp(0.7j)):
+        calls.clear()
+        vectorised = reproduce(abs2, [z], rule)
+        assert calls == [(256, 1)]
+        assert vectorised == reproduce(_per_node(lambda w: np.abs(w) ** 2), [z], rule)
+
+
+def test_rule_arrays_are_read_only():
+    rule = sphere_quadrature(2, 8)
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+    def doubling(nodes):
+        nodes *= 2.0
+        return np.real(nodes[..., 0])
+
+    with pytest.raises(ValueError):
+        reproduce(doubling, [0.1, 0.0], rule)
+    assert np.array_equal(rule.nodes, sphere_quadrature(2, 8).nodes)
 
 
 def test_node_factors_match_demailly_density(rng):
