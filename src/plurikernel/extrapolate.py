@@ -32,6 +32,41 @@ class Extrapolation:
         return float(np.real(self.limit))
 
 
+class RichardsonTableau:
+    """A Richardson tableau grown by one value f(h_k) at a time.
+
+    Only the last entry of each column is kept.  ``append`` adds one entry to
+    every column, ``(fac * upper - lower) / (fac - 1)`` on the last two
+    entries of the column before with fac = ratio**p_j, and returns the
+    estimate from the values so far: the last entry of the column whose last
+    two entries differ least (later columns win ties).  ``orders`` as in
+    ``richardson``; when given, the tableau has one column per order.
+    """
+
+    def __init__(self, ratio: float = 2.0, orders=None):
+        self._ratio = ratio
+        self._open = orders is None
+        self._facs = [] if orders is None else [ratio ** p for p in np.asarray(orders, dtype=float)]
+        self.ends = []      # ends[j]: the last entry of column j
+
+    def append(self, value) -> Extrapolation:
+        older = self.ends
+        if self._open and len(self._facs) < len(older):
+            self._facs.append(self._ratio ** np.float64(len(older)))
+        ends = [np.complex128(value)]
+        for fac, below in zip(self._facs, older):
+            ends.append((fac * ends[-1] - below) / (fac - 1.0))
+        self.ends = ends
+        if not older:
+            return Extrapolation(limit=complex(ends[0]), error=float("inf"))
+        best, best_err = ends[0], abs(ends[0] - older[0])
+        for below, top in zip(older[1:], ends[1:]):   # a column's first entry has no error
+            err = abs(top - below)
+            if err <= best_err:
+                best, best_err = top, err
+        return Extrapolation(limit=complex(best), error=float(best_err))
+
+
 def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
     """Extrapolate values[k] = f(h0/ratio**k) assuming f(h) = L + sum c_i h^{p_i}.
 
@@ -39,32 +74,12 @@ def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
     defaults to 1, 2, 3, ...  Entries may be fractional.
     """
     seq = np.asarray(values)
-    m = len(seq)
-    if m == 0:
+    if len(seq) == 0:
         raise ValueError("empty sequence")
-    if m == 1:
-        return Extrapolation(limit=complex(seq[0]), error=float("inf"))
-    if orders is None:
-        orders = np.arange(1, m)
-    orders = np.asarray(orders, dtype=float)
-
-    table = [seq.astype(complex)]
-    best = complex(seq[-1])
-    best_err = abs(seq[-1] - seq[-2])
-    for j in range(1, m):
-        if j - 1 >= len(orders):
-            break
-        fac = ratio ** orders[j - 1]
-        prev = table[-1]
-        cur = (fac * prev[1:] - prev[:-1]) / (fac - 1.0)
-        table.append(cur)
-        if len(cur) < 2:
-            break  # single-entry columns carry no internal error estimate
-        err = abs(cur[-1] - cur[-2])
-        if err <= best_err:
-            best_err = err
-            best = complex(cur[-1])
-    return Extrapolation(limit=best, error=float(best_err))
+    table = RichardsonTableau(ratio, orders)
+    for v in seq:
+        best = table.append(v)
+    return best
 
 
 def aitken(values, passes: int | None = None) -> Extrapolation:
@@ -96,45 +111,20 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     Stops early when the error estimate is exactly 0, which no later level
     can improve, or when the raw values blow past ``divergence_threshold``
     (reported as divergence, with the last raw value as the limit).
-
-    The tableau grows by one entry per column and level: each new entry is
-    ``richardson``'s expression on the last two entries of the column before,
-    so every estimate equals ``richardson`` of the values so far, bit for bit.
     """
     vals = []
-    newest = []          # newest[j]: the last entry of tableau column j
+    table = RichardsonTableau()
     best = None
     for k in range(start_level, max_level + 1):
         v = f(2.0 ** (-k))
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         vals.append(v)
-        older, newest = newest, [np.complex128(v)]
-        for j, below in enumerate(older, start=1):
-            fac = 2.0 ** np.float64(j)
-            newest.append((fac * newest[-1] - below) / (fac - 1.0))
+        ext = table.append(v)
         if len(vals) >= 3:
-            best = _newest_estimate(vals[-2:], older, newest)
+            best = ext
             if best.error == 0.0:
                 break
     if best is None:
         best = richardson(vals)
     return best
-
-
-def _newest_estimate(last_two, older, newest) -> Extrapolation:
-    """``richardson``'s choice of limit from each column's last two entries.
-
-    ``last_two`` are the last two raw values; ``older`` and ``newest`` hold
-    each column's second-to-last and last entries.  The last column has a
-    single entry and carries no error estimate.
-    """
-    seq = np.asarray(last_two)
-    best = complex(seq[-1])
-    best_err = abs(seq[-1] - seq[-2])
-    for below, top in zip(older[1:], newest[1:]):
-        err = abs(top - below)
-        if err <= best_err:
-            best_err = err
-            best = complex(top)
-    return Extrapolation(limit=best, error=float(best_err))

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .extrapolate import Extrapolation, richardson
+from .extrapolate import Extrapolation, RichardsonTableau, richardson
 from .utils import as_rows, as_vector, herm, norm, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
@@ -394,6 +394,7 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
     predicted = -2.0 * (1.0 / theta).real
 
     vals = []
+    table = RichardsonTableau()
     best: Optional[Extrapolation] = None
     for k in range(start_level, max_level + 1):
         h = 2.0 ** (-k)
@@ -401,8 +402,8 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
         if isinstance(v, KernelValue):
             v = v.value
         vals.append(v * h)
+        ext = table.append(vals[-1])
         if len(vals) >= 3:
-            ext = richardson(vals)
             if best is None or ext.error <= best.error:
                 best = ext
             elif ext.error > 16.0 * max(best.error, 1e-15):

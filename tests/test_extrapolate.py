@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plurikernel import BoundaryCurve, boundary_limit
 from plurikernel.extrapolate import aitken, refine_until, richardson
 
 
@@ -48,33 +49,96 @@ def test_refine_until_convergence():
     assert ext.real == pytest.approx(-2.0, abs=1e-10)
 
 
-def _refine_with_full_tableau(f, start_level, max_level, divergence_threshold=1e9):
-    """refine_until with the whole Richardson tableau rebuilt at every level."""
-    vals = []
-    best = None
+def _full_tableau(values, ratio=2.0, orders=None):
+    """richardson with every column of the tableau built as a whole array."""
+    seq = np.asarray(values)
+    m = len(seq)
+    if m == 1:
+        return seq[0], float("inf")
+    orders = np.asarray(np.arange(1, m) if orders is None else orders, dtype=float)
+    table = [seq.astype(complex)]
+    best, best_err = complex(seq[-1]), abs(seq[-1] - seq[-2])
+    for j in range(1, m):
+        if j - 1 >= len(orders):
+            break
+        fac = ratio ** orders[j - 1]
+        prev = table[-1]
+        cur = (fac * prev[1:] - prev[:-1]) / (fac - 1.0)
+        table.append(cur)
+        if len(cur) < 2:
+            break
+        err = abs(cur[-1] - cur[-2])
+        if err <= best_err:
+            best_err, best = err, complex(cur[-1])
+    return complex(best), float(best_err)
+
+
+def _rebuilt_every_level(f, start_level, max_level, stop_on_zero=True, divergence_threshold=1e9):
+    """The full tableau rebuilt at every level h = 2**-k, estimates from the third level on."""
+    vals, best = [], None
     for k in range(start_level, max_level + 1):
         v = f(2.0 ** (-k))
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return None
         vals.append(v)
         if len(vals) >= 3:
-            best = richardson(vals)
-            if best.error == 0.0:
+            best = _full_tableau(vals)
+            if stop_on_zero and best[1] == 0.0:
                 break
-    return best if best is not None else richardson(vals)
+    return best if best is not None else _full_tableau(vals)
 
 
-def test_refine_until_equals_full_tableau_bit_for_bit(rng):
+def _fields(rng):
     fields = [lambda h: -2.0 + 0.7 * h + h * h, lambda h: 2.0 + h, lambda h: 1.0,
               lambda h: complex(np.cos(h), np.sin(3.0 * h))]
     for a, b, c in rng.normal(size=(20, 3)):
         fields.append(lambda h, a=a, b=b, c=c:
                       a + b * np.sqrt(h) + c * np.log1p(h) + 1e-13 * np.sin(1e7 * h))
-    for f in fields:
+    return fields
+
+
+def test_richardson_equals_full_tableau_bit_for_bit(rng):
+    hs = 2.0 ** -np.arange(2, 27)
+    seqs = [np.ones(6), 0.35 * np.arange(20) + 1.0, 3.0 + 2.0 * hs + 5.0 * hs ** 2]
+    seqs += [np.array([f(h) for h in hs]) for f in _fields(rng)]
+    seqs += list(rng.normal(size=(10, 12)) + 1j * rng.normal(size=(10, 12)))
+    for seq in seqs:
+        for m in (1, 2, 3, 7, len(seq)):
+            vals = seq[:m]
+            for ratio, orders in ((2.0, None), (2.0, np.arange(1, m) * 0.5),
+                                  (2.0, [1.0, 2.0]), (3.0, None), (2.0, [])):
+                ext = richardson(vals, ratio=ratio, orders=orders)
+                assert (ext.limit, ext.error) == _full_tableau(vals, ratio, orders)
+
+
+def test_refine_until_equals_full_tableau_bit_for_bit(rng):
+    for f in _fields(rng):
         for start, stop in ((3, 26), (4, 24), (3, 5), (3, 4)):
-            ref = _refine_with_full_tableau(f, start, stop)
             ext = refine_until(f, start_level=start, max_level=stop)
-            assert (ext.limit, ext.error) == (ref.limit, ref.error)
+            assert (ext.limit, ext.error) == _rebuilt_every_level(f, start, stop)
+
+
+def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    curve = BoundaryCurve(gamma=lambda t: np.array([t, 0.0], dtype=complex),
+                          gamma_prime_at_1=e1)
+    for f in _fields(rng):
+        def evaluator(z, f=f):
+            return f(1.0 - z[0].real) / (1.0 - z[0].real)
+
+        # boundary_limit's loop, with the full tableau rebuilt at every level
+        vals, best = [], None
+        for k in range(3, 27):
+            h = 2.0 ** (-k)
+            vals.append(evaluator(curve.gamma(1.0 - h)) * h)
+            if len(vals) >= 3:
+                ext = _full_tableau(vals)
+                if best is None or ext[1] <= best[1]:
+                    best = ext
+                elif ext[1] > 16.0 * max(best[1], 1e-15):
+                    break
+        res = boundary_limit(evaluator, curve, e1)
+        assert (res.estimate, res.error, res.levels) == (best[0].real, best[1], len(vals))
 
 
 def test_empty_sequences_rejected():

@@ -1,9 +1,8 @@
 """Check that the working tree's program gives the same outputs as a git revision's.
 
-    python tools/same_outputs.py REV [--seeds 1 2] [--workload NAME]
+    python tools/same_outputs.py REV [--seeds 1 2]
 
-For each seed, one round of every benchmark workload's operations (or of
-the one named by ``--workload``)
+For each seed, one round of every benchmark workload's operations
 (``bench/workloads.py``'s plan and build functions, each operation run
 through ``bench/checks.run_op``) runs in two fresh processes: one imports
 the package from REV's ``src/``, unpacked with ``git archive`` into a
@@ -31,32 +30,30 @@ BENCH = ROOT / "bench"
 SHOWN = 3       # differences printed per workload
 
 sys.path.insert(0, str(BENCH))
-import workloads as W  # noqa: E402
 from run import worker_env  # noqa: E402  (the benchmark worker's environment)
 
 
-def emit(seed: int, workloads: list) -> None:
-    """Child process: one round of each workload named, as {workload: [repr, ...]} on stdout."""
+def emit(seed: int) -> None:
+    """Child process: one round of every workload, as {workload: [repr, ...]} on stdout."""
     import numpy as np
 
     import plurikernel as P
+    import workloads as W
     from checks import run_op
 
     result = {}
-    for name in workloads:
-        plan_fn, build_fn = W.WORKLOADS[name]
+    for name, (plan_fn, build_fn) in W.WORKLOADS.items():
         cases = build_fn(P, plan_fn(np.random.default_rng(seed)))
         result[name] = [[f"{case.label} / {kind}", repr(run_op(fn))]
                         for case in cases for kind, fn in case.ops]
     print(json.dumps(result))
 
 
-def outputs(src: Path, seed: int, workload: str | None) -> dict:
-    """One round of the workload (all four if None) in a fresh process importing ``src``."""
+def outputs(src: Path, seed: int) -> dict:
+    """One round of every workload in a fresh process importing the package from ``src``."""
     env = worker_env()
     env["PYTHONPATH"] = os.pathsep.join([str(src), str(BENCH)])
-    only = ["--workload", workload] if workload else []
-    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed), *only], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed)], env=env, cwd=ROOT,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -94,12 +91,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    ap.add_argument("--workload", choices=sorted(W.WORKLOADS), metavar="NAME",
-                    help="compare only this workload (default: all four)")
     ap.add_argument("--emit", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit is not None:
-        emit(args.emit, [args.workload] if args.workload else list(W.WORKLOADS))
+        emit(args.emit)
         return 0
     if args.rev is None:
         ap.error("a revision is required")
@@ -108,8 +103,7 @@ def main(argv=None) -> int:
         rev_src = unpack_src(args.rev, Path(tmp))
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
-            differ += compare(outputs(rev_src, seed, args.workload),
-                              outputs(ROOT / "src", seed, args.workload))
+            differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
     print(f"{differ} outputs differ")
     return 1 if differ else 0
 
