@@ -73,17 +73,14 @@ def _full_tableau(values, ratio=2.0, orders=None):
     return complex(best), float(best_err)
 
 
-def _rebuilt_every_level(f, start_level, max_level, stop_on_zero=True, divergence_threshold=1e9):
-    """The full tableau rebuilt at every level h = 2**-k, estimates from the third level on."""
+def _rebuilt_every_level(f, start_level, max_level):
+    """refine_until's loop (no divergence) with the full tableau rebuilt at every level."""
     vals, best = [], None
     for k in range(start_level, max_level + 1):
-        v = f(2.0 ** (-k))
-        if not np.isfinite(v) or abs(v) > divergence_threshold:
-            return None
-        vals.append(v)
+        vals.append(f(2.0 ** (-k)))
         if len(vals) >= 3:
             best = _full_tableau(vals)
-            if stop_on_zero and best[1] == 0.0:
+            if best[1] == 0.0:
                 break
     return best if best is not None else _full_tableau(vals)
 
