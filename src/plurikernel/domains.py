@@ -4,8 +4,9 @@ A domain is described by a smooth real field psi on C^n with psi < 0 inside,
 psi = 0 on the boundary and nonvanishing gradient there.  Built-in kinds
 (balls B(c, r), of which the disc and the unit ball are B(0, 1), and
 axis-aligned Hermitian ellipsoids ``sum a_j |z_j|^2 = 1``) carry analytic
-first and second derivatives; custom domains fall back to central finite
-differences.
+first and second derivatives.  Custom domains are exact for expressions,
+whose derivatives come from one jet evaluation (``ScalarField.jet``), and use
+central finite differences for Python callables.
 
 Derivative conventions: ``grad_psi`` holds the Wirtinger derivatives
 ``d psi / d z_j`` and ``hess_psi`` the mixed complex Hessian
@@ -65,6 +66,7 @@ class DomainSpec:
     radius: Optional[float] = None               # ball
     coeffs: Optional[np.ndarray] = None          # ellipsoid
     psi_fn: Optional[Callable] = None            # custom
+    expression: Optional[ScalarField] = None     # custom, from a string
     grad_fn: Optional[Callable] = None           # custom, optional
     hess_fn: Optional[Callable] = None           # custom, optional
     interior: np.ndarray = field(default=None)   # reference interior point
@@ -111,11 +113,12 @@ class DomainSpec:
             psi_fn = lambda z: float(np.real(fld(z)))
             label = f"custom({psi})"
         else:
+            fld = None
             psi_fn = psi
             label = "custom"
         interior = (np.zeros(n, complex) if interior_point is None
                     else as_vector(interior_point, n))
-        return DomainSpec(kind=DomainKind.CUSTOM, n=n, psi_fn=psi_fn,
+        return DomainSpec(kind=DomainKind.CUSTOM, n=n, psi_fn=psi_fn, expression=fld,
                           grad_fn=grad, hess_fn=hess, interior=interior,
                           label=label)
 
@@ -152,6 +155,10 @@ class DomainSpec:
             return self.coeffs * np.conj(z)
         if self.grad_fn is not None:
             return as_vector(self.grad_fn(z), self.n)
+        if self.expression is not None:
+            # psi = Re f, and d(Re f)/dz_j = (df/dz_j + conj(df/dconj(z_j))) / 2
+            d = self.expression.jet(z)[1]
+            return 0.5 * (d[:self.n] + np.conj(d[self.n:]))
         return _fd_wirtinger_gradient(self.psi, z)
 
     def hess_psi(self, z) -> np.ndarray:
@@ -166,6 +173,10 @@ class DomainSpec:
             if h.shape != (self.n, self.n):
                 raise DomainError(f"hessian callback returned shape {h.shape}")
             return h
+        if self.expression is not None:
+            # the same rule for Re f symmetrises d^2 f / (dz_i dconj(z_j))
+            h = self.expression.jet(z)[2][:self.n, self.n:]
+            return 0.5 * (h + h.conj().T)
         return _fd_complex_hessian(self.psi, z)
 
     def real_hessian(self, z) -> np.ndarray:
@@ -175,6 +186,11 @@ class DomainSpec:
             return 2.0 * np.eye(2 * self.n)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(np.concatenate([2 * self.coeffs, 2 * self.coeffs]))
+        if self.expression is not None:
+            # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
+            eye = np.eye(self.n)
+            J = np.block([[eye, eye], [1j * eye, -1j * eye]])
+            return np.real(J @ self.expression.jet(z)[2] @ J.T)
         return _fd_real_hessian(self.psi, z)
 
     # -- geometry helpers ---------------------------------------------------
@@ -542,6 +558,8 @@ def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -
             t_lo = 0.0
             for _ in range(80):
                 mid = 0.5 * (t_lo + t_hi)
+                if mid == t_lo or mid == t_hi:
+                    break   # psi keeps its sign at either end, so no later step moves them
                 if domain.psi(domain.interior + mid * v) < 0:
                     t_lo = mid
                 else:

@@ -9,15 +9,22 @@ Accepts expressions in the coordinates ``z1 .. zn`` with ``conj``, ``re``,
 Compilation walks the AST and rejects anything outside the whitelist, so
 expression strings coming from CLI flags or JSON files cannot execute code.
 Compiled fields evaluate vectorized when handed arrays of coordinates.
+
+``ScalarField.jet`` runs the same compiled code over second-order jets in
+the 2n variables (z_1 .. z_n, conj z_1 .. conj z_n), as in forward-mode
+automatic differentiation (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., 2008), and so gives exact Wirtinger derivatives of the field.
 """
 
 from __future__ import annotations
 
 import ast
+import cmath
+import functools
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 _FUNCTIONS = {
     "re": np.real,
@@ -74,12 +81,179 @@ class ScalarField:
         # the AST was whitelisted at compile time, so eval only sees arithmetic
         return eval(self._code, env)
 
+    def jet(self, z):
+        """Value, first and second derivatives of f at one point z.
+
+        The derivatives are taken in the 2n variables (z_1 .. z_n,
+        conj z_1 .. conj z_n): a length-2n vector and a 2n x 2n matrix,
+        symmetric up to rounding.  Raises ``DomainError`` where a derivative
+        does not exist, such as ``abs``, ``sqrt`` or ``log`` at 0, or where
+        the arithmetic overflows.
+        """
+        z = np.asarray(z, dtype=complex)
+        env = {"__builtins__": {}, **_JET_FUNCTIONS, **_CONSTANTS, **_Jet.variables(z)}
+        try:
+            out = eval(self._code, env)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"derivatives of {self.source!r} fail at {z}: {exc}") from exc
+        m = 2 * self.n
+        if not isinstance(out, _Jet):
+            return complex(out), np.zeros(m, complex), np.zeros((m, m), complex)
+        h = out.h if isinstance(out.h, np.ndarray) else np.zeros((m, m), complex)
+        return out.v, out.d, h
+
     def real_part(self, z) -> float:
         """Evaluate and return the real part (fields used as data are real)."""
         return np.real(self(z))
 
     def __repr__(self):
         return f"ScalarField({self.source!r}, n={self.n})"
+
+
+class _Jet:
+    """Value ``v``, first derivatives ``d`` and second derivatives ``h`` of a field.
+
+    The variables are (z_1 .. z_n, conj z_1 .. conj z_n), treated as
+    independent (Wirtinger calculus), so ``d`` has length 2n and ``h`` is
+    2n x 2n and symmetric up to rounding, or the number 0 while the jet is
+    affine (numpy arithmetic broadcasts it).  Jets are never changed in
+    place, so results may share arrays with their operands.
+    """
+
+    __slots__ = ("v", "d", "h")
+    __array_ufunc__ = None       # numpy scalars defer to the reflected operators
+
+    def __init__(self, v, d, h):
+        self.v, self.d, self.h = v, d, h
+
+    @staticmethod
+    def variables(z) -> dict:
+        eye = np.eye(2 * len(z), dtype=complex)
+        return {f"z{j + 1}": _Jet(complex(z[j]), eye[j], 0) for j in range(len(z))}
+
+    def chain(self, f0, f1, f2) -> "_Jet":
+        """The jet of g(self) from g's value ``f0`` and derivatives ``f1``, ``f2`` at ``v``."""
+        d = self.d
+        return _Jet(f0, f1 * d, f1 * self.h + f2 * (d[:, None] * d))
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.v + other.v, self.d + other.d, self.h + other.h)
+        return _Jet(self.v + other, self.d, self.h)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d, -self.h)
+
+    def __pos__(self):
+        return self
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            a, b = self.d, other.d
+            cross = a[:, None] * b
+            return _Jet(self.v * other.v, self.v * b + other.v * a,
+                        self.v * other.h + other.v * self.h + (cross + cross.T))
+        return _Jet(self.v * other, self.d * other, self.h * other)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "_Jet":
+        if self.v == 0:
+            raise DomainError("division by an expression that is 0")
+        r = 1.0 / self.v
+        return self.chain(r, -r * r, 2.0 * r * r * r)
+
+    def __truediv__(self, other):
+        if isinstance(other, _Jet):
+            return self * other.reciprocal()
+        if other == 0:
+            raise DomainError("division by 0 in an expression")
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def __pow__(self, c):
+        if isinstance(c, _Jet):
+            return _exp(c * _log(self))
+        if not isinstance(c, complex) and float(c).is_integer() and c >= 0:
+            k = int(c)
+            return self.chain(self.v ** k, k * self.v ** (k - 1) if k else 0.0,
+                              k * (k - 1) * self.v ** (k - 2) if k > 1 else 0.0)
+        if self.v == 0:
+            raise DomainError(f"power {c} of an expression that is 0 has no derivative")
+        p = self.v ** c
+        return self.chain(p, c * p / self.v, c * (c - 1) * p / (self.v * self.v))
+
+    def __rpow__(self, c):
+        if c == 0:
+            raise DomainError("a power with a variable exponent needs a nonzero base")
+        return _exp(self * cmath.log(c))
+
+    def conj(self) -> "_Jet":
+        """conj(f): the z and conj z slots swap and every entry is conjugated."""
+        swap = _swap(len(self.d))
+        h = self.h[swap[:, None], swap] if isinstance(self.h, np.ndarray) else self.h
+        return _Jet(self.v.conjugate(), self.d[swap].conj(), np.conj(h))
+
+
+@functools.lru_cache(maxsize=None)
+def _swap(m: int) -> np.ndarray:
+    """Index that exchanges the z and conj z halves of a length-m derivative vector."""
+    return np.roll(np.arange(m), m // 2)
+
+
+def _lifted(name, rule):
+    """The jet rule ``rule`` for ``_FUNCTIONS[name]``, which still serves plain numbers."""
+    plain = _FUNCTIONS[name]
+
+    def apply(u):
+        return rule(u) if isinstance(u, _Jet) else plain(u)
+    return apply
+
+
+def _exp(u: _Jet) -> _Jet:
+    e = cmath.exp(u.v)
+    return u.chain(e, e, e)
+
+
+def _log(u: _Jet) -> _Jet:
+    if u.v == 0:
+        raise DomainError("log of an expression that is 0")
+    r = 1.0 / u.v
+    return u.chain(cmath.log(u.v), r, -r * r)
+
+
+def _sqrt(u: _Jet) -> _Jet:
+    if u.v == 0:
+        raise DomainError("sqrt of an expression that is 0 has no derivative")
+    s = cmath.sqrt(u.v)
+    return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
+
+
+def _abs(u: _Jet) -> _Jet:
+    if u.v == 0:
+        raise DomainError("abs of an expression that is 0 has no derivative")
+    return _sqrt(u * u.conj())
+
+
+_JET_FUNCTIONS = {
+    "re": _lifted("re", lambda u: (u + u.conj()) * 0.5),
+    "im": _lifted("im", lambda u: (u - u.conj()) * -0.5j),
+    "conj": _lifted("conj", _Jet.conj),
+    "abs": _lifted("abs", _abs),
+    "exp": _lifted("exp", _exp),
+    "log": _lifted("log", _log),
+    "sqrt": _lifted("sqrt", _sqrt),
+}
 
 
 def _check(node: ast.AST, n: int) -> None:
