@@ -6,7 +6,8 @@ psi = 0 on the boundary and nonvanishing gradient there.  Built-in kinds
 axis-aligned Hermitian ellipsoids ``sum a_j |z_j|^2 = 1``) carry analytic
 first and second derivatives.  Custom domains are exact for expressions,
 whose derivatives come from one jet evaluation (``ScalarField.jet``), and use
-central finite differences for Python callables.
+central finite differences for Python callables and at the points where a
+rule of the expression has no derivative (``abs(z2)**2`` at z2 = 0).
 
 Derivative conventions: ``grad_psi`` holds the Wirtinger derivatives
 ``d psi / d z_j`` and ``hess_psi`` the mixed complex Hessian
@@ -155,9 +156,10 @@ class DomainSpec:
             return self.coeffs * np.conj(z)
         if self.grad_fn is not None:
             return as_vector(self.grad_fn(z), self.n)
-        if self.expression is not None:
+        jet = self._jet(z)
+        if jet is not None:
             # psi = Re f, and d(Re f)/dz_j = (df/dz_j + conj(df/dconj(z_j))) / 2
-            d = self.expression.jet(z)[1]
+            d = jet[1]
             return 0.5 * (d[:self.n] + np.conj(d[self.n:]))
         return _fd_wirtinger_gradient(self.psi, z)
 
@@ -173,9 +175,10 @@ class DomainSpec:
             if h.shape != (self.n, self.n):
                 raise DomainError(f"hessian callback returned shape {h.shape}")
             return h
-        if self.expression is not None:
+        jet = self._jet(z)
+        if jet is not None:
             # the same rule for Re f symmetrises d^2 f / (dz_i dconj(z_j))
-            h = self.expression.jet(z)[2][:self.n, self.n:]
+            h = jet[2][:self.n, self.n:]
             return 0.5 * (h + h.conj().T)
         return _fd_complex_hessian(self.psi, z)
 
@@ -186,12 +189,25 @@ class DomainSpec:
             return 2.0 * np.eye(2 * self.n)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(np.concatenate([2 * self.coeffs, 2 * self.coeffs]))
-        if self.expression is not None:
+        jet = self._jet(z)
+        if jet is not None:
             # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
             eye = np.eye(self.n)
             J = np.block([[eye, eye], [1j * eye, -1j * eye]])
-            return np.real(J @ self.expression.jet(z)[2] @ J.T)
+            return np.real(J @ jet[2] @ J.T)
         return _fd_real_hessian(self.psi, z)
+
+    def _jet(self, z):
+        """The expression's jet at z, or None for a callable or where a rule of
+        the expression has no derivative at z although psi may still be smooth
+        there (``abs(z2)**2`` at z2 = 0): the callers then take finite
+        differences."""
+        if self.expression is None:
+            return None
+        try:
+            return self.expression.jet(z)
+        except DomainError:
+            return None
 
     # -- geometry helpers ---------------------------------------------------
 

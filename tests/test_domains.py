@@ -208,6 +208,22 @@ def test_expression_ball_distance_sweep():
         assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-12)
 
 
+def test_abs_written_ball_falls_back_where_a_jet_rule_fails():
+    # abs has no derivative at 0, yet abs(z2)**2 is smooth there: where the
+    # jet raises, the derivatives come from finite differences, so the frame
+    # at the pole [1, 0] and the distance on the axis z2 = 0 still exist
+    dom = DomainSpec.custom("abs(z1)**2+abs(z2)**2-1", n=2)
+    frame = boundary_frame(dom, [1, 0])
+    assert np.allclose(frame.nu, [1, 0], rtol=0, atol=1e-12)
+    assert abs(frame.tangent_basis[0, 0]) < 1e-12
+    assert abs(frame.tangent_basis[0, 1]) == pytest.approx(1, abs=1e-12)
+    assert frame.levi[0, 0] == pytest.approx(1, abs=1e-6)     # finite differences
+    for z in ([0.5, 0], [0, 0.7j], [1.5, 0], [0.3, 0.2]):
+        assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-12)
+    # away from the axes the jet applies and the derivatives are exact
+    assert np.array_equal(dom.hess_psi([0.3, 0.2]), np.eye(2))
+
+
 # psi = <H z, z> + Re(z^T L z) - 1 with H = A + iB Hermitian and L real
 # symmetric: the Wirtinger gradient is conj(H z) + L z, the complex Hessian is
 # H^T, and in (Re z, Im z) the real Hessian is [[2(A + L), -2B], [2B, 2(A - L)]]

@@ -130,9 +130,14 @@ def test_jet_without_derivative_at_zero_raises(source):
 
 
 def test_jet_overflow_raises_domain_error():
-    for source in ("exp(z1)", "z1**2"):
+    for source in ("exp(z1)", "z1**2", "z1*z1*z1"):
         with pytest.raises(DomainError):
             ScalarField(source, n=1).jet([1e200])
+    # the value 1e20 is finite, but d/dz2 = z1**2 overflows in the numpy product
+    field = ScalarField("z1*z2*z1", n=2)
+    assert np.isfinite(field([1e160, 1e-300]))
+    with pytest.raises(DomainError):
+        field.jet([1e160, 1e-300])
 
 
 def test_jet_smooth_powers_at_zero():
