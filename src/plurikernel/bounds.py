@@ -134,16 +134,16 @@ def candidate_normal_limit(domain: DomainSpec, member: CandidateMember) -> Bound
 
 def tangent_balls(domain: DomainSpec, p):
     """Inscribed and circumscribed tangent balls at p as ((center, r_in), (center, r_out))."""
-    return domain._per_pole("balls", as_vector(p, domain.n), BOUNDARY_TOL, _tangent_balls)
+    return domain._per_pole("balls", as_vector(p, domain.n), _tangent_balls)
 
 
-def _tangent_balls(domain: DomainSpec, p: np.ndarray, tol: float):
-    rad = osculating_radii(domain, p, tol)
+def _tangent_balls(domain: DomainSpec, p: np.ndarray):
+    rad = osculating_radii(domain, p)
     if not rad.global_containment:
         raise ContainmentError(
             "tangent-ball containment not certified for this domain; "
             "use lower_envelope for one-sided bounds")
-    frame = boundary_frame(domain, p, tol)
+    frame = boundary_frame(domain, p)
     c_in, c_out = read_only(frame.p - rad.r_in * frame.nu, frame.p - rad.r_out * frame.nu)
     return (c_in, rad.r_in), (c_out, rad.r_out)
 

@@ -206,12 +206,12 @@ def _cmd_reproduce(args) -> int:
         with open(args.export_rule, "w") as fh:
             rule_to_csv(rule, fh)
     field = ScalarField(args.f, domain.n)
+    lap = None if args.laplacian is None else ScalarField(args.laplacian, domain.n)
     rows = []
     payloads = []
     for ptext in args.z:
         z = parse_point(ptext, domain.n)
-        if args.laplacian is not None:
-            lap = ScalarField(args.laplacian, domain.n)
+        if lap is not None:
             # boundary term evaluates on (M, 1) node arrays, the area term on
             # scalar grids, which need a trailing coordinate axis
             dec = riesz_correction_1d(
@@ -226,7 +226,7 @@ def _cmd_reproduce(args) -> int:
             val = reproduce(lambda pts: np.real(field(pts)), z, rule)
             payloads.append({"reproduced": val})
             rows.append(list(np.concatenate([z.real, z.imag])) + [val])
-    if args.laplacian is not None:
+    if lap is not None:
         header = [f"re_z{j+1}" for j in range(domain.n)] + \
                  [f"im_z{j+1}" for j in range(domain.n)] + \
                  ["boundary_term", "correction", "value"]

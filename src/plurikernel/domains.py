@@ -47,6 +47,10 @@ from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, samp
 
 _GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
+#: Foot-point iteration budget.
+_FOOTPOINT_MAX_ITER = 200
+#: Ray length past which a domain counts as unbounded along the ray.
+_RAY_LIMIT = 1e9
 #: Entries a domain's pole memo holds before it is emptied.
 _POLE_MEMO_SIZE = 128
 
@@ -68,8 +72,6 @@ class DomainSpec:
     coeffs: Optional[np.ndarray] = None          # ellipsoid
     psi_fn: Optional[Callable] = None            # custom
     expression: Optional[ScalarField] = None     # custom, from a string
-    grad_fn: Optional[Callable] = None           # custom, optional
-    hess_fn: Optional[Callable] = None           # custom, optional
     interior: np.ndarray = field(default=None)   # reference interior point
     label: str = ""
     _poles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -107,7 +109,7 @@ class DomainSpec:
                           label="ellipsoid(" + ",".join(f"{x:g}" for x in a) + ")")
 
     @staticmethod
-    def custom(psi, n: int, grad=None, hess=None, interior_point=None) -> "DomainSpec":
+    def custom(psi, n: int, interior_point=None) -> "DomainSpec":
         """Custom domain from a callable or an expression string in z1..zn."""
         if isinstance(psi, str):
             fld = ScalarField(psi, n)
@@ -120,8 +122,7 @@ class DomainSpec:
         interior = (np.zeros(n, complex) if interior_point is None
                     else as_vector(interior_point, n))
         return DomainSpec(kind=DomainKind.CUSTOM, n=n, psi_fn=psi_fn, expression=fld,
-                          grad_fn=grad, hess_fn=hess, interior=interior,
-                          label=label)
+                          interior=interior, label=label)
 
     # -- defining function and derivatives ---------------------------------
 
@@ -154,13 +155,9 @@ class DomainSpec:
             return np.conj(z - self.center)
         if self.kind is DomainKind.ELLIPSOID:
             return self.coeffs * np.conj(z)
-        if self.grad_fn is not None:
-            return as_vector(self.grad_fn(z), self.n)
         jet = self._jet(z)
         if jet is not None:
-            # psi = Re f, and d(Re f)/dz_j = (df/dz_j + conj(df/dconj(z_j))) / 2
-            d = jet[1]
-            return 0.5 * (d[:self.n] + np.conj(d[self.n:]))
+            return _jet_gradient(jet, self.n)
         return _fd_wirtinger_gradient(self.psi, z)
 
     def hess_psi(self, z) -> np.ndarray:
@@ -170,17 +167,14 @@ class DomainSpec:
             return np.eye(self.n, dtype=complex)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(self.coeffs).astype(complex)
-        if self.hess_fn is not None:
-            h = np.asarray(self.hess_fn(z), dtype=complex)
-            if h.shape != (self.n, self.n):
-                raise DomainError(f"hessian callback returned shape {h.shape}")
-            return h
         jet = self._jet(z)
         if jet is not None:
-            # the same rule for Re f symmetrises d^2 f / (dz_i dconj(z_j))
-            h = jet[2][:self.n, self.n:]
-            return 0.5 * (h + h.conj().T)
-        return _fd_complex_hessian(self.psi, z)
+            return _jet_hessian(jet, self.n)
+        # Wirtinger: d^2/(dz_i dconj(z_j)) = (d_xi d_xj + d_yi d_yj + i (d_xi d_yj - d_yi d_xj)) / 4
+        R = _fd_real_hessian(self.psi, z)
+        n = self.n
+        H = 0.25 * ((R[:n, :n] + R[n:, n:]) + 1j * (R[:n, n:] - R[n:, :n]))
+        return 0.5 * (H + H.conj().T)
 
     def real_hessian(self, z) -> np.ndarray:
         """Second derivatives of psi on R^{2n} in (Re z, Im z) coordinates."""
@@ -227,18 +221,15 @@ class DomainSpec:
             return float(1.0 / math.sqrt(np.min(self.coeffs)))
         return float("inf")
 
-    def contains(self, z, tol: float = 0.0) -> bool:
-        return self.psi(z) < -tol
-
-    def _per_pole(self, what: str, p: np.ndarray, tol: float, compute):
-        """Per-pole geometry: ``compute(self, p, tol)`` run once per (what, p, tol).
+    def _per_pole(self, what: str, p: np.ndarray, compute):
+        """Per-pole geometry: ``compute(self, p)`` run once per (what, p).
 
         ``compute`` validates p, so a rejected pole is never stored and raises again.
         """
-        key = (what, p.tobytes(), tol)
+        key = (what, p.tobytes())
         hit = self._poles.get(key)
         if hit is None:
-            hit = compute(self, p, tol)
+            hit = compute(self, p)
             if len(self._poles) >= _POLE_MEMO_SIZE:
                 self._poles.clear()
             self._poles[key] = hit
@@ -246,6 +237,20 @@ class DomainSpec:
 
     def __repr__(self):
         return f"DomainSpec({self.label or self.kind.value}, n={self.n})"
+
+
+def _jet_gradient(jet, n: int) -> np.ndarray:
+    """Wirtinger gradient of psi = Re f from the jet of f."""
+    # d(Re f)/dz_j = (df/dz_j + conj(df/dconj(z_j))) / 2
+    d = jet[1]
+    return 0.5 * (d[:n] + np.conj(d[n:]))
+
+
+def _jet_hessian(jet, n: int) -> np.ndarray:
+    """Mixed complex Hessian of psi = Re f from the jet of f."""
+    # the same rule for Re f symmetrises d^2 f / (dz_i dconj(z_j))
+    h = jet[2][:n, n:]
+    return 0.5 * (h + h.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,19 +280,23 @@ def psi_jet(domain: DomainSpec, z):
     value = domain.psi(z)
     if not np.isfinite(value):
         raise DomainError("defining function returned a non-finite value")
-    return value, domain.grad_psi(z), domain.hess_psi(z)
+    jet = domain._jet(z)
+    if jet is None:
+        return value, domain.grad_psi(z), domain.hess_psi(z)
+    return value, _jet_gradient(jet, domain.n), _jet_hessian(jet, domain.n)
 
 
-def require_on_boundary(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> np.ndarray:
+def require_on_boundary(domain: DomainSpec, p) -> np.ndarray:
     p = as_vector(p, domain.n)
     v = domain.psi(p)
-    if abs(v) >= tol:
-        raise NotOnBoundaryError(f"|psi(p)| = {abs(v):.3e} exceeds boundary tolerance {tol:g}")
+    if abs(v) >= BOUNDARY_TOL:
+        raise NotOnBoundaryError(
+            f"|psi(p)| = {abs(v):.3e} exceeds boundary tolerance {BOUNDARY_TOL:g}")
     return p
 
 
-def outward_normal(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    p = require_on_boundary(domain, p, tol)
+def outward_normal(domain: DomainSpec, p) -> np.ndarray:
+    p = require_on_boundary(domain, p)
     g = domain.grad_psi(p)
     ng = norm(g)
     if ng < 1e-14:
@@ -295,13 +304,13 @@ def outward_normal(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> np.ndarr
     return np.conj(g) / ng
 
 
-def boundary_frame(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> BoundaryFrame:
+def boundary_frame(domain: DomainSpec, p) -> BoundaryFrame:
     """Outward normal, orthonormal complex tangent basis and restricted Levi form at p."""
-    return domain._per_pole("frame", as_vector(p, domain.n), tol, _boundary_frame)
+    return domain._per_pole("frame", as_vector(p, domain.n), _boundary_frame)
 
 
-def _boundary_frame(domain: DomainSpec, p: np.ndarray, tol: float) -> BoundaryFrame:
-    nu = outward_normal(domain, p, tol)    # checks that p is on the boundary
+def _boundary_frame(domain: DomainSpec, p: np.ndarray) -> BoundaryFrame:
+    nu = outward_normal(domain, p)    # checks that p is on the boundary
     basis = _complex_tangent_basis(nu)
     H = domain.hess_psi(p)
     # Levi(u, v) = sum_ij H_ij u_i conj(v_j) restricted to the tangent basis
@@ -334,13 +343,13 @@ def _complex_tangent_basis(nu: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(Q[:, 1:].T)
 
 
-def levi_density(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> float:
+def levi_density(domain: DomainSpec, p) -> float:
     """Density of the boundary form against surface volume at p.
 
     Equals ``4^{n-1} (n-1)! det(restricted Levi form) / |d psi|^{n-1}`` and is
     invariant under rescaling the defining function.
     """
-    frame = boundary_frame(domain, p, tol)
+    frame = boundary_frame(domain, p)
     n = domain.n
     if n == 1:
         return 1.0
@@ -370,13 +379,13 @@ class OsculatingRadii:
         return iter((self.r_in, self.r_out))
 
 
-def osculating_radii(domain: DomainSpec, p, tol: float = BOUNDARY_TOL) -> OsculatingRadii:
+def osculating_radii(domain: DomainSpec, p) -> OsculatingRadii:
     """Principal-curvature tangent ball radii from the real second fundamental form."""
-    return domain._per_pole("radii", as_vector(p, domain.n), tol, _osculating_radii)
+    return domain._per_pole("radii", as_vector(p, domain.n), _osculating_radii)
 
 
-def _osculating_radii(domain: DomainSpec, p: np.ndarray, tol: float) -> OsculatingRadii:
-    p = require_on_boundary(domain, p, tol)
+def _osculating_radii(domain: DomainSpec, p: np.ndarray) -> OsculatingRadii:
+    p = require_on_boundary(domain, p)
     g = domain.grad_psi(p)
     if norm(g) < 1e-14:
         raise DomainError("vanishing gradient on the boundary")
@@ -509,7 +518,7 @@ def _ellipsoid_nearest_point(a: np.ndarray, z: np.ndarray):
     return candidates[k], float(dists[k])
 
 
-def _footpoint_nearest(domain: DomainSpec, z: np.ndarray, max_iter: int = 200):
+def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
     """Foot-point iteration for custom kinds: surface Newton + tangential slide."""
     trace = []
 
@@ -532,19 +541,14 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray, max_iter: int = 200):
     else:
         direction = (z - domain.interior) / norm(z - domain.interior)
     # start from the ray intersection with the boundary
-    t_hi = 1.0
-    while domain.psi(domain.interior + t_hi * direction) < 0:
-        t_hi *= 2.0
-        if t_hi > 1e9:
-            raise ConvergenceError("domain appears unbounded along the ray", trace)
-    x = to_surface(domain.interior + t_hi * direction)
+    x = to_surface(domain.interior + _ray_bracket(domain, direction) * direction)
     scale = max(norm(z), 1.0)
     # the next iterate depends on x alone, so an iterate seen before starts a
     # cycle that never meets the stop test
     seen = set()
-    for it in range(max_iter):
+    for it in range(_FOOTPOINT_MAX_ITER):
         w = z - x
-        nu = outward_normal(domain, x, tol=1e-10)
+        nu = outward_normal(domain, x)
         w_tan = w - np.real(herm(w, nu)) * nu
         resid = norm(w_tan)
         trace.append((it, resid))
@@ -568,9 +572,7 @@ def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -
             s = math.sqrt(1.0 / float(np.sum(domain.coeffs * np.abs(v) ** 2)))
             pts[i] = v * s
         else:
-            t_hi = 1.0
-            while domain.psi(domain.interior + t_hi * v) < 0:
-                t_hi *= 2.0
+            t_hi = _ray_bracket(domain, v)
             t_lo = 0.0
             for _ in range(80):
                 mid = 0.5 * (t_lo + t_hi)
@@ -582,6 +584,16 @@ def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -
                     t_hi = mid
             pts[i] = domain.interior + 0.5 * (t_lo + t_hi) * v
     return pts
+
+
+def _ray_bracket(domain: DomainSpec, direction: np.ndarray) -> float:
+    """The first t in 1, 2, 4, ... with psi(interior + t * direction) >= 0."""
+    t = 1.0
+    while domain.psi(domain.interior + t * direction) < 0:
+        t *= 2.0
+        if t > _RAY_LIMIT:
+            raise ConvergenceError("domain appears unbounded along the ray")
+    return t
 
 
 # -- finite differences -----------------------------------------------------
@@ -596,34 +608,6 @@ def _fd_wirtinger_gradient(psi, z: np.ndarray, h: float = _GRAD_STEP) -> np.ndar
         dy = (psi(z + 1j * h * e) - psi(z - 1j * h * e)) / (2 * h)
         g[j] = 0.5 * (dx - 1j * dy)
     return g
-
-
-def _fd_complex_hessian(psi, z: np.ndarray, h: float = _HESS_STEP) -> np.ndarray:
-    n = len(z)
-    H = np.zeros((n, n), dtype=complex)
-
-    def second(u, v):
-        return (psi(z + h * u + h * v) - psi(z + h * u - h * v)
-                - psi(z - h * u + h * v) + psi(z - h * u - h * v)) / (4 * h * h)
-
-    for i in range(n):
-        ei = np.zeros(n, complex)
-        ei[i] = 1.0
-        for j in range(n):
-            ej = np.zeros(n, complex)
-            ej[j] = 1.0
-            if i == j:
-                lap = (psi(z + h * ei) + psi(z - h * ei)
-                       + psi(z + 1j * h * ei) + psi(z - 1j * h * ei)
-                       - 4 * psi(z)) / (h * h)
-                H[i, i] = 0.25 * lap
-            else:
-                xx = second(ei, ej)
-                yy = second(1j * ei, 1j * ej)
-                xy = second(ei, 1j * ej)
-                yx = second(1j * ei, ej)
-                H[i, j] = 0.25 * ((xx + yy) + 1j * (xy - yx))
-    return 0.5 * (H + H.conj().T)
 
 
 def _fd_real_hessian(psi, z: np.ndarray, h: float = _HESS_STEP) -> np.ndarray:

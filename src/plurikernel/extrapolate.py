@@ -82,21 +82,19 @@ def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
     return best
 
 
-def aitken(values, passes: int | None = None) -> Extrapolation:
+def aitken(values) -> Extrapolation:
     """Repeated Aitken delta-squared acceleration of a scalar sequence."""
     s = np.asarray(values, dtype=complex)
     if len(s) == 0:
         raise ValueError("empty sequence")
     best = complex(s[-1])
     best_err = abs(s[-1] - s[-2]) if len(s) >= 2 else float("inf")
-    k = 0
-    while len(s) >= 3 and (passes is None or k < passes):
+    while len(s) >= 3:
         d1 = np.diff(s)
         d2 = np.diff(s, 2)
         safe = np.abs(d2) > 1e-300
         nxt = np.where(safe, s[:-2] - d1[:-1] ** 2 / np.where(safe, d2, 1.0), s[2:])
         s = nxt
-        k += 1
         err = abs(s[-1] - s[-2]) if len(s) >= 2 else best_err
         if err <= best_err:
             best_err = err

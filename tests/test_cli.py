@@ -69,13 +69,18 @@ def test_reproduce_subcommand_csv(capsys):
 
 
 def test_reproduce_riesz_flags(capsys):
-    code, out, _ = run_cli(capsys, [
-        "reproduce", "--domain", "disc", "--f", "z1*conj(z1)",
-        "--laplacian", "4", "--z", "0", "--resolution", "64",
-        "--radial-grid", "120", "--angular-grid", "120"])
+    argv = ["reproduce", "--domain", "disc", "--f", "z1*conj(z1)", "--laplacian", "4",
+            "--resolution", "64", "--radial-grid", "120", "--angular-grid", "120", "--z"]
+    points = ["0", "0.3+0.2i"]
+    code, out, _ = run_cli(capsys, argv + points)
     assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == pytest.approx(0.0, abs=1e-5)
+    values = json.loads(out)["values"]
+    assert values[0]["value"] == pytest.approx(0.0, abs=1e-5)
+    assert values[1]["value"] == pytest.approx(0.13, abs=1e-4)
+    # each point prints what a run on that point alone prints
+    for z, got in zip(points, values):
+        _, single, _ = run_cli(capsys, argv + [z])
+        assert json.loads(single) == got
 
 
 def test_julia_subcommand(capsys):

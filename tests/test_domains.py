@@ -18,6 +18,7 @@ from plurikernel import (
 )
 from plurikernel.domains import boundary_samples, nearest_boundary_point
 from plurikernel.errors import DomainError
+from plurikernel.expressions import ScalarField
 from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -46,6 +47,19 @@ def test_psi_jet_disc():
 def test_psi_jet_rejects_far_points():
     with pytest.raises(ValidationError):
         psi_jet(DomainSpec.unit_ball(2), [100.0, 0.0])
+
+
+def test_psi_jet_evaluates_the_expression_jet_once(monkeypatch):
+    dom = DomainSpec.custom("z1*conj(z1) + z2*conj(z2) + 0.2*re(z1*z2) - 1", n=2)
+    z = np.array([0.3, 0.4j])
+    calls = []
+    jet = ScalarField.jet
+    monkeypatch.setattr(ScalarField, "jet", lambda self, w: calls.append(w) or jet(self, w))
+    v, g, h = psi_jet(dom, z)
+    assert len(calls) == 1
+    assert v == dom.psi(z)
+    assert g.tobytes() == dom.grad_psi(z).tobytes()
+    assert h.tobytes() == dom.hess_psi(z).tobytes()
 
 
 def test_custom_psi_nonfinite_raises():
@@ -272,6 +286,11 @@ def _bisection_samples(domain, count, rng):
     return pts
 
 
+def test_boundary_samples_unbounded_ray_raises():
+    with pytest.raises(ConvergenceError):
+        boundary_samples(DomainSpec.custom("re(z1) - 1", n=1), 4, np.random.default_rng(0))
+
+
 def test_boundary_samples_bisection_stops_when_bracket_is_fixed():
     calls = []
 
@@ -310,11 +329,15 @@ def test_frame_invariants_random_boundary(domain, rng):
 
 def test_fd_hessian_matches_analytic():
     analytic = DomainSpec.ellipsoid([1.0, 2.0])
-    custom = DomainSpec.custom("z1*conj(z1) + 2*z2*conj(z2) - 1", n=2)
-    for z in [np.array([0.3, 0.4j]), np.array([0.5, 0.5]), np.array([1.0, 0.0])]:
-        ha = analytic.hess_psi(z)
-        hc = custom.hess_psi(z)
-        assert np.max(np.abs(ha - hc)) / np.max(np.abs(ha)) < 1e-12
+    # the expression reads its jet; the callable takes finite differences
+    expression = DomainSpec.custom("z1*conj(z1) + 2*z2*conj(z2) - 1", n=2)
+    callable_ = DomainSpec.custom(lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1), n=2)
+    for custom, tol in ((expression, 1e-12), (callable_, 1e-7)):
+        for z in [np.array([0.3, 0.4j]), np.array([0.5, 0.5]), np.array([1.0, 0.0])]:
+            for method in ("hess_psi", "real_hessian"):
+                ha = getattr(analytic, method)(z)
+                hc = getattr(custom, method)(z)
+                assert np.max(np.abs(ha - hc)) / np.max(np.abs(ha)) < tol
 
 
 def test_custom_perturbed_ball_geometry(rng):

@@ -58,25 +58,14 @@ def test_memo_size_is_bounded():
         assert len(dom._poles) <= _POLE_MEMO_SIZE
 
 
-def test_tolerance_is_part_of_the_key():
-    dom = DomainSpec.ellipsoid([1.0, 2.0])
-    p = np.array([1.0, 0.0], dtype=complex)
-    boundary_frame(dom, p)
-    boundary_frame(dom, p, tol=1e-6)
-    assert len(dom._poles) == 2
-    # a pole near the boundary passes a loose tolerance but not the default
-    q = p * (1.0 + 1e-8)
-    boundary_frame(dom, q, tol=1e-6)
-    with pytest.raises(NotOnBoundaryError):
-        boundary_frame(dom, q)
-
-
 @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
 def test_rejected_pole_is_not_stored(dom):
-    q = 0.5 * boundary_samples(dom, 1, np.random.default_rng(6))[0]
-    for _ in range(2):
-        with pytest.raises(NotOnBoundaryError):
-            boundary_frame(dom, q)
-        with pytest.raises(NotOnBoundaryError):
-            osculating_radii(dom, q)
-    assert all(key[1] != q.tobytes() for key in dom._poles)
+    p = boundary_samples(dom, 1, np.random.default_rng(6))[0]
+    # an interior pole, and one 1e-8 off the boundary, outside its tolerance
+    for q in (0.5 * p, (1.0 + 1e-8) * p):
+        for _ in range(2):
+            with pytest.raises(NotOnBoundaryError):
+                boundary_frame(dom, q)
+            with pytest.raises(NotOnBoundaryError):
+                osculating_radii(dom, q)
+        assert all(key[1] != q.tobytes() for key in dom._poles)
