@@ -4,10 +4,10 @@ A domain is described by a smooth real field psi on C^n with psi < 0 inside,
 psi = 0 on the boundary and nonvanishing gradient there.  Built-in kinds
 (balls B(c, r), of which the disc and the unit ball are B(0, 1), and
 axis-aligned Hermitian ellipsoids ``sum a_j |z_j|^2 = 1``) carry analytic
-first and second derivatives.  Custom domains are exact for expressions,
-whose derivatives come from one jet evaluation (``ScalarField.jet``), and use
-central finite differences for Python callables and at the points where a
-rule of the expression has no derivative (``abs(z2)**2`` at z2 = 0).
+first and second derivatives.  Custom domains are expressions, whose
+derivatives come from one exact jet evaluation (``ScalarField.jet``); where
+a derivative does not exist (``sqrt`` or ``log`` at 0, ``abs`` at 0 other
+than in a real power p >= 2) they raise ``DomainError``.
 
 Derivative conventions: ``grad_psi`` holds the Wirtinger derivatives
 ``d psi / d z_j`` and ``hess_psi`` the mixed complex Hessian
@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,8 +45,6 @@ from .errors import (
 from .expressions import ScalarField, infer_dimension
 from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, sample_sphere, to_real
 
-_GRAD_STEP = 1e-6
-_HESS_STEP = 1e-4
 #: Foot-point iteration budget.
 _FOOTPOINT_MAX_ITER = 200
 #: Ray length past which a domain counts as unbounded along the ray.
@@ -70,8 +68,7 @@ class DomainSpec:
     center: Optional[np.ndarray] = None          # ball
     radius: Optional[float] = None               # ball
     coeffs: Optional[np.ndarray] = None          # ellipsoid
-    psi_fn: Optional[Callable] = None            # custom
-    expression: Optional[ScalarField] = None     # custom, from a string
+    expression: Optional[ScalarField] = None     # custom
     interior: np.ndarray = field(default=None)   # reference interior point
     label: str = ""
     _poles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -110,19 +107,21 @@ class DomainSpec:
 
     @staticmethod
     def custom(psi, n: int, interior_point=None) -> "DomainSpec":
-        """Custom domain from a callable or an expression string in z1..zn."""
+        """Custom domain psi = Re f < 0 from an expression f in z1..zn.
+
+        ``psi`` is the expression string or its compiled ``ScalarField`` on
+        C^n; anything else, a Python callable included, raises
+        ``ValidationError``, since only expressions have exact derivatives.
+        """
         if isinstance(psi, str):
-            fld = ScalarField(psi, n)
-            psi_fn = lambda z: float(np.real(fld(z)))
-            label = f"custom({psi})"
-        else:
-            fld = None
-            psi_fn = psi
-            label = "custom"
+            psi = ScalarField(psi, n)
+        elif not isinstance(psi, ScalarField) or psi.n != n:
+            raise ValidationError(f"a custom domain in C^{n} takes an expression in z1..z{n}, "
+                                  f"not {psi!r}")
         interior = (np.zeros(n, complex) if interior_point is None
                     else as_vector(interior_point, n))
-        return DomainSpec(kind=DomainKind.CUSTOM, n=n, psi_fn=psi_fn, expression=fld,
-                          interior=interior, label=label)
+        return DomainSpec(kind=DomainKind.CUSTOM, n=n, expression=psi,
+                          interior=interior, label=f"custom({psi.source})")
 
     # -- defining function and derivatives ---------------------------------
 
@@ -133,10 +132,7 @@ class DomainSpec:
             return float(np.real(herm(d, d))) - self.radius ** 2
         if self.kind is DomainKind.ELLIPSOID:
             return float(np.sum(self.coeffs * np.abs(z) ** 2)) - 1.0
-        value = self.psi_fn(z)
-        if not np.isfinite(value):
-            raise DomainError(f"defining function returned non-finite value at {z}")
-        return float(np.real(value))
+        return float(self._expression_rows(z[None])[0])
 
     def psi_rows(self, Z) -> np.ndarray:
         """``psi`` at every row of an (M, n) array, rounded as ``psi`` rounds one point."""
@@ -146,7 +142,21 @@ class DomainSpec:
             return np.real(np.sum(D * np.conj(D), axis=1)) - self.radius ** 2
         if self.kind is DomainKind.ELLIPSOID:
             return np.sum(self.coeffs * np.abs(Z) ** 2, axis=1) - 1.0
-        return np.array([self.psi(z) for z in Z], dtype=float)
+        return self._expression_rows(Z)
+
+    def _expression_rows(self, Z: np.ndarray) -> np.ndarray:
+        """Re f at every row of a checked (M, n) array, in one field call."""
+        # non-finite values are refused below, so numpy need not warn
+        try:
+            with np.errstate(all="ignore"):
+                values = self.expression(Z).real
+        except (OverflowError, ZeroDivisionError) as exc:     # in constants, as 1/0
+            raise DomainError(f"defining function {self.expression.source!r} fails: {exc}") from exc
+        if np.ndim(values) == 0:    # an expression free of z1..zn
+            values = np.full(len(Z), values, dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError(f"defining function is not finite at {Z[~np.isfinite(values)][0]}")
+        return values
 
     def grad_psi(self, z) -> np.ndarray:
         """Wirtinger gradient (d psi / d z_j)."""
@@ -155,10 +165,7 @@ class DomainSpec:
             return np.conj(z - self.center)
         if self.kind is DomainKind.ELLIPSOID:
             return self.coeffs * np.conj(z)
-        jet = self._jet(z)
-        if jet is not None:
-            return _jet_gradient(jet, self.n)
-        return _fd_wirtinger_gradient(self.psi, z)
+        return _jet_gradient(self.expression.jet(z), self.n)
 
     def hess_psi(self, z) -> np.ndarray:
         """Mixed complex Hessian  H_ij = d^2 psi / (d z_i d conj(z_j))."""
@@ -167,14 +174,7 @@ class DomainSpec:
             return np.eye(self.n, dtype=complex)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(self.coeffs).astype(complex)
-        jet = self._jet(z)
-        if jet is not None:
-            return _jet_hessian(jet, self.n)
-        # Wirtinger: d^2/(dz_i dconj(z_j)) = (d_xi d_xj + d_yi d_yj + i (d_xi d_yj - d_yi d_xj)) / 4
-        R = _fd_real_hessian(self.psi, z)
-        n = self.n
-        H = 0.25 * ((R[:n, :n] + R[n:, n:]) + 1j * (R[:n, n:] - R[n:, :n]))
-        return 0.5 * (H + H.conj().T)
+        return _jet_hessian(self.expression.jet(z), self.n)
 
     def real_hessian(self, z) -> np.ndarray:
         """Second derivatives of psi on R^{2n} in (Re z, Im z) coordinates."""
@@ -183,25 +183,10 @@ class DomainSpec:
             return 2.0 * np.eye(2 * self.n)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(np.concatenate([2 * self.coeffs, 2 * self.coeffs]))
-        jet = self._jet(z)
-        if jet is not None:
-            # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
-            eye = np.eye(self.n)
-            J = np.block([[eye, eye], [1j * eye, -1j * eye]])
-            return np.real(J @ jet[2] @ J.T)
-        return _fd_real_hessian(self.psi, z)
-
-    def _jet(self, z):
-        """The expression's jet at z, or None for a callable or where a rule of
-        the expression has no derivative at z although psi may still be smooth
-        there (``abs(z2)**2`` at z2 = 0): the callers then take finite
-        differences."""
-        if self.expression is None:
-            return None
-        try:
-            return self.expression.jet(z)
-        except DomainError:
-            return None
+        # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
+        eye = np.eye(self.n)
+        J = np.block([[eye, eye], [1j * eye, -1j * eye]])
+        return np.real(J @ self.expression.jet(z)[2] @ J.T)
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -278,11 +263,9 @@ def psi_jet(domain: DomainSpec, z):
             and domain.bounding_radius() < float("inf"):
         raise ValidationError(f"point {z} is far outside the domain's bounding box")
     value = domain.psi(z)
-    if not np.isfinite(value):
-        raise DomainError("defining function returned a non-finite value")
-    jet = domain._jet(z)
-    if jet is None:
+    if domain.expression is None:
         return value, domain.grad_psi(z), domain.hess_psi(z)
+    jet = domain.expression.jet(z)
     return value, _jet_gradient(jet, domain.n), _jet_hessian(jet, domain.n)
 
 
@@ -541,7 +524,7 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
     else:
         direction = (z - domain.interior) / norm(z - domain.interior)
     # start from the ray intersection with the boundary
-    x = to_surface(domain.interior + _ray_bracket(domain, direction) * direction)
+    x = to_surface(domain.interior + _ray_bracket(domain, direction[None])[0] * direction)
     scale = max(norm(z), 1.0)
     # the next iterate depends on x alone, so an iterate seen before starts a
     # cycle that never meets the stop test
@@ -563,75 +546,37 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
 
 def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic (seeded) boundary sample points, |psi| = 0 to high accuracy."""
-    pts = np.empty((count, domain.n), dtype=complex)
-    for i in range(count):
-        v = sample_sphere(rng, domain.n)
-        if domain.is_ball_like:
-            pts[i] = domain.center + domain.radius * v
-        elif domain.kind is DomainKind.ELLIPSOID:
-            s = math.sqrt(1.0 / float(np.sum(domain.coeffs * np.abs(v) ** 2)))
-            pts[i] = v * s
-        else:
-            t_hi = _ray_bracket(domain, v)
-            t_lo = 0.0
-            for _ in range(80):
-                mid = 0.5 * (t_lo + t_hi)
-                if mid == t_lo or mid == t_hi:
-                    break   # psi keeps its sign at either end, so no later step moves them
-                if domain.psi(domain.interior + mid * v) < 0:
-                    t_lo = mid
-                else:
-                    t_hi = mid
-            pts[i] = domain.interior + 0.5 * (t_lo + t_hi) * v
-    return pts
+    V = np.array([sample_sphere(rng, domain.n) for _ in range(count)],
+                 dtype=complex).reshape(count, domain.n)
+    if domain.is_ball_like:
+        return domain.center + domain.radius * V
+    if domain.kind is DomainKind.ELLIPSOID:
+        return V * np.sqrt(1.0 / np.sum(domain.coeffs * np.abs(V) ** 2, axis=1))[:, None]
+    # bisect every ray at once, one psi_rows call per step
+    t_hi = _ray_bracket(domain, V)
+    t_lo = np.zeros(count)
+    for _ in range(80):
+        mid = 0.5 * (t_lo + t_hi)
+        # psi keeps its sign at either end, so no later step moves a bracket whose mid is an end
+        moving = (mid != t_lo) & (mid != t_hi)
+        if not moving.any():
+            break
+        inside = domain.psi_rows(domain.interior + mid[:, None] * V) < 0
+        t_lo = np.where(moving & inside, mid, t_lo)
+        t_hi = np.where(moving & ~inside, mid, t_hi)
+    return domain.interior + (0.5 * (t_lo + t_hi))[:, None] * V
 
 
-def _ray_bracket(domain: DomainSpec, direction: np.ndarray) -> float:
-    """The first t in 1, 2, 4, ... with psi(interior + t * direction) >= 0."""
-    t = 1.0
-    while domain.psi(domain.interior + t * direction) < 0:
-        t *= 2.0
-        if t > _RAY_LIMIT:
+def _ray_bracket(domain: DomainSpec, V: np.ndarray) -> np.ndarray:
+    """For each row v of V, the first t in 1, 2, 4, ... with psi(interior + t * v) >= 0."""
+    t = np.ones(len(V))
+    while True:
+        below = domain.psi_rows(domain.interior + t[:, None] * V) < 0
+        if not below.any():
+            return t
+        t[below] *= 2.0
+        if t.max() > _RAY_LIMIT:
             raise ConvergenceError("domain appears unbounded along the ray")
-    return t
-
-
-# -- finite differences -----------------------------------------------------
-
-def _fd_wirtinger_gradient(psi, z: np.ndarray, h: float = _GRAD_STEP) -> np.ndarray:
-    n = len(z)
-    g = np.zeros(n, dtype=complex)
-    for j in range(n):
-        e = np.zeros(n, complex)
-        e[j] = 1.0
-        dx = (psi(z + h * e) - psi(z - h * e)) / (2 * h)
-        dy = (psi(z + 1j * h * e) - psi(z - 1j * h * e)) / (2 * h)
-        g[j] = 0.5 * (dx - 1j * dy)
-    return g
-
-
-def _fd_real_hessian(psi, z: np.ndarray, h: float = _HESS_STEP) -> np.ndarray:
-    n = len(z)
-    m = 2 * n
-
-    def basis(k):
-        e = np.zeros(n, complex)
-        if k < n:
-            e[k] = 1.0
-        else:
-            e[k - n] = 1j
-        return e
-
-    H = np.zeros((m, m))
-    for i in range(m):
-        ei = basis(i)
-        H[i, i] = (psi(z + h * ei) - 2 * psi(z) + psi(z - h * ei)) / (h * h)
-        for j in range(i + 1, m):
-            ej = basis(j)
-            v = (psi(z + h * ei + h * ej) - psi(z + h * ei - h * ej)
-                 - psi(z - h * ei + h * ej) + psi(z - h * ei - h * ej)) / (4 * h * h)
-            H[i, j] = H[j, i] = v
-    return H
 
 
 # -- JSON interface ----------------------------------------------------------

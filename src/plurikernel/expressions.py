@@ -67,17 +67,12 @@ class ScalarField:
             raise ValidationError(f"cannot parse expression {source!r}: {exc}") from exc
         _check(tree.body, n)
         self._code = compile(tree, "<field>", "eval")
+        self._names = [f"z{j + 1}" for j in range(n)]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            coords = {f"z{j + 1}": z[j] for j in range(self.n)}
-        else:
-            coords = {f"z{j + 1}": z[..., j] for j in range(self.n)}
-        env = {"__builtins__": {}}
-        env.update(_FUNCTIONS)
-        env.update(_CONSTANTS)
-        env.update(coords)
+        columns = z.transpose(-1, *range(z.ndim - 1))       # columns[j] is z[..., j]
+        env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, **dict(zip(self._names, columns))}
         # the AST was whitelisted at compile time, so eval only sees arithmetic
         return eval(self._code, env)
 
@@ -86,9 +81,11 @@ class ScalarField:
 
         The derivatives are taken in the 2n variables (z_1 .. z_n,
         conj z_1 .. conj z_n): a length-2n vector and a 2n x 2n matrix,
-        symmetric up to rounding.  Raises ``DomainError`` where a derivative
-        does not exist, such as ``abs``, ``sqrt`` or ``log`` at 0, or where
-        the value or a derivative is not finite (an overflow).
+        symmetric up to rounding.  ``abs(u)**p`` with a real p >= 2 is
+        exact at u = 0, where it is smooth although ``abs`` is not.  Raises
+        ``DomainError`` where a derivative does not exist, such as ``abs``
+        (in any other use), ``sqrt`` or ``log`` at 0, or where the value or
+        a derivative is not finite (an overflow).
         """
         z = np.asarray(z, dtype=complex)
         env = {"__builtins__": {}, **_JET_FUNCTIONS, **_CONSTANTS, **_Jet.variables(z)}
@@ -188,6 +185,10 @@ class _Jet:
     def __pow__(self, c):
         if isinstance(c, _Jet):
             return _exp(c * _log(self))
+        if isinstance(self, _AbsOfZero) and not isinstance(c, complex) and c >= 2:
+            # |u|^p = s^(p/2) with s = u conj(u); ds = 0 at u = 0, so the
+            # f''(s) term, infinite for 2 < p < 4, is dropped, not formed as inf * 0
+            return self.s.chain(0.0, 0.5 * c * 0.0 ** (0.5 * c - 1), 0.0)
         if not isinstance(c, complex) and float(c).is_integer() and c >= 0:
             k = int(c)
             return self.chain(self.v ** k, k * self.v ** (k - 1) if k else 0.0,
@@ -245,10 +246,23 @@ def _sqrt(u: _Jet) -> _Jet:
     return u.chain(s, 0.5 / s, -0.25 / (s * u.v))
 
 
+class _AbsOfZero(_Jet):
+    """``abs(u)`` at u = 0, where abs has no derivative: its derivatives are
+    nan, so any use ends in the ``DomainError`` of ``ScalarField.jet``'s
+    finite check, except a real power p >= 2, which ``__pow__`` takes
+    from s = u conj(u)."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s: _Jet):
+        nan = np.full_like(s.h, np.nan)
+        super().__init__(0.0, nan[0], nan)
+        self.s = s
+
+
 def _abs(u: _Jet) -> _Jet:
-    if u.v == 0:
-        raise DomainError("abs of an expression that is 0 has no derivative")
-    return _sqrt(u * u.conj())
+    s = u * u.conj()
+    return _sqrt(s) if u.v != 0 else _AbsOfZero(s)
 
 
 _JET_FUNCTIONS = {

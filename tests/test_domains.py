@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from plurikernel import (
 from plurikernel.domains import boundary_samples, nearest_boundary_point
 from plurikernel.errors import DomainError
 from plurikernel.expressions import ScalarField
-from plurikernel.utils import herm, sample_ball, sample_sphere
+from plurikernel.utils import as_vector, herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -63,9 +64,46 @@ def test_psi_jet_evaluates_the_expression_jet_once(monkeypatch):
 
 
 def test_custom_psi_nonfinite_raises():
-    dom = DomainSpec.custom(lambda z: float(np.real(z[0] / abs(z[0]) ** 2)) if abs(z[0]) else float("nan"), n=1)
-    with pytest.raises(DomainError):
-        psi_jet(dom, [0.0])
+    # 1/re(z1) is infinite at 0, and 1/0 everywhere: each path raises
+    # DomainError, and numpy's division warning does not escape
+    for source in ("1/re(z1) - 1", "z1*conj(z1) - 1/0"):
+        dom = DomainSpec.custom(source, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: dom.psi([0.0]), lambda: dom.psi_rows([[0.5], [0.0]]),
+                         lambda: psi_jet(dom, [0.0])):
+                with pytest.raises(DomainError):
+                    call()
+
+
+def test_custom_takes_expressions_only():
+    source = "z1*conj(z1) + 2*z2*conj(z2) - 1"
+    with pytest.raises(ValidationError):
+        DomainSpec.custom(lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1), n=2)
+    with pytest.raises(ValidationError):
+        DomainSpec.custom(ScalarField("z1*conj(z1) - 1", n=1), n=2)
+    compiled = DomainSpec.custom(ScalarField(source, n=2), n=2)
+    parsed = DomainSpec.custom(source, n=2)
+    assert (compiled.kind, compiled.n, compiled.label) == (parsed.kind, parsed.n, parsed.label)
+    z = np.array([0.3, 0.4j])
+    for a, b in zip(psi_jet(compiled, z), psi_jet(parsed, z)):
+        assert np.array_equal(a, b)
+
+
+# the benchmark's custom domains (bench/workloads.py, CUSTOM_DOMAINS)
+BENCH_EXPRESSIONS = ["z1*conj(z1)+z2*conj(z2)-1", "z1*conj(z1)+z2*conj(z2)+0.25*re(z1*z2)-1",
+                     "z1*conj(z1)+2*z2*conj(z2)-1"]
+
+
+@pytest.mark.parametrize("dom", [
+    DomainSpec.disc(), DomainSpec.unit_ball(3), DomainSpec.ball([0.2, 0.1j], 0.8),
+    DomainSpec.ellipsoid([1.0, 2.0]), DomainSpec.ellipsoid([0.5, 1.0, 3.0]),
+    *(DomainSpec.custom(source, n=2) for source in BENCH_EXPRESSIONS),
+    DomainSpec.custom("-1", n=2),       # free of z1, z2: still one value per row
+], ids=lambda d: d.label)
+def test_psi_rows_round_as_psi(dom, rng):
+    Z = np.array([sample_ball(rng, dom.n, 1.5) for _ in range(500)])
+    assert dom.psi_rows(Z).tobytes() == np.array([dom.psi(z) for z in Z]).tobytes()
 
 
 def test_boundary_frame_unit_ball():
@@ -198,13 +236,26 @@ def test_signed_distance_custom_footpoint():
     assert signed_boundary_distance(dom, [0.3, 0.2]) == pytest.approx(ref, abs=1e-12)
 
 
-def test_footpoint_stall_stops_before_budget():
-    # the unit ball as an opaque Python callable: the finite-difference
-    # gradient keeps this point's tangential residual above the stop test,
-    # and the iterates repeat, so the iteration raises long before its 200
-    # steps (the same ball written as an expression converges, below)
-    dom = DomainSpec.custom(
-        lambda z: float(np.real(z[0] * np.conj(z[0]) + z[1] * np.conj(z[1]) - 1)), n=2)
+def _central_difference_gradient(psi, z, h=1e-6):
+    """Wirtinger gradient of psi from central differences of step h."""
+    g = np.zeros(len(z), dtype=complex)
+    for j in range(len(z)):
+        e = np.zeros(len(z), complex)
+        e[j] = 1.0
+        dx = (psi(z + h * e) - psi(z - h * e)) / (2 * h)
+        dy = (psi(z + 1j * h * e) - psi(z - 1j * h * e)) / (2 * h)
+        g[j] = 0.5 * (dx - 1j * dy)
+    return g
+
+
+def test_footpoint_stall_stops_before_budget(monkeypatch):
+    # with a central-difference gradient in place of the exact jet, this
+    # point's tangential residual stays above the stop test and the iterates
+    # repeat, so the iteration raises long before its 200 steps (with the
+    # jet it converges, below)
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
+    monkeypatch.setattr(DomainSpec, "grad_psi",
+                        lambda self, z: _central_difference_gradient(self.psi, as_vector(z)))
     z = sample_ball(np.random.default_rng(0), 2, 0.9)
     with pytest.raises(ConvergenceError) as info:
         signed_boundary_distance(dom, z)
@@ -222,19 +273,35 @@ def test_expression_ball_distance_sweep():
         assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-12)
 
 
-def test_abs_written_ball_falls_back_where_a_jet_rule_fails():
-    # abs has no derivative at 0, yet abs(z2)**2 is smooth there: where the
-    # jet raises, the derivatives come from finite differences, so the frame
-    # at the pole [1, 0] and the distance on the axis z2 = 0 still exist
+def test_abs_written_ball_matches_unit_ball(rng):
+    # abs has no derivative at 0, yet abs(z)**2 is smooth there and its jet is
+    # exact: on the axes z1 = 0 and z2 = 0 as off them, the geometry is the
+    # unit ball's
     dom = DomainSpec.custom("abs(z1)**2+abs(z2)**2-1", n=2)
+    ball = DomainSpec.unit_ball(2)
     frame = boundary_frame(dom, [1, 0])
     assert np.allclose(frame.nu, [1, 0], rtol=0, atol=1e-12)
     assert abs(frame.tangent_basis[0, 0]) < 1e-12
     assert abs(frame.tangent_basis[0, 1]) == pytest.approx(1, abs=1e-12)
-    assert frame.levi[0, 0] == pytest.approx(1, abs=1e-6)     # finite differences
-    for z in ([0.5, 0], [0, 0.7j], [1.5, 0], [0.3, 0.2]):
-        assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-12)
-    # away from the axes the jet applies and the derivatives are exact
+    assert frame.levi[0, 0] == pytest.approx(1, abs=1e-12)
+
+    def on_axes(scale):
+        phases = np.exp(2j * np.pi * rng.random(4))
+        return [scale * np.array([u, 0]) for u in phases] + [scale * np.array([0, u]) for u in phases]
+
+    poles = on_axes(1.0) + list(boundary_samples(ball, 8, rng))
+    for p in poles:
+        got, want = boundary_frame(dom, p), boundary_frame(ball, p)
+        assert np.max(np.abs(got.nu - want.nu)) < 1e-12
+        assert np.max(np.abs(got.levi - want.levi)) < 1e-12
+        assert levi_density(dom, p) == pytest.approx(levi_density(ball, p), abs=1e-12)
+        assert tuple(osculating_radii(dom, p)) == pytest.approx(tuple(osculating_radii(ball, p)), abs=1e-12)
+    points = (on_axes(0.6) + on_axes(1.4) + [np.zeros(2)]
+              + [sample_ball(rng, 2, 0.95) for _ in range(20)]
+              + [sample_sphere(rng, 2) * (1.05 + rng.random()) for _ in range(10)])
+    for z in [np.array(z, complex) for z in ([0.5, 0], [0, 0.7j], [1.5, 0], [0.3, 0.2])] + points:
+        assert signed_boundary_distance(dom, z) == pytest.approx(
+            signed_boundary_distance(ball, z), abs=1e-12)
     assert np.array_equal(dom.hess_psi([0.3, 0.2]), np.eye(2))
 
 
@@ -268,22 +335,28 @@ def test_expression_jets_match_closed_forms(source, H, L, rng):
 
 
 def _bisection_samples(domain, count, rng):
-    """``boundary_samples`` for custom kinds with all 80 bisection steps run."""
+    """``boundary_samples`` for custom kinds, one point at a time with all 80
+    bisection steps run; also the most bracket doublings and the most steps
+    that moved a bracket, over the points."""
     pts = np.empty((count, domain.n), dtype=complex)
+    doublings = steps = 0
     for i in range(count):
         v = sample_sphere(rng, domain.n)
         t_hi = 1.0
         while domain.psi(domain.interior + t_hi * v) < 0:
             t_hi *= 2.0
+        doublings = max(doublings, int(math.log2(t_hi)))
         t_lo = 0.0
-        for _ in range(80):
+        for k in range(80):
             mid = 0.5 * (t_lo + t_hi)
+            if mid != t_lo and mid != t_hi:
+                steps = max(steps, k + 1)
             if domain.psi(domain.interior + mid * v) < 0:
                 t_lo = mid
             else:
                 t_hi = mid
         pts[i] = domain.interior + 0.5 * (t_lo + t_hi) * v
-    return pts
+    return pts, doublings, steps
 
 
 def test_boundary_samples_unbounded_ray_raises():
@@ -291,24 +364,21 @@ def test_boundary_samples_unbounded_ray_raises():
         boundary_samples(DomainSpec.custom("re(z1) - 1", n=1), 4, np.random.default_rng(0))
 
 
-def test_boundary_samples_bisection_stops_when_bracket_is_fixed():
+def test_boundary_samples_bisection_stops_when_bracket_is_fixed(monkeypatch):
     calls = []
-
-    def shifted_ellipsoid(z):
-        calls.append(1)
-        w = z - np.array([0.1, -0.2j])
-        return float(np.real(w[0] * np.conj(w[0]) + 3 * w[1] * np.conj(w[1]) - 1))
-
+    evaluate = ScalarField.__call__
+    monkeypatch.setattr(ScalarField, "__call__", lambda self, z: calls.append(1) or evaluate(self, z))
+    shifted_ellipsoid = "(z1-0.1)*conj(z1-0.1)+3*(z2+0.2j)*conj(z2+0.2j)-1"
     for dom in (DomainSpec.custom("z1*conj(z1)+z2*conj(z2)+0.25*re(z1*z2)-1", n=2),
                 DomainSpec.custom(shifted_ellipsoid, n=2, interior_point=[0.1, -0.2j])):
         calls.clear()
         got = boundary_samples(dom, 100, np.random.default_rng(3))
         used = len(calls)
-        calls.clear()
-        want = _bisection_samples(dom, 100, np.random.default_rng(3))
+        want, doublings, steps = _bisection_samples(dom, 100, np.random.default_rng(3))
         assert got.tobytes() == want.tobytes()
-    # the early stop skips steps that could not move the bracket
-    assert used < 0.8 * len(calls)
+        # one field call for all 100 samples per bracket doubling and per
+        # bisection step, and none for the steps that could not move a bracket
+        assert used <= 1 + doublings + steps < 80
 
 
 @pytest.mark.parametrize("domain", [
@@ -327,17 +397,14 @@ def test_frame_invariants_random_boundary(domain, rng):
             assert np.min(np.linalg.eigvalsh(fr.levi)) > 0
 
 
-def test_fd_hessian_matches_analytic():
+def test_expression_hessians_match_analytic():
     analytic = DomainSpec.ellipsoid([1.0, 2.0])
-    # the expression reads its jet; the callable takes finite differences
     expression = DomainSpec.custom("z1*conj(z1) + 2*z2*conj(z2) - 1", n=2)
-    callable_ = DomainSpec.custom(lambda z: float(abs(z[0]) ** 2 + 2 * abs(z[1]) ** 2 - 1), n=2)
-    for custom, tol in ((expression, 1e-12), (callable_, 1e-7)):
-        for z in [np.array([0.3, 0.4j]), np.array([0.5, 0.5]), np.array([1.0, 0.0])]:
-            for method in ("hess_psi", "real_hessian"):
-                ha = getattr(analytic, method)(z)
-                hc = getattr(custom, method)(z)
-                assert np.max(np.abs(ha - hc)) / np.max(np.abs(ha)) < tol
+    for z in [np.array([0.3, 0.4j]), np.array([0.5, 0.5]), np.array([1.0, 0.0])]:
+        for method in ("hess_psi", "real_hessian"):
+            ha = getattr(analytic, method)(z)
+            hc = getattr(expression, method)(z)
+            assert np.max(np.abs(ha - hc)) / np.max(np.abs(ha)) < 1e-12
 
 
 def test_custom_perturbed_ball_geometry(rng):

@@ -122,8 +122,8 @@ def test_jet_of_constant_and_affine_fields():
     assert np.array_equal(d, [0, 3, -1, 0]) and not h.any()
 
 
-@pytest.mark.parametrize("source", ["abs(z1)", "sqrt(z1)", "log(z1)", "1/z1", "z1**-1",
-                                    "z1**0.5", "z1**z1", "z2/0"])
+@pytest.mark.parametrize("source", ["abs(z1)", "abs(z1)**1.5", "abs(z1)*abs(z1)", "sqrt(z1)",
+                                    "log(z1)", "1/z1", "z1**-1", "z1**0.5", "z1**z1", "z2/0"])
 def test_jet_without_derivative_at_zero_raises(source):
     with pytest.raises(DomainError):
         ScalarField(source, n=2).jet([0.0, 1.0])
@@ -144,3 +144,9 @@ def test_jet_smooth_powers_at_zero():
     _, d, h = ScalarField("z1**2 + z1**1.0 + z1**0", n=1).jet([0.0])
     assert np.array_equal(d, [1, 0])
     assert np.array_equal(h, [[2, 0], [0, 0]])
+    # abs(u)**p = (u conj(u))**(p/2) is smooth at u = 0 for p >= 2
+    value, d, h = ScalarField("abs(z1)**2", n=1).jet([0.0])
+    assert value == 0 and not d.any() and np.array_equal(h, [[0, 1], [1, 0]])
+    for source in ("abs(z1)**3", "abs(z1)**2.5", "abs(z1-1j)**4"):
+        value, d, h = ScalarField(source, n=1).jet([1j if "1j" in source else 0.0])
+        assert value == 0 and not d.any() and not h.any()
