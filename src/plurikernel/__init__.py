@@ -64,7 +64,6 @@ from .kernels import (
     KernelValue,
     Provenance,
     boundary_limit,
-    green_ball,
     is_neg_infinity,
     kobayashi,
     mobius_ball,

@@ -21,6 +21,7 @@ from . import __version__
 from .bounds import (
     ball_restriction_candidate,
     kernel_value,
+    kernel_values,
     lower_envelope,
     peak_candidate,
     sandwich_bounds,
@@ -166,8 +167,8 @@ def _cmd_geodesic(args) -> int:
         "grid_points": int(len(grid)),
     }
     ts = np.linspace(-0.95, 0.95, 97)
-    rows = [[float(t), float(kernel_value(domain, g.boundary_point, g.phi(t)).value)]
-            for t in ts]
+    values, _ = kernel_values(domain, g.boundary_point, [g.phi(t) for t in ts])
+    rows = [[float(t), float(v)] for t, v in zip(ts, values)]
     _emit(args, payload, rows=rows, header=["t", "omega_on_geodesic"])
     return 0
 
@@ -387,9 +388,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except ValidationError as exc:
         _error_json("validation", str(exc), {})
-        return 2
-    if hasattr(args, "h0") and args.h0 is not None and args.h0 <= 0:
-        _error_json("validation", "tolerance/step parameters must be positive", {})
         return 2
     try:
         return args.func(args)

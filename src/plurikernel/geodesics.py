@@ -35,8 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import _to_unit_ball, mobius_ball, omega_general_ball_value, poisson_disc
-from .utils import as_vector, herm, norm
+from .kernels import _ball_kernels, _poisson_discs, _to_unit_ball, mobius_ball
+from .utils import as_rows, as_vector, herm, norm
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,8 @@ def geodesic_through(z, p, normalize_chl: bool = True,
 
 def default_disc_grid(count: int = 200, rmax: float = 0.95) -> np.ndarray:
     """Deterministic evaluation grid in the disc: tensor of radii and angles."""
+    if count < 1:
+        raise ValidationError(f"grid needs at least 1 point, got {count}")
     n_r = max(4, int(np.sqrt(count)))
     n_t = max(4, -(-count // n_r))
     radii = np.linspace(0.05, rmax, n_r)
@@ -198,13 +200,12 @@ def restriction_identity_check(p, g: GeodesicDisc, grid=None) -> float:
     p = as_vector(p)
     if norm(p - g.boundary_point) > 1e-8:
         raise ValidationError("geodesic is not anchored at the requested pole")
-    if grid is None:
-        grid = default_disc_grid()
+    zetas = default_disc_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+    if not len(zetas):
+        raise ValidationError("restriction check needs a non-empty grid")
     theta = herm(g.phi1_prime, g.nu)
     factor = (1.0 / theta).real
-    worst = 0.0
-    for zeta in np.asarray(grid, dtype=complex).ravel():
-        lhs = omega_general_ball_value(g.center, g.radius, g.boundary_point, g.phi(zeta))
-        rhs = factor * poisson_disc(1.0, zeta)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = _ball_kernels(g.center, g.radius, g.boundary_point,
+                        as_rows([g.phi(zeta) for zeta in zetas], len(g.center)))
+    rhs = factor * _poisson_discs(1.0, zetas)
+    return float(np.max(np.abs(lhs - rhs)))

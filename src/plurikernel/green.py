@@ -29,7 +29,7 @@ from .bounds import kernel_value
 from .domains import DomainSpec, levi_density, outward_normal, require_on_boundary
 from .errors import ConvergenceError, ValidationError
 from .extrapolate import aitken
-from .kernels import green_general_ball, is_neg_infinity
+from .kernels import _SPHERE_TOL, NEG_INFINITY, _to_unit_ball, is_neg_infinity, mobius_ball
 from .utils import as_vector, norm
 
 _HALVINGS = 8       # halvings of the initial step in the difference-quotient ladder
@@ -43,9 +43,22 @@ def _require_symmetric_green(domain: DomainSpec) -> None:
 
 
 def green_function(domain: DomainSpec, z, w):
-    """Green function with pole z on a ball; NEG_INFINITY at w = z."""
+    """Pluricomplex Green function of a ball with pole z: G(z, w) = log ||phi_z(w)||.
+
+    Points are carried to the unit ball by (z - c)/r.  Symmetric in (z, w),
+    negative inside, zero on the boundary, logarithmic pole at w = z
+    (returned as the NEG_INFINITY sentinel).
+    """
     _require_symmetric_green(domain)
-    return green_general_ball(domain.center, domain.radius, z, w)
+    c, r = domain.center, domain.radius
+    z = _to_unit_ball(c, r, as_vector(z, domain.n))
+    w = _to_unit_ball(c, r, as_vector(w, domain.n))
+    if norm(z) >= 1.0 or norm(w) > 1.0 + _SPHERE_TOL:
+        raise ValidationError("green_function requires z interior and w in the closed ball")
+    m = norm(mobius_ball(z, w))
+    if m == 0.0:
+        return NEG_INFINITY
+    return float(np.log(min(m, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,8 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
         raise ValidationError("z must differ from the boundary point")
     if domain.psi(z) >= 0:
         raise ValidationError("z must be interior")
-    if h0 <= 0:
-        raise ValidationError("initial step must be positive")
+    if not (np.isfinite(h0) and h0 > 0):
+        raise ValidationError(f"initial step must be finite and positive, got {h0}")
     nu = outward_normal(domain, p)
 
     steps = []

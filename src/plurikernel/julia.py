@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -332,6 +331,10 @@ class SamplingPlan:
     seed: int = 0
     grid_count: int = 400
 
+    def __post_init__(self):
+        if self.grid_count < 1:
+            raise ValidationError(f"grid_count must be at least 1, got {self.grid_count}")
+
 
 @dataclass(frozen=True, eq=False)
 class JuliaReport:
@@ -357,11 +360,21 @@ def _ratio_lower(num_hi, den_lo):
 
 
 def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
-    """Refine Omega_p(z)/Omega_q(f(z)) from enclosure ends along z = p - h nu."""
-    kern_p = partial(kernel_value, mapspec.source, p)
-    kern_q = partial(kernel_value, mapspec.target, q)
-    return refine_until(lambda h: kern_p(p - h * nu).hi / kern_q(mapspec(p - h * nu)).lo,
-                        start_level=start_level, max_level=max_level,
+    """Refine Omega_p(z)/Omega_q(f(z)) from enclosure ends along z = p - h nu.
+
+    Each image point must lie inside the target; the ratio at a level is
+    ``_ratio_lower``'s, so a zero target end reads as divergence.
+    """
+    src, tgt = mapspec.source, mapspec.target
+
+    def ratio(h) -> float:
+        z = p - h * nu
+        w = mapspec(z)
+        if tgt.psi(w) >= 0:
+            raise ValidationError("map sends a sample outside the target domain")
+        return float(_ratio_lower(kernel_value(src, p, z).hi, kernel_value(tgt, q, w).lo))
+
+    return refine_until(ratio, start_level=start_level, max_level=max_level,
                         divergence_threshold=_DIVERGENCE)
 
 
@@ -399,19 +412,11 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    kern_p = partial(kernel_value, src, p)
-    kern_q = partial(kernel_value, tgt, q)
     nu = outward_normal(src, p)
     rng = np.random.default_rng(plan.seed)
 
-    def ratio_at(z) -> float:
-        w = mapspec(z)
-        if tgt.psi(w) >= 0:
-            raise ValidationError("map sends a sample outside the target domain")
-        return float(_ratio_lower(kern_p(z).hi, kern_q(w).lo))
-
     def ratios(Z) -> np.ndarray:
-        """ratio_at at every row of Z, one array call per kernel."""
+        """The ray's ratio at every row of Z, one array call per kernel."""
         W = mapspec(Z)
         if np.any(tgt.psi_rows(W) >= 0):
             raise ValidationError("map sends a sample outside the target domain")
@@ -420,10 +425,7 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
     sup = float(np.max(ratios(grid), initial=0.0))
 
-    ray = refine_until(lambda h: ratio_at(p - h * nu),
-                       start_level=_RAY_START_LEVEL,
-                       max_level=_RAY_MAX_LEVEL,
-                       divergence_threshold=_DIVERGENCE)
+    ray = _kernel_ratio_ray(mapspec, p, q, nu, _RAY_START_LEVEL, _RAY_MAX_LEVEL)
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
@@ -503,11 +505,13 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValidationError("inclusion check requires a finite positive dilation")
+    if not all(np.isfinite(R) and R > 0 for R in radii):
+        raise ValidationError(f"horoball radii must be finite and positive, got {list(radii)}")
+    if samples_per_radius < 1:
+        raise ValidationError(f"samples_per_radius must be at least 1, got {samples_per_radius}")
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    kern_p = partial(kernel_value, src, p)
-    kern_q = partial(kernel_value, tgt, q)
     rng = np.random.default_rng(seed)
     violations: List[InclusionViolation] = []
     undetermined = 0
@@ -552,8 +556,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
 
     def tightness(h):
         z = p - h * nu
-        Rz = -1.0 / kern_p(z).hi
-        val = kern_q(mapspec(z))
+        Rz = -1.0 / kernel_value(src, p, z).hi
+        val = kernel_value(tgt, q, mapspec(z))
         return (-1.0 / val.hi) / (lam * Rz)
 
     ray = refine_until(tightness, start_level=4, max_level=24)

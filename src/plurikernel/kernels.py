@@ -18,9 +18,8 @@ interior curve gamma reaching the pole transversally,
 General poles follow by unitary invariance, translated/scaled balls B(c, r)
 by the couple-rescaling rule  Omega_{B(c,r),p}(z) = (1/r) Omega((z-c)/r) at
 pole (p-c)/r.  The module also provides the standard involutive ball
-automorphisms, the Kobayashi distance (arctanh of the Mobius invariant), the
-symmetric Green function with logarithmic pole G(z, w) = log ||phi_z(w)||,
-and Richardson-extrapolated boundary limits along curves.
+automorphisms, the Kobayashi distance (arctanh of the Mobius invariant) and
+Richardson-extrapolated boundary limits along curves.
 """
 
 from __future__ import annotations
@@ -262,13 +261,8 @@ def _to_unit_ball(c: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
     return w if radius == 1.0 else w / radius
 
 
-def omega_ball_value(n: int, p, z) -> float:
-    """Raw kernel value -(1 - ||z||^2)/|1 - <z, p>|^2 of the unit ball at pole p."""
-    return _unit_ball_kernel(as_vector(p, n), as_vector(z, n))
-
-
 def _unit_ball_kernel(p: np.ndarray, z: np.ndarray) -> float:
-    """omega_ball_value for vectors already coerced by as_vector to one length."""
+    """-(1 - ||z||^2)/|1 - <z, p>|^2 of the unit ball at pole p, for coerced vectors."""
     if abs(norm(p) - 1.0) > _SPHERE_TOL:
         raise ValidationError("pole must lie on the unit sphere")
     nz = norm(z)
@@ -280,16 +274,10 @@ def _unit_ball_kernel(p: np.ndarray, z: np.ndarray) -> float:
     return -max(1.0 - nz ** 2, 0.0) / denom
 
 
-def omega_general_ball_value(center, radius: float, p, z) -> float:
-    """Kernel of the ball B(center, radius) via the scaling rule (1/r) Omega((z-c)/r)."""
-    c = as_vector(center)
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    return _ball_kernel(c, radius, as_vector(p, len(c)), as_vector(z, len(c)))
-
-
 def _ball_kernel(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
-    """omega_general_ball_value for coerced vectors and a positive radius.
+    """Kernel of B(c, r) by the scaling rule (1/r) Omega((z-c)/r).
+
+    Takes vectors coerced by as_vector to one length and a positive radius.
 
     In C the unit-ball core is the disc's, poisson_disc, with denominator
     |q - w|^2, so every 1-D ball gives the disc's value.
@@ -326,31 +314,6 @@ def rescale_couple(value, rho: float):
     if isinstance(value, KernelValue):
         return value.scaled(1.0 / rho)
     return value / rho
-
-
-# -- Green function -----------------------------------------------------------
-
-def green_ball(n: int, z, w):
-    """Pluricomplex Green function of the unit ball: G(z, w) = log ||phi_z(w)||.
-
-    Symmetric in (z, w), negative inside, zero on the boundary, logarithmic
-    pole at w = z (returned as the NEG_INFINITY sentinel).
-    """
-    z = as_vector(z, n)
-    w = as_vector(w, n)
-    if norm(z) >= 1.0 or norm(w) > 1.0 + _SPHERE_TOL:
-        raise ValidationError("green_ball requires z interior and w in the closed ball")
-    m = norm(mobius_ball(z, w))
-    if m == 0.0:
-        return NEG_INFINITY
-    return float(np.log(min(m, 1.0)))
-
-
-def green_general_ball(center, radius: float, z, w):
-    """Green function of B(center, radius) by biholomorphic invariance."""
-    c = as_vector(center)
-    return green_ball(len(c), _to_unit_ball(c, radius, as_vector(z, len(c))),
-                      _to_unit_ball(c, radius, as_vector(w, len(c))))
 
 
 # -- boundary limits -----------------------------------------------------------

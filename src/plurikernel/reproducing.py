@@ -179,6 +179,9 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
     """
     if rule.n != 1:
         raise ValidationError("riesz correction is the n = 1 formula; need a circle rule")
+    if radial < 1 or angular < 1:
+        raise ValidationError(f"polar grid needs at least 1 node per axis, "
+                              f"got radial={radial}, angular={angular}")
     z = as_vector(z, 1)
     if abs(z[0]) >= 1.0:
         raise ValidationError("evaluation point must be inside the disc")

@@ -19,6 +19,7 @@ from plurikernel import (
     green_omega_identity_check,
     horoball_inclusion_check,
     jwc_derivative_probes,
+    kernel_value,
     lambda_estimate,
     poisson_disc,
     reproduce,
@@ -30,7 +31,6 @@ from plurikernel import (
 from plurikernel.extrapolate import richardson
 from plurikernel.geodesics import default_disc_grid
 from plurikernel.julia import ball_auto_map, blaschke_map, constant_map, diag_map, identity_map, power_map
-from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -52,7 +52,7 @@ def test_criterion_01_ball_kernel_normal_limit():
         if n == 1:
             evaluator = lambda z: poisson_disc(1.0, z[0])
         else:
-            evaluator = lambda z, n=n, p=p: omega_ball_value(n, p, z)
+            evaluator = lambda z, n=n, p=p: kernel_value(DomainSpec.unit_ball(n), p, z).value
         curve = BoundaryCurve(gamma=lambda t, p=p: t * p, gamma_prime_at_1=p)
         res = boundary_limit(evaluator, curve, p)
         worst = max(worst, abs(res.estimate - (-2.0)))

@@ -20,7 +20,6 @@ from plurikernel import (
 from plurikernel.bounds import candidate_normal_limit
 from plurikernel.domains import boundary_samples, outward_normal
 from plurikernel.extrapolate import richardson
-from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -38,7 +37,7 @@ def test_peak_candidate_at_ball_center():
     assert u0 == pytest.approx(PEAK_AT_CENTER, rel=1e-14)
     assert u0 == pytest.approx(-2.163953413738653, abs=1e-12)
     # candidate lies below the kernel
-    assert u0 <= omega_ball_value(2, E1, [0, 0])
+    assert u0 <= kernel_value(BALL2, E1, [0, 0]).value
 
 
 def test_peak_candidate_normal_rate():
@@ -87,11 +86,11 @@ def test_lower_envelope_examples(rng):
     both = lower_envelope(BALL2, E1, [0, 0], [peak, ball_cand])
     assert both >= single  # max is monotone in the candidate set
     # for the ball, the circumscribed ball is the ball itself: envelope exact
-    assert both == pytest.approx(omega_ball_value(2, E1, [0, 0]), rel=1e-12)
+    assert both == pytest.approx(kernel_value(BALL2, E1, [0, 0]).value, rel=1e-12)
     for _ in range(20):
         z = sample_ball(rng, 2, 0.8)
         assert lower_envelope(BALL2, E1, z, [peak, ball_cand]) == pytest.approx(
-            omega_ball_value(2, E1, z), rel=1e-11)
+            kernel_value(BALL2, E1, z).value, rel=1e-11)
 
 
 def test_lower_envelope_empty_candidates():
@@ -102,7 +101,7 @@ def test_lower_envelope_empty_candidates():
 def test_sandwich_ball_degenerate():
     kv = sandwich_bounds(BALL2, E1, [0.3, 0.2j])
     assert kv.lo == kv.hi
-    assert kv.lo == pytest.approx(omega_ball_value(2, E1, [0.3, 0.2j]))
+    assert kv.lo == pytest.approx(kernel_value(BALL2, E1, [0.3, 0.2j]).value)
 
 
 def test_sandwich_ellipsoid_worked_interval():
@@ -170,7 +169,7 @@ def test_uniform_bound_check_ball(rng):
     poles = boundary_samples(BALL2, 20, rng)
     bound = uniform_bound_check(BALL2, grid, poles)
     assert np.isfinite(bound)
-    worst_kernel = max(abs(omega_ball_value(2, p, z)) for p in poles for z in grid)
+    worst_kernel = max(abs(kernel_value(BALL2, p, z).value) for p in poles for z in grid)
     assert bound >= worst_kernel
 
 

@@ -252,6 +252,62 @@ def test_malformed_spec_is_json(capsys, argv):
     assert blob["context"] == {"command": argv[0]}
 
 
+_GEODESIC = ["geodesic", "--domain", "unit_ball:2", "--pole", "e1", "--through", "0.3,0"]
+_JULIA = ["julia", "--map", '{"blaschke":{"a":0.5}}', "--p", "1", "--q", "1"]
+_RIESZ = ["reproduce", "--domain", "disc", "--f", "re(z1)", "--z", "0.3", "--laplacian", "0"]
+_GREEN = ["green", "--domain", "unit_ball:2", "--pole", "e1", "--point", "0.3,0"]
+
+
+@pytest.mark.parametrize("argv, subject", [
+    (_GEODESIC + ["--grid", "-5"], "grid"),
+    (_GEODESIC + ["--grid", "0"], "grid"),
+    (_JULIA + ["--radii", "0"], "radii"),
+    (_JULIA + ["--radii", "-0.5"], "radii"),
+    (_JULIA + ["--radii", "-1"], "radii"),
+    (_JULIA + ["--radii", "inf"], "radii"),
+    (_JULIA + ["--radii", "1", "--samples", "0"], "samples_per_radius"),
+    (_JULIA + ["--radii", "1", "--samples", "-4"], "samples_per_radius"),
+    (_JULIA + ["--grid-count", "0"], "grid_count"),
+    (_RIESZ + ["--radial-grid", "0"], "polar grid"),
+    (_RIESZ + ["--angular-grid", "-1"], "polar grid"),
+    (_GREEN + ["--h0", "nan"], "initial step"),
+    (_GREEN + ["--h0", "0"], "initial step"),
+], ids=["grid_negative", "grid_zero", "radius_zero", "radius_negative_fraction",
+        "radius_minus_one", "radius_inf", "samples_zero", "samples_negative",
+        "grid_count_zero", "radial_grid_zero", "angular_grid_negative", "h0_nan", "h0_zero"])
+def test_out_of_range_sizes_are_json(capsys, argv, subject):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert blob["context"] == {"command": argv[0]}
+    assert subject in blob["message"]
+
+
+@pytest.mark.parametrize("domain", [
+    "unit_ball:2",
+    '{"kind":"ball","center":[[0.2,0],[0,-0.1]],"radius":0.6}',
+])
+def test_geodesic_csv_rows_are_kernel_values(capsys, domain):
+    import numpy as np
+
+    from plurikernel import domain_from_json, geodesic_through, kernel_value
+
+    dom = domain_from_json(domain)
+    pole = "e1" if dom.radius == 1.0 else "0.8,-0.1i"
+    code, out, _ = run_cli(capsys, ["geodesic", "--domain", domain, "--pole", pole,
+                                    "--through", "0.3,0", "--format", "csv"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "t,omega_on_geodesic"
+    g = geodesic_through(parse_point("0.3,0", 2), parse_point(pole, 2),
+                         center=dom.center, radius=dom.radius)
+    ts = np.linspace(-0.95, 0.95, 97)
+    expected = [[float(t), kernel_value(dom, g.boundary_point, g.phi(t)).value] for t in ts]
+    assert [[float(x) for x in line.split(",")] for line in lines[1:]] == expected
+
+
 def _readme_cli_examples():
     """(command line, JSON shown in the comment below it or None) from the README's sh blocks."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

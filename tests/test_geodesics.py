@@ -5,12 +5,13 @@ from plurikernel import (
     DomainSpec,
     ValidationError,
     geodesic_through,
+    kernel_value,
     kobayashi,
+    poisson_disc,
     restriction_identity_check,
 )
 from plurikernel.extrapolate import richardson
 from plurikernel.geodesics import default_disc_grid
-from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import herm, norm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -110,6 +111,37 @@ def test_restriction_identity_general_ball(rng):
     assert dev < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1.0, 0.6])
+def test_restriction_check_is_the_per_point_maximum(n, radius):
+    # the array check equals, bit for bit, the maximum of per-point kernel_value
+    # and poisson_disc deviations, on the default grid and on seeded grids
+    rng = np.random.default_rng(1000 * n + int(10 * radius))
+    for trial in range(4):
+        center = np.zeros(n, dtype=complex) if radius == 1.0 else 0.3 * sample_ball(rng, n, 1.0)
+        dom = DomainSpec.ball(center, radius)
+        z = center + sample_ball(rng, n, 0.8 * radius)
+        g = geodesic_through(z, center + radius * sample_sphere(rng, n),
+                             normalize_chl=trial % 2 == 0, center=center, radius=radius)
+        p = g.boundary_point
+        factor = (1.0 / herm(g.phi1_prime, g.nu)).real
+        seeded = np.array([sample_ball(rng, 1, 0.95)[0] for _ in range(40)])
+        for grid in (default_disc_grid(50), seeded):
+            worst = 0.0
+            for zeta in grid:
+                lhs = kernel_value(dom, p, g.phi(zeta)).value
+                worst = max(worst, abs(lhs - factor * poisson_disc(1.0, zeta)))
+            assert restriction_identity_check(p, g, grid) == worst
+
+
+def test_restriction_check_refuses_an_empty_grid():
+    g = geodesic_through([0, 0], E1)
+    with pytest.raises(ValidationError):
+        restriction_identity_check(E1, g, [])
+    with pytest.raises(ValidationError):
+        default_disc_grid(0)
+
+
 def test_chl_factor_is_inverse_square_of_normal_component(rng):
     # theta kills tangential parts: theta(phi'(1)) = <v, nu>^2
     z = sample_ball(rng, 2, 0.7)
@@ -169,6 +201,6 @@ def test_normal_rate_along_chl_geodesic(rng):
     for k in range(3, 22):
         r = 1.0 - 2.0 ** (-k)
         zk = g.phi(r)
-        vals.append(omega_ball_value(2, p, zk) * abs(herm(p - zk, p)))
+        vals.append(kernel_value(DomainSpec.unit_ball(2), p, zk).value * abs(herm(p - zk, p)))
     est = richardson(vals)
     assert est.real == pytest.approx(-2.0, abs=1e-4)

@@ -15,7 +15,6 @@ from plurikernel import (
     poisson_disc,
     sphere_quadrature,
 )
-from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -29,7 +28,7 @@ def test_normal_derivative_at_ball_center():
     assert nd.value == pytest.approx(-1.0, abs=1e-9)
     h0, q0 = nd.step_sequence[0]
     assert q0 == pytest.approx(math.log(1 - h0) / h0, rel=1e-13)
-    assert nd.value == pytest.approx(omega_ball_value(2, E1, [0, 0]), abs=1e-9)
+    assert nd.value == pytest.approx(kernel_value(BALL2, E1, [0, 0]).value, abs=1e-9)
 
 
 def test_normal_derivative_disc_center():
@@ -85,12 +84,12 @@ def test_demailly_density_ball_center(rng):
 def test_demailly_total_mass(rng):
     # sum over a boundary rule of |Omega|^n w_i: equals (2 pi)^n at the center
     rule = sphere_quadrature(2, 32)
-    dens = [abs(omega_ball_value(2, xi, [0, 0])) ** 2 for xi in rule.nodes]
+    dens = [abs(kernel_value(BALL2, xi, [0, 0]).value) ** 2 for xi in rule.nodes]
     total = float(np.dot(dens, rule.weights))
     assert total == pytest.approx((2 * math.pi) ** 2, rel=1e-12)
     # off-center: reproducing property of the constant function keeps mass
     z = sample_ball(rng, 2, 0.5)
-    dens = np.array([abs(omega_ball_value(2, xi, z)) ** 2 for xi in rule.nodes])
+    dens = np.array([abs(kernel_value(BALL2, xi, z).value) ** 2 for xi in rule.nodes])
     assert float(np.dot(dens, rule.weights)) == pytest.approx(
         (2 * math.pi) ** 2, rel=1e-10)
 

@@ -9,7 +9,7 @@ from plurikernel import (
     Provenance,
     ValidationError,
     boundary_limit,
-    green_ball,
+    green_function,
     is_neg_infinity,
     kernel_value,
     kobayashi,
@@ -19,10 +19,11 @@ from plurikernel import (
     rescale_couple,
 )
 from plurikernel.julia import ball_auto_map, blaschke_map, identity_map, unitary_map
-from plurikernel.kernels import mobius_ball_jacobian, omega_ball_value
+from plurikernel.kernels import mobius_ball_jacobian
 from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
+BALL2 = DomainSpec.unit_ball(2)
 
 
 # -- disc Poisson kernel ------------------------------------------------------
@@ -102,7 +103,7 @@ def test_omega_ball_examples():
     assert kv.value == pytest.approx(-1.0)
     assert kv.provenance is Provenance.CLOSED_FORM
     for t in (0.2, 0.7, 0.95):
-        v = omega_ball_value(2, E1, [t, 0.0])
+        v = kernel_value(BALL2, E1, [t, 0.0]).value
         assert v * (1 - t) == pytest.approx(-(1 + t), rel=1e-13)
 
 
@@ -124,28 +125,28 @@ def test_omega_ball_zero_at_boundary_away_from_pole(rng):
         q = sample_sphere(rng, 2)
         if abs(herm(q, E1) - 1) < 1e-3:
             continue
-        assert omega_ball_value(2, E1, q) == pytest.approx(0.0, abs=1e-12)
+        assert kernel_value(BALL2, E1, q).value == pytest.approx(0.0, abs=1e-12)
         # along random interior sequences converging to q the kernel tends to 0
-        vals = [omega_ball_value(2, E1, (1 - 2.0 ** -k) * q) for k in range(3, 24)]
+        vals = [kernel_value(BALL2, E1, (1 - 2.0 ** -k) * q).value for k in range(3, 24)]
         assert abs(vals[-1]) < 1e-5
         assert all(abs(a) >= abs(b) for a, b in zip(vals, vals[1:]))
     for _ in range(20):
         z = sample_ball(rng, 2, 0.95)
-        assert omega_ball_value(2, E1, z) < 0
+        assert kernel_value(BALL2, E1, z).value < 0
 
 
 def test_omega_ball_radial_restriction_is_poisson():
     for zeta in [0.3, -0.5, 0.2 + 0.6j, 0.9j, -0.87 + 0.1j]:
-        lhs = omega_ball_value(2, E1, [zeta, 0.0])
+        lhs = kernel_value(BALL2, E1, [zeta, 0.0]).value
         rhs = poisson_disc(1.0, zeta)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_omega_ball_pole_and_outside_errors():
     with pytest.raises(ValidationError):
-        omega_ball_value(2, E1, E1)
+        kernel_value(BALL2, E1, E1)
     with pytest.raises(ValidationError):
-        omega_ball_value(2, E1, [1.5, 0.0])
+        kernel_value(BALL2, E1, [1.5, 0.0])
 
 
 def test_couple_rescaling_exact():
@@ -187,21 +188,21 @@ def test_green_ball_pole_at_origin(rng):
     # the boundary, log pole at 0, automorphism invariant
     for _ in range(20):
         w = sample_ball(rng, 2, 0.95)
-        g = green_ball(2, np.zeros(2), w)
+        g = green_function(BALL2, np.zeros(2), w)
         assert g == pytest.approx(np.log(np.linalg.norm(w)), abs=1e-12)
         assert g < 0
     q = sample_sphere(rng, 2)
-    assert green_ball(2, np.zeros(2), q) == pytest.approx(0.0, abs=1e-12)
+    assert green_function(BALL2, np.zeros(2), q) == pytest.approx(0.0, abs=1e-12)
     # log pole: G - log||w|| bounded as w -> 0
     for s in (1e-2, 1e-4, 1e-6):
         w = s * q
-        assert abs(green_ball(2, np.zeros(2), w) - np.log(s)) < 1e-12
+        assert abs(green_function(BALL2, np.zeros(2), w) - np.log(s)) < 1e-12
 
 
 def test_green_ball_boundary_normalization(rng):
     z = sample_ball(rng, 2, 0.5)
     q = sample_sphere(rng, 2)
-    vals = [green_ball(2, z, (1 - 2.0 ** -k) * q) for k in range(3, 20)]
+    vals = [green_function(BALL2, z, (1 - 2.0 ** -k) * q) for k in range(3, 20)]
     assert abs(vals[-1]) < 1e-4
     assert all(abs(a) > abs(b) for a, b in zip(vals, vals[1:]))
 
@@ -212,12 +213,12 @@ def test_green_ball_symmetry(rng):
         w = sample_ball(rng, 2, 0.9)
         if np.linalg.norm(z - w) < 1e-6:
             continue
-        assert green_ball(2, z, w) == pytest.approx(green_ball(2, w, z), abs=1e-10)
+        assert green_function(BALL2, z, w) == pytest.approx(green_function(BALL2, w, z), abs=1e-10)
 
 
 def test_green_ball_pole_sentinel():
     z = np.array([0.2, 0.1j])
-    g = green_ball(2, z, z)
+    g = green_function(BALL2, z, z)
     assert is_neg_infinity(g)
     assert g is NEG_INFINITY
     assert g < -1e300
@@ -237,8 +238,8 @@ def test_green_ball_submean_on_complex_lines(rng):
         v = sample_sphere(rng, 2)
         r = 0.05
         thetas = 2 * np.pi * np.arange(64) / 64
-        avg = np.mean([green_ball(2, z, w0 + r * np.exp(1j * t) * v) for t in thetas])
-        assert green_ball(2, z, w0) <= avg + 1e-9
+        avg = np.mean([green_function(BALL2, z, w0 + r * np.exp(1j * t) * v) for t in thetas])
+        assert green_function(BALL2, z, w0) <= avg + 1e-9
 
 
 # -- boundary limits -----------------------------------------------------------------
@@ -246,13 +247,13 @@ def test_green_ball_submean_on_complex_lines(rng):
 def test_boundary_limit_ball_examples():
     curve = BoundaryCurve(gamma=lambda t: np.array([t, 0.0], dtype=complex),
                           gamma_prime_at_1=E1)
-    res = boundary_limit(lambda z: omega_ball_value(2, E1, z), curve, E1)
+    res = boundary_limit(lambda z: kernel_value(BALL2, E1, z).value, curve, E1)
     assert res.estimate == pytest.approx(-2.0, abs=1e-9)
     assert res.predicted == pytest.approx(-2.0)
     # doubled derivative halves the limit
     curve2 = BoundaryCurve(gamma=lambda t: np.array([1 - 2 * (1 - t), 0.0], dtype=complex),
                            gamma_prime_at_1=2 * E1)
-    res2 = boundary_limit(lambda z: omega_ball_value(2, E1, z), curve2, E1)
+    res2 = boundary_limit(lambda z: kernel_value(BALL2, E1, z).value, curve2, E1)
     assert res2.predicted == pytest.approx(-1.0)
     assert res2.estimate == pytest.approx(-1.0, abs=1e-9)
 
@@ -285,7 +286,7 @@ def test_boundary_limit_random_curves_match_prediction(rng):
         p = sample_sphere(rng, n)
         for _ in range(20):
             curve = _random_transversal_curve(rng, n, p)
-            res = boundary_limit(lambda z: omega_ball_value(n, p, z), curve, p)
+            res = boundary_limit(lambda z: kernel_value(DomainSpec.unit_ball(n), p, z).value, curve, p)
             assert res.deviation < 1e-6
 
 
@@ -295,7 +296,7 @@ def test_pullback_identity():
     F = identity_map(2)
     pulled = pullback_kernel(F, E1)
     for z in [np.array([0.2, 0.3j]), np.array([-0.4, 0.1])]:
-        assert pulled.evaluator(z) == pytest.approx(omega_ball_value(2, E1, z), rel=1e-14)
+        assert pulled.evaluator(z) == pytest.approx(kernel_value(BALL2, E1, z).value, rel=1e-14)
     assert pulled.scale_to_standard == pytest.approx(1.0)
 
 
@@ -309,7 +310,7 @@ def test_pullback_unitary(rng):
     assert pulled.scale_to_standard == pytest.approx(1.0, abs=1e-12)
     for _ in range(20):
         z = sample_ball(rng, 2, 0.9)
-        direct = omega_ball_value(2, U.conj().T @ q, z)
+        direct = kernel_value(BALL2, U.conj().T @ q, z).value
         assert pulled.evaluator(z) == pytest.approx(direct, rel=1e-11)
 
 
@@ -324,7 +325,7 @@ def test_pullback_ball_automorphism_standardized(rng):
     std = pulled.standard_evaluator()
     for _ in range(100):
         z = sample_ball(rng, 2, 0.95)
-        assert std(z) == pytest.approx(omega_ball_value(2, p, z), abs=1e-9, rel=1e-9)
+        assert std(z) == pytest.approx(kernel_value(BALL2, p, z).value, abs=1e-9, rel=1e-9)
 
 
 def test_pullback_disc_target_uses_the_disc_kernel():

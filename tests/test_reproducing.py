@@ -9,13 +9,13 @@ from plurikernel import (
     DomainSpec,
     ValidationError,
     demailly_density,
+    kernel_value,
     reproduce,
     riesz_correction_1d,
     rule_to_csv,
     sphere_quadrature,
 )
 from plurikernel.domains import levi_density
-from plurikernel.kernels import omega_ball_value
 from plurikernel.utils import sample_ball
 
 TWO_PI = 2 * math.pi
@@ -202,7 +202,7 @@ def test_node_factors_match_demailly_density(rng):
     rule = sphere_quadrature(2, 8)
     z = sample_ball(rng, 2, 0.6)
     for xi in rule.nodes[:: len(rule) // 10]:
-        factor = abs(omega_ball_value(2, xi, z)) ** 2 * levi_density(dom, xi)
+        factor = abs(kernel_value(DomainSpec.unit_ball(2), xi, z).value) ** 2 * levi_density(dom, xi)
         assert factor == pytest.approx(demailly_density(dom, z, xi), abs=1e-5)
 
 
