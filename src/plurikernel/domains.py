@@ -25,6 +25,7 @@ this couple; rescaled couples are handled by an explicit utility in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -183,9 +184,7 @@ class DomainSpec:
             return 2.0 * np.eye(2 * self.n)
         if self.kind is DomainKind.ELLIPSOID:
             return np.diag(np.concatenate([2 * self.coeffs, 2 * self.coeffs]))
-        # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
-        eye = np.eye(self.n)
-        J = np.block([[eye, eye], [1j * eye, -1j * eye]])
+        J = _to_real_derivatives(self.n)
         return np.real(J @ self.expression.jet(z)[2] @ J.T)
 
     # -- geometry helpers ---------------------------------------------------
@@ -222,6 +221,18 @@ class DomainSpec:
 
     def __repr__(self):
         return f"DomainSpec({self.label or self.kind.value}, n={self.n})"
+
+
+@functools.lru_cache(maxsize=None)
+def _to_real_derivatives(n: int) -> np.ndarray:
+    """J with (d/dx, d/dy) = J (d/dz, d/dconj(z)): real derivatives from a jet's.
+
+    The real gradient of psi = Re f is ``Re(J d)`` and its real Hessian
+    ``Re(J h J^T)``, in the (Re z, Im z) coordinates of ``to_real``.
+    """
+    # d/dx_j = d/dz_j + d/dconj(z_j) and d/dy_j = i (d/dz_j - d/dconj(z_j))
+    eye = np.eye(n)
+    return read_only(np.block([[eye, eye], [1j * eye, -1j * eye]]))[0]
 
 
 def _jet_gradient(jet, n: int) -> np.ndarray:
@@ -262,11 +273,10 @@ def psi_jet(domain: DomainSpec, z):
     if norm(z - domain.interior) > 10.0 * max(domain.bounding_radius(), 1.0) \
             and domain.bounding_radius() < float("inf"):
         raise ValidationError(f"point {z} is far outside the domain's bounding box")
-    value = domain.psi(z)
     if domain.expression is None:
-        return value, domain.grad_psi(z), domain.hess_psi(z)
+        return domain.psi(z), domain.grad_psi(z), domain.hess_psi(z)
     jet = domain.expression.jet(z)
-    return value, _jet_gradient(jet, domain.n), _jet_hessian(jet, domain.n)
+    return float(jet[0].real), _jet_gradient(jet, domain.n), _jet_hessian(jet, domain.n)
 
 
 def require_on_boundary(domain: DomainSpec, p) -> np.ndarray:
@@ -332,6 +342,10 @@ def levi_density(domain: DomainSpec, p) -> float:
     Equals ``4^{n-1} (n-1)! det(restricted Levi form) / |d psi|^{n-1}`` and is
     invariant under rescaling the defining function.
     """
+    return domain._per_pole("levi_density", as_vector(p, domain.n), _levi_density)
+
+
+def _levi_density(domain: DomainSpec, p: np.ndarray) -> float:
     frame = boundary_frame(domain, p)
     n = domain.n
     if n == 1:
@@ -502,45 +516,83 @@ def _ellipsoid_nearest_point(a: np.ndarray, z: np.ndarray):
 
 
 def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
-    """Foot-point iteration for custom kinds: surface Newton + tangential slide."""
-    trace = []
+    """Nearest boundary point of a custom domain: Newton on the Lagrange system.
 
-    def to_surface(x):
-        for it in range(80):
-            v = domain.psi(x)
-            g = domain.grad_psi(x)
-            g2 = float(np.real(herm(g, g)))
-            if g2 < 1e-30:
-                raise ConvergenceError("vanishing gradient during projection", trace)
-            # step along the real gradient direction conj(g); d psi along it is 2||g||
-            x = x - v * np.conj(g) / (2.0 * g2)
-            if abs(v) < 1e-14:
-                return x
-        raise ConvergenceError("surface Newton did not converge", trace)
-
-    if norm(z - domain.interior) < 1e-14:
-        direction = np.zeros(domain.n, complex)
+    In real coordinates the nearest point x to z on {psi = 0} solves
+    x - z + lam grad psi(x) = 0, psi(x) = 0, with Jacobian
+    [[I + lam Hess psi, grad psi], [grad psi^T, 0]] in (x, lam).  Each
+    iterate makes one jet, takes lam by least squares and stops once the
+    tangential part of z - x is below 1e-12 * scale and |psi| below 1e-14.
+    The Newton step is taken only where I + lam Hess psi is positive definite
+    on the tangent space (the second-order condition of a nearest point,
+    tested by one Cholesky factorisation); elsewhere the step slides along the
+    tangential part of z - x.  Both steps correct psi to first order along the
+    normal.  A step that neither lowers the merit |z - x|^2 / 2 + mu |psi| nor
+    halves the Lagrange residual is halved, at the cost of one more jet.  The
+    start is the end of the ray bracket towards z with the smaller |psi|.
+    """
+    n = domain.n
+    offset = z - domain.interior
+    if norm(offset) < 1e-14:
+        direction = np.zeros(n, complex)
         direction[0] = 1.0
     else:
-        direction = (z - domain.interior) / norm(z - domain.interior)
-    # start from the ray intersection with the boundary
-    x = to_surface(domain.interior + _ray_bracket(domain, direction[None])[0] * direction)
+        direction = offset / norm(offset)
+    t = _ray_bracket(domain, direction[None])[0]
+    x = domain.interior + t * direction
+    if t > 1:       # psi < 0 at t / 2
+        ends = domain.interior + np.array([0.5 * t, t])[:, None] * direction
+        x = ends[np.argmin(np.abs(domain.psi_rows(ends)))]
+    x, zr = to_real(x), to_real(z)
+    J, eye = _to_real_derivatives(n), np.eye(2 * n)
     scale = max(norm(z), 1.0)
-    # the next iterate depends on x alone, so an iterate seen before starts a
-    # cycle that never meets the stop test
-    seen = set()
+    trace = []
+    last = None         # the last accepted iterate: x, merit, step, slope, mu, residual
+    alpha = 1.0         # the fraction of last's step that led to x
     for it in range(_FOOTPOINT_MAX_ITER):
-        w = z - x
-        nu = outward_normal(domain, x)
-        w_tan = w - np.real(herm(w, nu)) * nu
-        resid = norm(w_tan)
-        trace.append((it, resid))
-        if resid < 1e-12 * scale:
-            return x, norm(z - x)
-        if x.tobytes() in seen:
-            raise ConvergenceError("foot-point iteration cycles without converging", trace)
-        seen.add(x.tobytes())
-        x = to_surface(x + w_tan)
+        value, d, h = domain.expression.jet(x[:n] + 1j * x[n:])
+        v = value.real
+        grad = np.real(J @ d)
+        g2 = float(grad @ grad)
+        if g2 < 1e-30:
+            raise ConvergenceError("vanishing gradient in the foot-point iteration", trace)
+        w = zr - x
+        lam = float(w @ grad) / g2
+        w_tan = w - lam * grad
+        resid = math.sqrt(w_tan @ w_tan)
+        trace.append((it, resid, abs(v)))
+        if resid < 1e-12 * scale and abs(v) < 1e-14:
+            x = x - (v / g2) * grad         # the last normal correction needs no new jet
+            return x[:n] + 1j * x[n:], float(np.linalg.norm(zr - x))
+        residual = math.hypot(resid, v / math.sqrt(g2))
+        if last is not None:
+            x0, merit, step, slope, mu, residual0 = last
+            if (0.5 * float(w @ w) + mu * abs(v) > merit + 1e-4 * alpha * slope
+                    and residual > 0.5 * residual0):
+                alpha *= 0.5
+                x = x0 + alpha * step
+                continue
+        # the tangential part y of the Newton step solves P A y = w_tan + v P A grad / g2,
+        # with A = I + lam Hess psi and P the projection onto the tangent space;
+        # A is positive definite there iff P A P + nu nu^T is
+        A = eye + lam * np.real(J @ h @ J.T)
+        nu = grad / math.sqrt(g2)
+        normal = np.outer(nu, nu)
+        P = eye - normal
+        M = P @ A @ P + normal
+        try:
+            np.linalg.cholesky(M)
+            y = np.linalg.solve(M, w_tan + (v / g2) * (P @ (A @ grad)))
+        except np.linalg.LinAlgError:
+            y = w_tan
+        # mu makes the step descend on the merit: slope <= -mu |psi| / 2 where psi != 0
+        rate = lam * v - float(w_tan @ y)       # d/d alpha of |z - x|^2 / 2
+        mu = max(last[4] if last else 0.0, 2.0 * abs(lam), 2.0 * rate / abs(v) if v else 0.0)
+        slope = rate - mu * abs(v)
+        step = y - (v / g2) * grad
+        last = (x, 0.5 * float(w @ w) + mu * abs(v), step, slope, mu, residual)
+        alpha = 1.0
+        x = x + step
     raise ConvergenceError("foot-point iteration did not converge", trace)
 
 

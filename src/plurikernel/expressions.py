@@ -95,9 +95,9 @@ class ScalarField:
                 out = eval(self._code, env)
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"derivatives of {self.source!r} fail at {z}: {exc}") from exc
-        if not isinstance(out, _Jet):
+        if not isinstance(out, _Jet):       # an expression free of z1..zn
             m = 2 * self.n
-            return complex(out), np.zeros(m, complex), np.zeros((m, m), complex)
+            out = _Jet(complex(out), np.zeros(m, complex), np.zeros((m, m), complex))
         if not (cmath.isfinite(out.v) and np.isfinite(out.d).all() and np.isfinite(out.h).all()):
             raise DomainError(f"derivatives of {self.source!r} are not finite at {z}")
         return out.v, out.d, out.h

@@ -351,6 +351,13 @@ class JuliaReport:
         return not self.diverged and np.isfinite(self.lambda_estimate)
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for a sampling seed, which must be a non-negative integer."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _ratio_lower(num_hi, den_lo):
     """Certified lower bound of Omega_p(z)/Omega_q(f(z)) from enclosure ends (both <= 0).
 
@@ -413,7 +420,7 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
     nu = outward_normal(src, p)
-    rng = np.random.default_rng(plan.seed)
+    rng = _seeded_rng(plan.seed)
 
     def ratios(Z) -> np.ndarray:
         """The ray's ratio at every row of Z, one array call per kernel."""
@@ -512,7 +519,7 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     violations: List[InclusionViolation] = []
     undetermined = 0
     checked = 0

@@ -17,10 +17,10 @@ from plurikernel import (
     psi_jet,
     signed_boundary_distance,
 )
-from plurikernel.domains import boundary_samples, nearest_boundary_point
+from plurikernel.domains import _FOOTPOINT_MAX_ITER, boundary_samples, nearest_boundary_point
 from plurikernel.errors import DomainError
 from plurikernel.expressions import ScalarField
-from plurikernel.utils import as_vector, herm, sample_ball, sample_sphere
+from plurikernel.utils import herm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 
@@ -53,20 +53,19 @@ def test_psi_jet_rejects_far_points():
 def test_psi_jet_evaluates_the_expression_jet_once(monkeypatch):
     dom = DomainSpec.custom("z1*conj(z1) + z2*conj(z2) + 0.2*re(z1*z2) - 1", n=2)
     z = np.array([0.3, 0.4j])
-    calls = []
-    jet = ScalarField.jet
-    monkeypatch.setattr(ScalarField, "jet", lambda self, w: calls.append(w) or jet(self, w))
+    jets, fields = _counted(monkeypatch, "jet"), _counted(monkeypatch, "__call__")
     v, g, h = psi_jet(dom, z)
-    assert len(calls) == 1
+    # the value, too, comes from the jet
+    assert (len(jets), len(fields)) == (1, 0)
     assert v == dom.psi(z)
     assert g.tobytes() == dom.grad_psi(z).tobytes()
     assert h.tobytes() == dom.hess_psi(z).tobytes()
 
 
 def test_custom_psi_nonfinite_raises():
-    # 1/re(z1) is infinite at 0, and 1/0 everywhere: each path raises
+    # 1/re(z1) is infinite at 0, and 1/0 and log(0) everywhere: each path raises
     # DomainError, and numpy's division warning does not escape
-    for source in ("1/re(z1) - 1", "z1*conj(z1) - 1/0"):
+    for source in ("1/re(z1) - 1", "z1*conj(z1) - 1/0", "log(0)"):
         dom = DomainSpec.custom(source, n=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -236,30 +235,91 @@ def test_signed_distance_custom_footpoint():
     assert signed_boundary_distance(dom, [0.3, 0.2]) == pytest.approx(ref, abs=1e-12)
 
 
-def _central_difference_gradient(psi, z, h=1e-6):
-    """Wirtinger gradient of psi from central differences of step h."""
-    g = np.zeros(len(z), dtype=complex)
-    for j in range(len(z)):
-        e = np.zeros(len(z), complex)
-        e[j] = 1.0
-        dx = (psi(z + h * e) - psi(z - h * e)) / (2 * h)
-        dy = (psi(z + 1j * h * e) - psi(z - 1j * h * e)) / (2 * h)
-        g[j] = 0.5 * (dx - 1j * dy)
-    return g
+def _counted(monkeypatch, method):
+    """A list that gets one entry per call of ``ScalarField.<method>``."""
+    calls = []
+    original = getattr(ScalarField, method)
+    monkeypatch.setattr(ScalarField, method,
+                        lambda self, z: calls.append(1) or original(self, z))
+    return calls
 
 
-def test_footpoint_stall_stops_before_budget(monkeypatch):
-    # with a central-difference gradient in place of the exact jet, this
-    # point's tangential residual stays above the stop test and the iterates
-    # repeat, so the iteration raises long before its 200 steps (with the
-    # jet it converges, below)
-    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
-    monkeypatch.setattr(DomainSpec, "grad_psi",
-                        lambda self, z: _central_difference_gradient(self.psi, as_vector(z)))
-    z = sample_ball(np.random.default_rng(0), 2, 0.9)
+def test_footpoint_on_a_ridge_raises_with_its_trace():
+    # the nearest boundary point of (1e-3, 2) lies on the ridge re(z1) = 0 of
+    # |re z1| + |z2|^2 = 1, where psi has no gradient: no iterate meets the
+    # stop test, and the iteration spends its budget and reports every step
+    dom = DomainSpec.custom("abs(re(z1))+z2*conj(z2)-1", n=2)
     with pytest.raises(ConvergenceError) as info:
-        signed_boundary_distance(dom, z)
-    assert 0 < len(info.value.trace) < 200
+        signed_boundary_distance(dom, [1e-3, 2.0])
+    assert len(info.value.trace) == _FOOTPOINT_MAX_ITER
+
+
+def _inside_and_outside(rng, axes):
+    """40 points inside the ellipsoid with semi-axes ``axes`` and 20 outside, up to 5 times as far out."""
+    inside = [sample_ball(rng, 2, 0.95) * axes for _ in range(40)]
+    outside = [sample_sphere(rng, 2) * (1.05 + 4 * rng.random()) * axes for _ in range(20)]
+    return inside + outside
+
+
+@pytest.mark.parametrize("a", [1, 4, 25, 100])
+def test_footpoint_sweep_on_expression_ellipsoids(a, monkeypatch):
+    # |z1|^2 + a |z2|^2 < 1 written as an expression: every distance, inside
+    # and outside, is the ellipsoid kind's, at a median of at most 10 jets
+    dom = DomainSpec.custom(f"z1*conj(z1)+{a}*z2*conj(z2)-1", n=2)
+    ellipsoid = DomainSpec.ellipsoid([1.0, a])
+    jets = _counted(monkeypatch, "jet")
+    per_call = []
+    for z in _inside_and_outside(np.random.default_rng(13), np.array([1.0, a ** -0.5])):
+        jets.clear()
+        d = signed_boundary_distance(dom, z)
+        per_call.append(len(jets))
+        assert d == pytest.approx(signed_boundary_distance(ellipsoid, z), abs=1e-14)
+    assert np.median(per_call) <= 10
+
+
+def test_footpoint_sweep_on_a_perturbed_ball(monkeypatch):
+    # |z|^2 + 0.1 Re(z1^2 conj(z2)) - 1 has no closed form: each foot point is
+    # on the boundary, z - x is normal there, and no boundary sample is nearer
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)+0.1*re(z1**2*conj(z2))-1", n=2)
+    rng = np.random.default_rng(17)
+    samples = boundary_samples(dom, 4000, rng)
+    jets = _counted(monkeypatch, "jet")
+    per_call = []
+    for z in _inside_and_outside(rng, np.ones(2)):
+        jets.clear()
+        x = nearest_boundary_point(dom, z)
+        per_call.append(len(jets))
+        assert abs(dom.psi(x)) < 1e-14
+        nu = boundary_frame(dom, x).nu
+        w = z - x
+        assert np.linalg.norm(w - np.real(herm(w, nu)) * nu) < 1e-12
+        assert np.linalg.norm(w) <= np.min(np.linalg.norm(samples - z, axis=1)) + 1e-12
+    assert np.median(per_call) <= 10
+
+
+def test_footpoint_starts_on_the_boundary(monkeypatch):
+    # the points of the benchmark's custom-ball distances: the start, the end
+    # of the ray bracket with the smaller |psi|, already meets the stop test;
+    # one field call gives the sign, one or two the bracket, one its two ends
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
+    fixed = np.random.default_rng(0)
+    points = [sample_ball(fixed, 2, 0.9) for _ in range(100)]
+    jets, fields = _counted(monkeypatch, "jet"), _counted(monkeypatch, "__call__")
+    for z in points:
+        jets.clear()
+        fields.clear()
+        assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-15)
+        assert len(jets) == 1
+        assert len(fields) in (2, 4)
+
+
+def test_footpoint_at_the_centre_of_the_ball(monkeypatch):
+    # at the centre every boundary point is nearest, and I + lam Hess psi is
+    # 0 on the tangent space: the start is accepted, not slid
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
+    jets = _counted(monkeypatch, "jet")
+    assert signed_boundary_distance(dom, [0, 0]) == -1.0
+    assert len(jets) == 1
 
 
 def test_expression_ball_distance_sweep():

@@ -143,6 +143,14 @@ def test_horoball_inclusion_requires_finite_lambda():
         horoball_inclusion_check(identity_map(2), E1, E1, float("inf"))
 
 
+def test_negative_seed_is_refused():
+    # numpy's default_rng raises a bare ValueError for a negative seed
+    with pytest.raises(ValidationError, match="seed"):
+        lambda_estimate(blaschke_map(0.5), P1, P1, SamplingPlan(seed=-1))
+    with pytest.raises(ValidationError, match="seed"):
+        horoball_inclusion_check(blaschke_map(0.5), P1, P1, 1.0 / 3.0, seed=-1)
+
+
 # -- derivative probes --------------------------------------------------------------
 
 def test_probes_identity_ball():

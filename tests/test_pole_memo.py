@@ -5,7 +5,14 @@ import pytest
 
 from plurikernel import DomainSpec, NotOnBoundaryError
 from plurikernel.bounds import tangent_balls
-from plurikernel.domains import _POLE_MEMO_SIZE, boundary_frame, boundary_samples, osculating_radii
+from plurikernel.domains import (
+    _POLE_MEMO_SIZE,
+    boundary_frame,
+    boundary_samples,
+    levi_density,
+    osculating_radii,
+)
+from plurikernel.expressions import ScalarField
 
 DOMAINS = [
     DomainSpec.ellipsoid([1.0, 2.0]),
@@ -21,7 +28,7 @@ def _frame_bytes(frame):
 
 
 def _geometry(dom, p):
-    return _frame_bytes(boundary_frame(dom, p)), tuple(osculating_radii(dom, p))
+    return _frame_bytes(boundary_frame(dom, p)), tuple(osculating_radii(dom, p)), levi_density(dom, p)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
@@ -51,6 +58,16 @@ def test_stored_arrays_reject_writes(dom):
     assert frame.p[0] != 0.0
 
 
+def test_levi_density_is_computed_once_per_pole(monkeypatch):
+    dom = DOMAINS[2]
+    p = boundary_samples(dom, 1, np.random.default_rng(7))[0]
+    first = levi_density(dom, p)
+    jets = []
+    monkeypatch.setattr(ScalarField, "jet", lambda self, z: jets.append(1))
+    assert levi_density(dom, list(p)) == first
+    assert jets == []
+
+
 def test_memo_size_is_bounded():
     dom = DomainSpec.ellipsoid([1.0, 2.0])
     for p in boundary_samples(dom, _POLE_MEMO_SIZE + 10, np.random.default_rng(5)):
@@ -68,4 +85,6 @@ def test_rejected_pole_is_not_stored(dom):
                 boundary_frame(dom, q)
             with pytest.raises(NotOnBoundaryError):
                 osculating_radii(dom, q)
+            with pytest.raises(NotOnBoundaryError):
+                levi_density(dom, q)
         assert all(key[1] != q.tobytes() for key in dom._poles)
