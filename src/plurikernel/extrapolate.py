@@ -104,17 +104,23 @@ def aitken(values) -> Extrapolation:
 
 def refine_until(f, *, start_level: int = 3, max_level: int = 26,
                  divergence_threshold: float = 1e9) -> Extrapolation:
-    """Sample f at h_k = 2**-k for k = start_level.. and Richardson-extrapolate.
+    """Sample f at h_k = 2**-k for k = start_level..max_level and Richardson-extrapolate.
 
-    Stops early when the error estimate is exactly 0, which no later level
-    can improve, or when the raw values blow past ``divergence_threshold``
-    (reported as divergence, with the last raw value as the limit).
+    ``f`` takes the array of every level's h and returns the array of its
+    values, so the whole ladder is one call.  The tableau is then grown one
+    level at a time.  It stops early when the error estimate is exactly 0,
+    which no later level can improve, or when a raw value blows past
+    ``divergence_threshold`` (reported as divergence, with the last raw value
+    as the limit); the values past the stop are never read.
+
+    If the array call raises, the levels are walked one at a time, each a
+    one-element call of ``f``: an error at a level the ladder never reaches
+    does not surface, and one at a level it reaches is raised there.
     """
     vals = []
     table = RichardsonTableau()
     best = None
-    for k in range(start_level, max_level + 1):
-        v = f(2.0 ** (-k))
+    for v in _level_values(f, np.ldexp(1.0, -np.arange(start_level, max_level + 1))):
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         vals.append(v)
@@ -126,3 +132,14 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     if best is None:
         best = richardson(vals)
     return best
+
+
+def _level_values(f, hs: np.ndarray):
+    """f at every level in one call, or, if that call raises, a lazy walk level by level."""
+    try:
+        values = f(hs)
+    except Exception:
+        return (f(hs[i:i + 1])[0] for i in range(len(hs)))
+    if np.shape(values) != hs.shape:
+        raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
+    return values

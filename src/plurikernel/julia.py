@@ -48,7 +48,7 @@ from .domains import (
 from .errors import NumericalError, ValidationError, malformed_spec, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
 from .kernels import KernelValue, _to_unit_ball, kobayashi, mobius_ball, mobius_ball_jacobian
-from .utils import as_rows, as_vector, herm, norm, sample_ball
+from .utils import as_rows, as_vector, herm, norm, row_norms, sample_ball_rows
 
 _DIVERGENCE = 1e6
 _RAY_START_LEVEL = 3        # lambda_estimate: normal-ray levels, h = 2^-level
@@ -366,30 +366,46 @@ def _ratio_lower(num_hi, den_lo):
     return np.divide(num_hi, den_lo, out=np.full(np.shape(num_hi), np.inf), where=den_lo < 0.0)
 
 
-def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
-    """Refine Omega_p(z)/Omega_q(f(z)) from enclosure ends along z = p - h nu.
+def _divide(num, den):
+    """num / den on arrays, raising ZeroDivisionError where Python's float / would."""
+    if np.any(den == 0.0):
+        raise ZeroDivisionError("float division by zero")
+    return num / den
 
-    Each image point must lie inside the target; the ratio at a level is
-    ``_ratio_lower``'s, so a zero target end reads as divergence.
+
+def _ray(p: np.ndarray, nu: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The points p - h nu of the inward normal ray, one row per step h."""
+    return p - h[:, None] * nu
+
+
+def _kernel_ratios(mapspec: MapSpec, p, q, Z) -> np.ndarray:
+    """``_ratio_lower`` of Omega_p(z)/Omega_q(f(z)) at every row of Z, one array call per kernel.
+
+    Each image point must lie inside the target; a zero target end gives +inf.
     """
-    src, tgt = mapspec.source, mapspec.target
+    W = mapspec(Z)
+    if np.any(mapspec.target.psi_rows(W) >= 0):
+        raise ValidationError("map sends a sample outside the target domain")
+    return _ratio_lower(kernel_values(mapspec.source, p, Z)[1],
+                        kernel_values(mapspec.target, q, W)[0])
 
-    def ratio(h) -> float:
-        z = p - h * nu
-        w = mapspec(z)
-        if tgt.psi(w) >= 0:
-            raise ValidationError("map sends a sample outside the target domain")
-        return float(_ratio_lower(kernel_value(src, p, z).hi, kernel_value(tgt, q, w).lo))
 
-    return refine_until(ratio, start_level=start_level, max_level=max_level,
+def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
+    """Refine ``_kernel_ratios`` along z = p - h nu, every level in one array call.
+
+    A zero target end reads as divergence.
+    """
+    return refine_until(lambda h: _kernel_ratios(mapspec, p, q, _ray(p, nu, h)),
+                        start_level=start_level, max_level=max_level,
                         divergence_threshold=_DIVERGENCE)
 
 
 def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) -> np.ndarray:
-    """``count`` seeded interior points, as an array, drawn one ``sample_ball`` at a time.
+    """``count`` seeded interior points, as an array, drawn a batch at a time.
 
-    Each batch draws exactly the points still missing (within a budget of
-    50 * count draws), so the accepted points are those a draw-and-test loop
+    Each batch is one ``sample_ball_rows`` call for exactly the points still
+    missing (within a budget of 50 * count draws), on the per-row stream of
+    ``sample_ball``, so the accepted points are those a draw-and-test loop
     would accept, in the same order.
     """
     radius = radius_cap * domain.bounding_radius()
@@ -399,7 +415,7 @@ def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) ->
     while got < count and attempts < budget:
         k = min(count - got, budget - attempts)
         attempts += k
-        Z = domain.interior + np.array([sample_ball(rng, domain.n, radius) for _ in range(k)])
+        Z = domain.interior + sample_ball_rows(rng, k, domain.n, radius)
         Z = Z[domain.psi_rows(Z) < -1e-9]
         out.append(Z)
         got += len(Z)
@@ -422,22 +438,15 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     nu = outward_normal(src, p)
     rng = _seeded_rng(plan.seed)
 
-    def ratios(Z) -> np.ndarray:
-        """The ray's ratio at every row of Z, one array call per kernel."""
-        W = mapspec(Z)
-        if np.any(tgt.psi_rows(W) >= 0):
-            raise ValidationError("map sends a sample outside the target domain")
-        return _ratio_lower(kernel_values(src, p, Z)[1], kernel_values(tgt, q, W)[0])
-
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
-    sup = float(np.max(ratios(grid), initial=0.0))
+    sup = float(np.max(_kernel_ratios(mapspec, p, q, grid), initial=0.0))
 
     ray = _kernel_ratio_ray(mapspec, p, q, nu, _RAY_START_LEVEL, _RAY_MAX_LEVEL)
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
     h = 2.0 ** -np.arange(_RAY_START_LEVEL, _RAY_START_LEVEL + 6)
-    sup = max(sup, float(np.max(ratios(p - h[:, None] * nu))))
+    sup = max(sup, float(np.max(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))))
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
                        target=q, ray_error=ray.error)
@@ -475,9 +484,10 @@ def _horoball_draws(rng, n: int, R: float, count: int, Q: Optional[np.ndarray]) 
 
     In coordinates with p = e1 the horoball is the ellipsoid
     (1+R)|w1 - 1/(1+R)|^2 + R ||w'||^2 < R^2/(1+R); ``Q`` is a unitary
-    sending e1 to p, or None when p = e1.  One ``sample_ball`` per row.
+    sending e1 to p, or None when p = e1.  The unit-ball draws are one
+    ``sample_ball_rows`` call, on the per-row stream of ``sample_ball``.
     """
-    U = np.array([sample_ball(rng, n, 1.0) for _ in range(count)])
+    U = sample_ball_rows(rng, count, n, 1.0)
     W = np.empty_like(U)
     W[:, 0] = 1.0 / (1.0 + R) + (R / (1.0 + R)) * U[:, 0]
     W[:, 1:] = math.sqrt(R / (1.0 + R)) * U[:, 1:]
@@ -562,10 +572,9 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     nu = outward_normal(src, p)
 
     def tightness(h):
-        z = p - h * nu
-        Rz = -1.0 / kernel_value(src, p, z).hi
-        val = kernel_value(tgt, q, mapspec(z))
-        return (-1.0 / val.hi) / (lam * Rz)
+        Z = _ray(p, nu, h)
+        Rz = _divide(-1.0, kernel_values(src, p, Z)[1])
+        return _divide(-1.0, kernel_values(tgt, q, mapspec(Z))[1]) / (lam * Rz)
 
     ray = refine_until(tightness, start_level=4, max_level=24)
     return InclusionReport(radii=tuple(radii), checked=checked,
@@ -723,18 +732,19 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     dist_deep = abs(signed_boundary_distance(tgt, w_deep))
     q = nearest_boundary_point(tgt, w_deep) if dist_deep < 1e-4 else None
 
-    # condition 3: boundary distance ratio
-    ratio3 = refine_until(
-        lambda h: abs(signed_boundary_distance(tgt, mapspec(p - h * nu)))
-        / abs(signed_boundary_distance(src, p - h * nu)),
-        start_level=_EQUIV_START_LEVEL, max_level=_EQUIV_MAX_LEVEL,
-        divergence_threshold=_DIVERGENCE)
+    def distance_ratios(h):     # condition 3; balls' signed distances |z - c| - r
+        Z = _ray(p, nu, h)
+        return _divide(np.abs(row_norms(mapspec(Z) - tgt.center) - tgt.radius),
+                       np.abs(row_norms(Z - src.center) - src.radius))
 
-    # condition 2: Kobayashi distance defect
-    cond2 = refine_until(
-        lambda h: kobayashi(src, src.interior, p - h * nu)
-        - kobayashi(tgt, mapspec(p - h * nu), tgt.interior),
-        start_level=_EQUIV_START_LEVEL, max_level=_EQUIV_MAX_LEVEL)
+    def kobayashi_defects(h):   # condition 2
+        Z = _ray(p, nu, h)
+        return kobayashi(src, src.interior, Z) - kobayashi(tgt, mapspec(Z), tgt.interior)
+
+    ratio3 = refine_until(distance_ratios, start_level=_EQUIV_START_LEVEL,
+                          max_level=_EQUIV_MAX_LEVEL, divergence_threshold=_DIVERGENCE)
+    cond2 = refine_until(kobayashi_defects, start_level=_EQUIV_START_LEVEL,
+                         max_level=_EQUIV_MAX_LEVEL)
 
     # condition 1: kernel ratio toward the detected q
     if q is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .extrapolate import Extrapolation, RichardsonTableau, richardson
-from .utils import as_rows, as_vector, herm, norm, row_norms
+from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
 _SPHERE_TOL = 1e-9
@@ -192,28 +192,27 @@ def mobius_ball(z0, w) -> np.ndarray:
     """The standard involutive automorphism phi_{z0} of the unit ball.
 
     phi_{z0}(z0) = 0, phi_{z0} o phi_{z0} = id, maps the closed ball onto
-    itself; phi_0 = -id.  Acts on the last axis: w is a point (n,) or an
-    (M, n) array of points, mapped row by row.
+    itself; phi_0 = -id.  Acts on the last axis: the anchor z0 and the point
+    w are each a point (n,) or an (M, n) array of points, and rows are
+    mapped row by row, each as one call would map it.
     """
-    z0 = as_vector(z0)
-    if np.ndim(w) == 2:
-        w = as_rows(w, len(z0))
-        too_long = np.any(row_norms(w) > 1.0 + 1e-12)
-    else:
-        w = as_vector(w, len(z0))
-        too_long = norm(w) > 1.0 + 1e-12
-    a2 = float(np.real(herm(z0, z0)))
-    if a2 >= 1.0:
+    z0 = as_rows(z0, np.shape(z0)[1]) if np.ndim(z0) == 2 else as_vector(z0)
+    w = as_points(w, z0.shape[-1])
+    a2 = (z0 * z0.conj()).sum(axis=-1, keepdims=True).real
+    if (a2 >= 1.0).any():
         raise ValidationError("automorphism anchor must be inside the open ball")
-    if too_long:
+    if (point_norms(w) > 1.0 + 1e-12).any():
         raise ValidationError("point must be in the closed ball")
-    if a2 == 0.0:
-        return -w
-    s = math.sqrt(1.0 - a2)
-    ip = np.sum(w * np.conj(z0), axis=-1, keepdims=True)     # <w, z0>
+    zero = a2 == 0.0
+    phi0 = zero.any()
+    if phi0:
+        a2 = np.where(zero, 1.0, a2)    # those rows are -w, taken at the end
+    s = np.sqrt(1.0 - a2)
+    ip = (w * z0.conj()).sum(axis=-1, keepdims=True)     # <w, z0>
     # parts divided apart: numpy's complex / real rounds differently
     proj = (ip.real / a2 + 1j * (ip.imag / a2)) * z0
-    return (z0 - proj - s * (w - proj)) / (1.0 - ip)
+    out = (z0 - proj - s * (w - proj)) / (1.0 - ip)
+    return np.where(zero, -w, out) if phi0 else out
 
 
 def mobius_ball_jacobian(z0, w) -> np.ndarray:
@@ -231,23 +230,25 @@ def mobius_ball_jacobian(z0, w) -> np.ndarray:
     return (-L * d + np.outer(z0 - L @ w, np.conj(z0))) / d ** 2
 
 
-def kobayashi(domain, z, w) -> float:
+def kobayashi(domain, z, w):
     """Kobayashi distance of a ball B(c, r): arctanh of the Mobius invariant.
 
     Points are carried to the unit ball by (z - c)/r.  For the disc this is
-    the Poincare distance (1/2) log((1+m)/(1-m)) with m = |phi_z(w)|.
+    the Poincare distance (1/2) log((1+m)/(1-m)) with m = |phi_z(w)|.  z and
+    w are each a point (n,) or an (M, n) array of points; with rows the
+    distances come as an array, each as one call would give it.
     """
     from .domains import DomainSpec
 
     if not isinstance(domain, DomainSpec) or not domain.is_ball_like:
         raise ValidationError("kobayashi distance is provided for balls")
     c, r = domain.center, domain.radius
-    z = _to_unit_ball(c, r, as_vector(z, domain.n))
-    w = _to_unit_ball(c, r, as_vector(w, domain.n))
-    if norm(z) >= 1.0 or norm(w) >= 1.0:
+    z = _to_unit_ball(c, r, as_points(z, domain.n))
+    w = _to_unit_ball(c, r, as_points(w, domain.n))
+    if (point_norms(z) >= 1.0).any() or (point_norms(w) >= 1.0).any():
         raise ValidationError("points must lie in the open ball")
-    m = norm(mobius_ball(z, w))
-    return float(np.arctanh(min(m, 1.0 - 1e-16)))
+    d = np.arctanh(np.minimum(point_norms(mobius_ball(z, w)), 1.0 - 1e-16))
+    return d if d.ndim else float(d)
 
 
 # -- pluricomplex Poisson kernel of balls -------------------------------------

@@ -45,6 +45,7 @@ from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 1 << 16      # nodes per block in reproduce: a block's temporaries stay in cache
+_MAX_NODES = 1 << 24  # sphere_quadrature's largest rule: 256 MiB per coordinate of its nodes
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +81,16 @@ def _gauss_legendre(m: int) -> tuple:
 
 
 def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
-    """Quadrature for the boundary measure of the unit ball, n in {1, 2}."""
+    """Quadrature for the boundary measure of the unit ball, n in {1, 2}.
+
+    The rule has resolution**(2n - 1) nodes, at most 2^24.
+    """
     if resolution < 4:
         raise ValidationError("resolution must be at least 4")
+    nodes = resolution ** (2 * n - 1)
+    if nodes > _MAX_NODES:
+        raise ValidationError(f"resolution {resolution} gives a rule of {nodes} nodes "
+                              f"in C^{n}, above the cap of 2^24 = {_MAX_NODES} nodes")
     theta = TWO_PI * np.arange(resolution) / resolution
     if n == 1:
         nodes = np.exp(1j * theta)[:, None]

@@ -37,6 +37,11 @@ def as_rows(Z, n: int) -> np.ndarray:
     return A
 
 
+def as_points(z, n: int) -> np.ndarray:
+    """``as_rows`` for a 2-d array, ``as_vector`` for one point."""
+    return as_rows(z, n) if np.ndim(z) == 2 else as_vector(z, n)
+
+
 def herm(v, w) -> complex:
     """Standard Hermitian product <v, w> = sum v_j * conj(w_j)."""
     return complex(np.sum(np.asarray(v, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
@@ -57,6 +62,11 @@ def row_norms(W: np.ndarray) -> np.ndarray:
     """``norm`` of every row of an (M, n) complex array, rounded as ``norm`` rounds one row."""
     re, im = W.real, W.imag
     return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def point_norms(z: np.ndarray):
+    """``norm`` of one point, as a numpy float, or ``row_norms`` of every row of an (M, n) array."""
+    return row_norms(z) if z.ndim == 2 else np.linalg.norm(z)
 
 
 def to_real(v: np.ndarray) -> np.ndarray:
@@ -81,3 +91,21 @@ def sample_ball(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.nda
     """Uniform point in the ball of C^n (Lebesgue measure on R^{2n})."""
     v = sample_sphere(rng, n)
     return v * radius * rng.random() ** (1.0 / (2 * n))
+
+
+def sample_ball_rows(rng: np.random.Generator, count: int, n: int,
+                     radius: float = 1.0) -> np.ndarray:
+    """``count`` rows of ``sample_ball(rng, n, radius)``, bit for bit.
+
+    Each row draws as ``sample_ball`` draws, 2n normals and one uniform, so
+    the generator's stream is unchanged; the arithmetic is done on arrays.
+    ``row_norms`` rounds as the sphere's norm and ``float_power`` as
+    Python's ``**`` (numpy's ``**`` does not).
+    """
+    G = np.empty((count, 2 * n))
+    u = np.empty(count)
+    for i in range(count):
+        rng.standard_normal(out=G[i])
+        u[i] = rng.random()
+    V = G[:, :n] + 1j * G[:, n:]
+    return V / row_norms(V)[:, None] * radius * np.float_power(u, 1.0 / (2 * n))[:, None]

@@ -13,10 +13,12 @@ from plurikernel import (
     kernel_value,
     kernel_values,
     kobayashi,
+    mobius_ball,
     pullback_kernel,
     signed_boundary_distance,
 )
-from plurikernel.utils import sample_ball, sample_sphere
+from plurikernel.errors import ValidationError
+from plurikernel.utils import sample_ball, sample_ball_rows, sample_sphere
 
 
 def test_one_ball_kind():
@@ -96,6 +98,52 @@ def test_kobayashi_on_ball_is_unit_ball_distance_of_transport(dom, rng):
         w = c + r * sample_ball(rng, dom.n, 0.99)
         assert kobayashi(dom, z, w) == kobayashi(unit, (z - c) / r, (w - c) / r)
         assert kobayashi(dom, z, w) == pytest.approx(kobayashi(dom, w, z), rel=1e-12, abs=1e-15)
+
+
+def _bytes(rows):
+    return np.asarray(rows).tobytes()
+
+
+@pytest.mark.parametrize("dom", [DomainSpec.disc(), DomainSpec.unit_ball(2)] + BALLS,
+                         ids=lambda d: d.label or f"B(c, r) in C^{d.n}")
+def test_kobayashi_and_mobius_on_rows_equal_one_call_per_row(dom, rng):
+    c, r, n = dom.center, dom.radius, dom.n
+    Z = c + r * sample_ball_rows(rng, 100, n, 0.999)
+    W = c + r * sample_ball_rows(rng, 100, n, 0.999)
+    z, w = Z[0], W[0]
+    assert _bytes(kobayashi(dom, Z, W)) == _bytes([kobayashi(dom, a, b) for a, b in zip(Z, W)])
+    assert _bytes(kobayashi(dom, z, W)) == _bytes([kobayashi(dom, z, b) for b in W])
+    assert _bytes(kobayashi(dom, Z, w)) == _bytes([kobayashi(dom, a, w) for a in Z])
+    assert type(kobayashi(dom, z, w)) is float
+
+    # anchors and points of the unit ball, one anchor row at 0 (phi_0 = -id)
+    A = sample_ball_rows(rng, 100, n, 0.999)
+    A[7] = 0.0
+    U = sample_ball_rows(rng, 100, n, 1.0)
+    assert _bytes(mobius_ball(A, U)) == _bytes([mobius_ball(a, u) for a, u in zip(A, U)])
+    assert _bytes(mobius_ball(A, U[0])) == _bytes([mobius_ball(a, U[0]) for a in A])
+    assert _bytes(mobius_ball(A[1], U)) == _bytes([mobius_ball(A[1], u) for u in U])
+    assert _bytes(mobius_ball(A[7], U[0])) == _bytes(-U[0])
+
+    # a row on the sphere (exactly, on B(0, 1)) or outside it is refused, as
+    # one call refuses that point
+    e1 = np.eye(n)[0]
+    for scale in ((1.0, 1.01) if r == 1.0 and not c.any() else (1.01,)):
+        bad = c + r * scale * e1
+        Zbad = Z.copy()
+        Zbad[3] = bad
+        for args in ((Zbad, W), (W, Zbad), (z, Zbad), (Zbad, w), (bad, w), (z, bad)):
+            with pytest.raises(ValidationError, match="open ball"):
+                kobayashi(dom, *args)
+        out = A.copy()
+        out[3] = scale * e1
+        with pytest.raises(ValidationError, match="anchor"):
+            mobius_ball(out, U)
+    out = U.copy()
+    out[3] = 1.01 * e1
+    for args in ((A, out), (A[0], out)):
+        with pytest.raises(ValidationError, match="closed ball"):
+            mobius_ball(*args)
 
 
 @pytest.mark.parametrize("dom", BALLS, ids=lambda d: f"C^{d.n}")

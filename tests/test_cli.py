@@ -273,9 +273,13 @@ _GREEN = ["green", "--domain", "unit_ball:2", "--pole", "e1", "--point", "0.3,0"
     (_GREEN + ["--h0", "nan"], "initial step"),
     (_GREEN + ["--h0", "0"], "initial step"),
     (_JULIA + ["--seed", "-1"], "seed"),
+    (_RIESZ[:-2] + ["--resolution", "100000000000"], "cap of 2^24"),
+    (["reproduce", "--domain", "unit_ball:2", "--f", "re(z1)", "--z", "0.3,0",
+      "--resolution", "257"], "cap of 2^24"),
 ], ids=["grid_negative", "grid_zero", "radius_zero", "radius_negative_fraction",
         "radius_minus_one", "radius_inf", "samples_zero", "samples_negative",
-        "grid_count_zero", "radial_grid_zero", "angular_grid_negative", "h0_nan", "h0_zero", "seed_negative"])
+        "grid_count_zero", "radial_grid_zero", "angular_grid_negative", "h0_nan", "h0_zero", "seed_negative",
+        "resolution_above_cap_disc", "resolution_above_cap_ball"])
 def test_out_of_range_sizes_are_json(capsys, argv, subject):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plurikernel import BoundaryCurve, boundary_limit
+from plurikernel.errors import ValidationError
 from plurikernel.extrapolate import aitken, refine_until, richardson
 
 
@@ -76,8 +77,8 @@ def _full_tableau(values, ratio=2.0, orders=None):
 def _rebuilt_every_level(f, start_level, max_level):
     """refine_until's loop (no divergence) with the full tableau rebuilt at every level."""
     vals, best = [], None
-    for k in range(start_level, max_level + 1):
-        vals.append(f(2.0 ** (-k)))
+    for v in f(2.0 ** -np.arange(start_level, max_level + 1.0)):
+        vals.append(v)
         if len(vals) >= 3:
             best = _full_tableau(vals)
             if best[1] == 0.0:
@@ -86,8 +87,9 @@ def _rebuilt_every_level(f, start_level, max_level):
 
 
 def _fields(rng):
-    fields = [lambda h: -2.0 + 0.7 * h + h * h, lambda h: 2.0 + h, lambda h: 1.0,
-              lambda h: complex(np.cos(h), np.sin(3.0 * h))]
+    """Fields of h that take one step or an array of steps."""
+    fields = [lambda h: -2.0 + 0.7 * h + h * h, lambda h: 2.0 + h, lambda h: np.ones_like(h),
+              lambda h: np.cos(h) + 1j * np.sin(3.0 * h)]
     for a, b, c in rng.normal(size=(20, 3)):
         fields.append(lambda h, a=a, b=b, c=c:
                       a + b * np.sqrt(h) + c * np.log1p(h) + 1e-13 * np.sin(1e7 * h))
@@ -113,6 +115,39 @@ def test_refine_until_equals_full_tableau_bit_for_bit(rng):
         for start, stop in ((3, 26), (4, 24), (3, 5), (3, 4)):
             ext = refine_until(f, start_level=start, max_level=stop)
             assert (ext.limit, ext.error) == _rebuilt_every_level(f, start, stop)
+
+
+def test_refine_until_walks_the_levels_when_the_array_call_raises(rng):
+    # an array call that raises at h <= 2^-12 (as an enclosure can fail deep
+    # on a ray): a ladder that stops above that h returns the per-level
+    # ladder's result, one that reaches it raises the same error
+    h_bad = 2.0 ** -12
+
+    def guarded(f, seen):
+        def g(h):
+            seen.append(len(h))
+            if np.any(h <= h_bad):
+                raise ValidationError("enclosure fails below 2^-12")
+            return f(h)
+        return g
+
+    stopping = [lambda h: np.ones_like(h), lambda h: 2.0 + h, lambda h: -2.0 + 0.7 * h + h * h]
+    for f in stopping:
+        seen = []
+        ext = refine_until(guarded(f, seen), start_level=3, max_level=26)
+        assert ext == refine_until(f, start_level=3, max_level=26)
+        assert seen[0] == 24 and set(seen[1:]) == {1} and 3 <= len(seen) - 1 < 9
+    seen = []
+    ext = refine_until(guarded(lambda h: 1.0 / h, seen), start_level=3, max_level=26,
+                       divergence_threshold=1e3)
+    assert ext.diverged and ext.limit == 1024.0 and seen == [24] + [1] * 8
+    for f in _fields(rng)[4:]:
+        seen = []
+        with pytest.raises(ValidationError):
+            refine_until(guarded(f, seen), start_level=3, max_level=26)
+        assert seen == [24] + [1] * 10
+    with pytest.raises(ValueError, match="shape"):    # one value for every level
+        refine_until(lambda h: 1.0)
 
 
 def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):

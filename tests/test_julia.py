@@ -29,7 +29,7 @@ from plurikernel.julia import (
     unitary_map,
 )
 from plurikernel.kernels import mobius_ball
-from plurikernel.utils import sample_ball
+from plurikernel.utils import sample_ball, sample_ball_rows
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 P1 = np.array([1.0 + 0j])
@@ -446,3 +446,15 @@ def test_sample_ball_draws():
             v = ref.normal(size=n) + 1j * ref.normal(size=n)
             want = v / np.linalg.norm(v) * 0.9 * ref.random() ** (1.0 / (2 * n))
             assert np.array_equal(sample_ball(rng, n, 0.9), want)
+
+
+def test_sample_ball_rows_are_stacked_sample_ball_calls():
+    for n in (1, 2, 3):
+        for radius in (0.9, 1.0):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            for count in (1, 7, 500):
+                want = np.array([sample_ball(ref, n, radius) for _ in range(count)])
+                assert sample_ball_rows(rng, count, n, radius).tobytes() == want.tobytes()
+            # the generator goes on as after the per-row loop
+            assert rng.random() == ref.random()
+            assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()

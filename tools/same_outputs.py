@@ -9,8 +9,11 @@ the package from REV's ``src/``, unpacked with ``git archive`` into a
 temporary directory, the other from the working tree's ``src/``.  Both use
 the working tree's ``bench/``.  Every output, a failed operation included,
 is compared by its ``repr``.  Prints, per seed and workload, the number of
-outputs, the number that differ and the first few differences; exits 1 if
-any output differs.
+outputs, the number that differ and the first few differences.
+
+Then every ``plurikernel`` command line of the README's ``sh`` blocks runs
+as ``python -m plurikernel`` under both ``src/`` trees, and their stdout is
+compared byte for byte.  Exits 1 if any output differs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import argparse
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tarfile
@@ -59,6 +64,32 @@ def outputs(src: Path, seed: int) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"the outputs of {src} at seed {seed} could not be computed")
     return json.loads(proc.stdout)
+
+
+def readme_commands() -> list:
+    """The ``plurikernel ...`` lines of the README's sh blocks (as tests/test_cli.py reads them)."""
+    readme = (ROOT / "README.md").read_text()
+    return [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines() if line.startswith("plurikernel ")]
+
+
+def cli_stdout(src: Path, line: str, cwd: str) -> bytes:
+    """The stdout of one README command line, importing the package from ``src``."""
+    env = worker_env()
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, "-m", "plurikernel", *shlex.split(line)[1:]],
+                          env=env, cwd=cwd, capture_output=True).stdout
+
+
+def compare_cli(rev_src: Path, cwd: str) -> int:
+    """Print the README command comparison; returns the number of commands whose stdout differs."""
+    lines = readme_commands()
+    differ = [line for line in lines
+              if cli_stdout(rev_src, line, cwd) != cli_stdout(ROOT / "src", line, cwd)]
+    print(f"  README commands: {len(lines)} run, {len(differ)} differ")
+    for line in differ[:SHOWN]:
+        print(f"    {line}")
+    return len(differ)
 
 
 def unpack_src(rev: str, into: Path) -> Path:
@@ -104,6 +135,8 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
             differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
+        print(f"README commands: {args.rev} against the working tree")
+        differ += compare_cli(rev_src, tmp)
     print(f"{differ} outputs differ")
     return 1 if differ else 0
 
