@@ -200,8 +200,6 @@ def _cmd_reproduce(args) -> int:
     unit = domain.is_ball_like and domain.radius == 1.0 and not domain.center.any()
     if not unit or domain.n not in (1, 2):
         raise ValidationError("reproduction rules cover the disc and the unit ball of C^2")
-    if args.resolution < 4:
-        raise ValidationError("resolution must be at least 4")
     rule = sphere_quadrature(domain.n, args.resolution)
     if args.export_rule:
         with open(args.export_rule, "w") as fh:

@@ -85,33 +85,33 @@ def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
 
     The rule has resolution**(2n - 1) nodes, at most 2^24.
     """
+    if n not in (1, 2):
+        raise ValidationError(f"sphere quadrature implemented for n in {{1, 2}}, got n={n}")
     if resolution < 4:
         raise ValidationError("resolution must be at least 4")
-    nodes = resolution ** (2 * n - 1)
-    if nodes > _MAX_NODES:
-        raise ValidationError(f"resolution {resolution} gives a rule of {nodes} nodes "
+    count = resolution ** (2 * n - 1)
+    if count > _MAX_NODES:
+        raise ValidationError(f"resolution {resolution} gives a rule of {count} nodes "
                               f"in C^{n}, above the cap of 2^24 = {_MAX_NODES} nodes")
     theta = TWO_PI * np.arange(resolution) / resolution
     if n == 1:
         nodes = np.exp(1j * theta)[:, None]
         weights = np.full(resolution, TWO_PI / resolution)
         return QuadratureRule(nodes=nodes, weights=weights, n=1, resolution=resolution)
-    if n == 2:
-        # node (i, j, k) is (cos eta_i e^{i th_j}, sin eta_i e^{i th_k}), in C order
-        x, wx = _gauss_legendre(resolution)
-        eta = (x + 1.0) * (math.pi / 4.0)
-        weta = wx * (math.pi / 4.0)
-        wtheta = TWO_PI / resolution
-        c, s, e = np.cos(eta), np.sin(eta), np.exp(1j * theta)
-        nodes = np.empty((resolution, resolution, resolution, 2), dtype=complex)
-        nodes[..., 0] = (c[:, None] * e)[:, :, None]
-        nodes[..., 1] = s[:, None, None] * e
-        # weight = levi density (= 2) * surface element * quadrature weights,
-        # constant over each eta slab
-        weights = np.repeat(2.0 * c * s * weta * wtheta * wtheta, resolution * resolution)
-        return QuadratureRule(nodes=nodes.reshape(-1, 2), weights=weights, n=2,
-                              resolution=resolution)
-    raise ValidationError(f"sphere quadrature implemented for n in {{1, 2}}, got n={n}")
+    # node (i, j, k) is (cos eta_i e^{i th_j}, sin eta_i e^{i th_k}), in C order
+    x, wx = _gauss_legendre(resolution)
+    eta = (x + 1.0) * (math.pi / 4.0)
+    weta = wx * (math.pi / 4.0)
+    wtheta = TWO_PI / resolution
+    c, s, e = np.cos(eta), np.sin(eta), np.exp(1j * theta)
+    nodes = np.empty((resolution, resolution, resolution, 2), dtype=complex)
+    nodes[..., 0] = (c[:, None] * e)[:, :, None]
+    nodes[..., 1] = s[:, None, None] * e
+    # weight = levi density (= 2) * surface element * quadrature weights,
+    # constant over each eta slab
+    weights = np.repeat(2.0 * c * s * weta * wtheta * wtheta, resolution * resolution)
+    return QuadratureRule(nodes=nodes.reshape(-1, 2), weights=weights, n=2,
+                          resolution=resolution)
 
 
 class _NotRowwise(Exception):

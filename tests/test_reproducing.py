@@ -248,6 +248,12 @@ def test_quadrature_validation():
         sphere_quadrature(3, 16)
     with pytest.raises(ValidationError):
         sphere_quadrature(2, 3)
+    # at most 2^24 nodes: resolution 2^24 on the circle, 256 on the sphere of C^2
+    for n, res in ((1, 2 ** 24 + 1), (1, 10 ** 11), (2, 257)):
+        with pytest.raises(ValidationError, match="cap of 2"):
+            sphere_quadrature(n, res)
+    with pytest.raises(ValidationError, match="n in"):
+        sphere_quadrature(3, 1000)
     rule = sphere_quadrature(2, 8)
     with pytest.raises(ValidationError):
         reproduce(lambda n: np.ones(len(n)), [1.2, 0.0], rule)
