@@ -47,8 +47,9 @@ from .domains import (
 )
 from .errors import NumericalError, ValidationError, malformed_spec, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
-from .kernels import KernelValue, _to_unit_ball, kobayashi, mobius_ball, mobius_ball_jacobian
-from .utils import as_rows, as_vector, herm, norm, row_norms, sample_ball_rows
+from .kernels import (KernelValue, _cabs, _to_unit_ball, kobayashi, mobius_ball,
+                      mobius_ball_jacobian)
+from .utils import as_points, as_vector, herm, norm, row_norms, sample_ball_rows
 
 _DIVERGENCE = 1e6
 _RAY_START_LEVEL = 3        # lambda_estimate: normal-ray levels, h = 2^-level
@@ -67,14 +68,15 @@ _EQUIV_MAX_LEVEL = 24
 class MapSpec:
     """A holomorphic map between disc/ball domains with derivative access.
 
-    ``fn`` acts on the last axis: given a point of shape (n,) it returns the
-    image point, given an (M, n) array of points it returns the (M, m) array
-    of their images, row for row.  Calling the map accepts both shapes and
-    raises ``ValidationError`` when ``fn`` returns another shape.
-
-    ``derivative(z)`` returns the complex Jacobian matrix J with
-    (df_z(v))_i = sum_j J_ij v_j.  ``inverse`` is set for biholomorphisms
-    whose inverse is registered; ``pullback_kernel`` requires it.
+    ``fn`` and ``jacobian`` act on the last axis.  Given a point of shape (n,)
+    ``fn`` returns the image point (m,) and ``jacobian`` the complex Jacobian
+    matrix J (m, n) with (df_z(v))_i = sum_j J_ij v_j; given an (M, n) array
+    of points they return the (M, m) images and the (M, m, n) Jacobians, row
+    for row.  A constant (m, n) Jacobian broadcasts to either shape.  Calling
+    the map and ``derivative`` accept both shapes and raise
+    ``ValidationError`` on any other result shape.  ``inverse`` is set for
+    biholomorphisms whose inverse is registered; ``pullback_kernel`` requires
+    it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -85,19 +87,19 @@ class MapSpec:
     inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, z) -> np.ndarray:
-        if np.ndim(z) == 2:
-            Z = as_rows(z, self.source.n)
-            W = as_rows(self.fn(Z), self.target.n)
-            if len(W) != len(Z):
-                raise ValidationError(f"map sent {len(Z)} points to {len(W)}")
-            return W
-        return as_vector(self.fn(as_vector(z, self.source.n)), self.target.n)
+        Z = as_points(z, self.source.n)
+        W = as_points(self.fn(Z), self.target.n)
+        if W.shape[:-1] != Z.shape[:-1]:
+            raise ValidationError(f"map sent points of shape {Z.shape} to shape {W.shape}")
+        return W
 
     def derivative(self, z) -> np.ndarray:
-        J = np.asarray(self.jacobian(as_vector(z, self.source.n)), dtype=complex)
-        if J.shape != (self.target.n, self.source.n):
+        Z = as_points(z, self.source.n)
+        J = np.asarray(self.jacobian(Z), dtype=complex)
+        shape = Z.shape[:-1] + (self.target.n, self.source.n)
+        if J.shape not in (shape, shape[-2:]):
             raise ValidationError(f"jacobian shape {J.shape} does not match map dimensions")
-        return J
+        return np.broadcast_to(J, shape)
 
 
 def identity_map(n: int) -> MapSpec:
@@ -116,7 +118,7 @@ def blaschke_map(a: complex) -> MapSpec:
     dom = DomainSpec.disc()
     return MapSpec(
         fn=lambda z: (z + a) / (1 + np.conj(a) * z),
-        jacobian=lambda z: np.array([[(1 - abs(a) ** 2) / (1 + np.conj(a) * z[0]) ** 2]]),
+        jacobian=lambda z: (1 - abs(a) ** 2) / (1 + np.conj(a) * z[..., None]) ** 2,
         source=dom, target=dom, describe=f"blaschke(a={a})")
 
 
@@ -125,7 +127,7 @@ def power_map(k: int) -> MapSpec:
         raise ValidationError("power must be a positive integer")
     dom = DomainSpec.disc()
     return MapSpec(fn=lambda z: z ** k,
-                   jacobian=lambda z: np.array([[k * z[0] ** (k - 1)]]),
+                   jacobian=lambda z: k * z[..., None] ** (k - 1),
                    source=dom, target=dom, describe=f"power:{k}")
 
 
@@ -180,14 +182,11 @@ def product_map(n: int) -> MapSpec:
     """Coordinate product (z_1 ... z_n): ball of C^n -> disc."""
     if n < 1:
         raise ValidationError("dimension must be positive")
-
-    def jac(z):
-        rows = np.empty((1, n), dtype=complex)
-        for j in range(n):
-            rows[0, j] = np.prod(np.delete(z, j)) if n > 1 else 1.0
-        return rows
-
-    return MapSpec(fn=lambda z: np.prod(z, axis=-1, keepdims=True), jacobian=jac,
+    diagonal = np.eye(n, dtype=bool)
+    # row j of the stacked copies has 1 in place of z_j; its product is d/dz_j
+    return MapSpec(fn=lambda z: np.prod(z, axis=-1, keepdims=True),
+                   jacobian=lambda z: np.prod(np.where(diagonal, 1.0, z[..., None, :]),
+                                              axis=-1)[..., None, :],
                    source=DomainSpec.unit_ball(n), target=DomainSpec.disc(),
                    describe=f"product:{n}")
 
@@ -607,9 +606,12 @@ class ProbeReport:
 def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
     """Evaluate the four derivative probes along cone directions at p.
 
-    The source and target must be disc/ball kinds so the geodesic projections
-    at p and q are the linear ones rho_tilde(z) = <z, p>, rho(w) = <w, q> q.
-    Refuses to run when the normal-ray dilation diverges.
+    The source and target must be balls B(c, r), so that in the unit-ball
+    coordinates (z - c)/r the geodesic projections at p and q are the linear
+    ones rho_tilde(z) = <z, p>, rho(w) = <w, q> q.  The cone points of every
+    level are one array: one ``psi_rows`` and one ``derivative`` call, and
+    the probes are array reductions.  Refuses to run when the normal-ray
+    dilation diverges.
     """
     src, tgt = mapspec.source, mapspec.target
     if not (src.is_ball_like and tgt.is_ball_like):
@@ -623,62 +625,38 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
         raise ValidationError(
             "boundary dilation diverges along the normal ray; probes refused")
 
-    # tangent directions at p (complex orthogonal complement of nu)
-    frame = boundary_frame(src, p)
-    tangents = list(frame.tangent_basis)
-    directions = [nu]
-    for tau in tangents:
-        for eps in (_APERTURE, -_APERTURE, 1j * _APERTURE, -1j * _APERTURE):
-            d = nu + eps * tau
-            directions.append(d / norm(d))
+    # the normal, then nu + eps tau for each complex tangent tau and each eps
+    tangents = boundary_frame(src, p).tangent_basis
+    eps = np.array([_APERTURE, -_APERTURE, 1j * _APERTURE, -1j * _APERTURE])
+    cone = (nu + eps[:, None] * tangents[:, None, :]).reshape(-1, src.n)
+    directions = np.vstack([nu, cone / row_norms(cone)[:, None]])
+    h = 2.0 ** -np.arange(_PROBE_START_LEVEL, _PROBE_MAX_LEVEL + 1)
+    Z = p - h[:, None, None] * directions            # (level, direction, n)
+    inside = src.psi_rows(Z.reshape(-1, src.n)).reshape(Z.shape[:2]) < 0
+    Z = Z[inside]
+    central = np.broadcast_to(np.arange(len(directions)) == 0, inside.shape)[inside]
 
-    def probes_at(z):
-        J = mapspec.derivative(z)
-        dv = J @ nu
-        r1 = herm(dv, q)
-        defect_v = dv - r1 * q
-        s = abs(1.0 - herm(z, p))
-        vals = {1: r1, 2: math.sqrt(s) * norm(defect_v)}
-        if tangents:
-            worst3 = 0.0
-            worst4 = 0.0
-            for tau in tangents:
-                dt = J @ tau
-                worst3 = max(worst3, abs(herm(dt, q)))
-                worst4 = max(worst4, norm(dt - herm(dt, q) * q))
-            vals[3] = worst3 / math.sqrt(s)
-            vals[4] = worst4
-        else:
-            vals[3] = 0.0
-            vals[4] = 0.0
-        return vals
+    # J v for v = nu, tau_1, ... (one matrix-vector product each, as for one
+    # point), split along q: <J v, q> and the norm of J v - <J v, q> q
+    JV = _apply(mapspec.derivative(Z)[:, None], np.vstack([nu, tangents]))
+    q1 = _to_unit_ball(tgt.center, tgt.radius, q)
+    along = (JV * q1.conj()).sum(axis=-1)
+    across = row_norms((JV - along[..., None] * q1).reshape(-1, tgt.n)).reshape(along.shape)
+    p1, Z1 = (_to_unit_ball(src.center, src.radius, x) for x in (p, Z))
+    root_s = np.sqrt(_cabs(1.0 - (Z1 * p1.conj()).sum(axis=-1)))     # sqrt |1 - <z, p>|
+    probes = [along[:, 0], root_s * across[:, 0],
+              np.max(_cabs(along[:, 1:]), axis=1, initial=0.0) / root_s,
+              np.max(across[:, 1:], axis=1, initial=0.0)]
+    probe_max = {i: float(np.max(_cabs(v), initial=0.0)) for i, v in enumerate(probes, 1)}
 
-    probe_max = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-    central = {1: [], 2: [], 3: []}
-    tail2 = tail3 = 0.0
-    levels = 0
-    for k in range(_PROBE_START_LEVEL, _PROBE_MAX_LEVEL + 1):
-        h = 2.0 ** (-k)
-        for idx, d in enumerate(directions):
-            z = p - h * d
-            if src.psi(z) >= 0:
-                continue
-            vals = probes_at(z)
-            for i in range(1, 5):
-                probe_max[i] = max(probe_max[i], abs(vals[i]))
-            if idx == 0:
-                central[1].append(vals[1])
-                central[2].append(abs(vals[2]))
-                central[3].append(abs(vals[3]))
-                tail2, tail3 = abs(vals[2]), abs(vals[3])
-                levels += 1
-    ext1 = richardson(central[1])
-    ext2 = richardson(central[2], orders=np.arange(1, len(central[2])) * 0.5)
-    ext3 = richardson(central[3], orders=np.arange(1, len(central[3])) * 0.5)
+    r1, r2, r3 = (v[central] for v in probes[:3])
+    ext1 = richardson(r1)
+    ext2 = richardson(r2, orders=np.arange(1, len(r2)) * 0.5)
+    ext3 = richardson(r3, orders=np.arange(1, len(r3)) * 0.5)
     return ProbeReport(probe_max=probe_max,
                        probe1_limit=ext1.limit, probe1_error=ext1.error,
                        probe2_limit=abs(ext2.limit), probe3_limit=abs(ext3.limit),
-                       probe2_tail=tail2, probe3_tail=tail3, levels=levels)
+                       probe2_tail=float(r2[-1]), probe3_tail=float(r3[-1]), levels=len(r1))
 
 
 # -- equivalence of the three finiteness conditions --------------------------------

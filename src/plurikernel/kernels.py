@@ -216,18 +216,26 @@ def mobius_ball(z0, w) -> np.ndarray:
 
 
 def mobius_ball_jacobian(z0, w) -> np.ndarray:
-    """Complex Jacobian matrix J of phi_{z0} at w, (d phi(v))_i = sum_j J_ij v_j."""
+    """Complex Jacobian matrix J of phi_{z0} at w, (d phi(v))_i = sum_j J_ij v_j.
+
+    Acts on the last axis like ``mobius_ball`` with one anchor: a point w
+    gives an (n, n) matrix, an (M, n) array the (M, n, n) matrices, each as
+    one call would give it.  J = (-L d + (z0 - L w) z0^*)/d^2 with
+    d = 1 - <w, z0> and L = P + s(I - P), P the projection onto z0.
+    """
     z0 = as_vector(z0)
     n = len(z0)
-    w = as_vector(w, n)
-    a2 = float(np.real(herm(z0, z0)))
-    if a2 == 0.0:
-        return -np.eye(n, dtype=complex)
+    w = as_points(w, n)
+    a2 = (z0 * z0.conj()).sum().real
     s = math.sqrt(1.0 - a2)
-    P = np.outer(z0, np.conj(z0)) / a2
-    L = P + s * (np.eye(n, dtype=complex) - P)
-    d = 1.0 - herm(w, z0)
-    return (-L * d + np.outer(z0 - L @ w, np.conj(z0))) / d ** 2
+    div = a2 or 1.0     # the anchor 0 has P = 0
+    P = np.outer(z0, z0.conj()) / div
+    L = P + s * (np.eye(n) - P)
+    ip = (w * z0.conj()).sum(axis=-1, keepdims=True)     # <w, z0>
+    # z0 - L w written out as mobius_ball writes it, so rows round as points do
+    proj = (ip.real / div + 1j * (ip.imag / div)) * z0
+    d = (1.0 - ip)[..., None]
+    return (-L * d + (z0 - proj - s * (w - proj))[..., :, None] * z0.conj()) / d ** 2
 
 
 def kobayashi(domain, z, w):

@@ -195,6 +195,25 @@ def test_probes_ball_automorphism(anchor):
     assert est.normal_ray_limit == pytest.approx(oracle, abs=1e-7)
 
 
+def test_probes_on_a_translated_scaled_ball():
+    # z -> c + 1.5 z from the unit ball onto B(c, 1.5) and its inverse: the
+    # projections are read in unit-ball coordinates, so the dilations 1.5 and
+    # 1/1.5 come out with vanishing mixed components
+    c, r = np.array([0.2 + 0.1j, -0.3]), 1.5
+    ball, big = DomainSpec.unit_ball(2), DomainSpec.ball(c, r)
+    p = np.array([0.6, 0.8j])
+    out = MapSpec(fn=lambda z: c + r * z, jacobian=lambda z: r * np.eye(2), source=ball, target=big)
+    back = MapSpec(fn=lambda w: (w - c) / r, jacobian=lambda w: np.eye(2) / r,
+                   source=big, target=ball)
+    for m, a, b, lam in ((out, p, c + r * p, r), (back, c + r * p, p, 1 / r)):
+        assert lambda_estimate(m, a, b, PLAN).normal_ray_limit == pytest.approx(lam, abs=1e-12)
+        assert condition_equivalence_check(m, a).lambda_value == pytest.approx(lam, abs=1e-12)
+        rep = jwc_derivative_probes(m, a, b)
+        assert rep.probe1_limit == pytest.approx(lam, abs=1e-12)
+        assert max(rep.probe2_limit, rep.probe3_limit, rep.probe2_tail, rep.probe3_tail) < 1e-10
+        assert rep.probe_max[4] == pytest.approx(lam, abs=1e-12)
+
+
 def test_probes_refused_for_infinite_dilation():
     with pytest.raises(ValidationError):
         jwc_derivative_probes(constant_map([0.3], 1), P1, P1)
@@ -267,17 +286,13 @@ def test_map_from_json_forms(rng):
 
 
 def test_map_jacobians_match_finite_differences(rng):
-    maps = [blaschke_map(0.3 + 0.2j), power_map(3), diag_map([0.8, 0.5]),
-            ball_auto_map([0.2, 0.1j]), product_map(2)]
-    for m in maps:
-        z = sample_ball(rng, m.source.n, 0.5)
-        J = m.derivative(z)
-        h = 1e-6
-        for j in range(m.source.n):
-            e = np.zeros(m.source.n, complex)
-            e[j] = 1.0
-            col = (m(z + h * e) - m(z - h * e)) / (2 * h)
-            assert np.allclose(J[:, j], col, atol=1e-7), m.describe
+    h = 1e-6
+    for m in _nine_maps() + [diag_map([0.8, 0.5]), product_map(2)]:
+        Z = sample_ball_rows(rng, 20, m.source.n, 0.5)
+        J = m.derivative(Z)
+        for j, e in enumerate(np.eye(m.source.n)):
+            cols = (m(Z + h * e) - m(Z - h * e)) / (2 * h)
+            assert np.allclose(J[:, :, j], cols, atol=1e-7), m.describe
 
 
 def test_map_from_json_rejects_unknown():
@@ -334,9 +349,28 @@ def test_maps_act_row_by_row(rng):
         assert np.array_equal(W, np.array([m(z) for z in Z])), m.describe
         if m.inverse is not None:
             assert np.array_equal(m.inverse(W), np.array([m.inverse(w) for w in W])), m.describe
+        J = m.derivative(Z)
+        assert J.shape == (50, m.target.n, m.source.n), m.describe
+        assert np.array_equal(J, np.array([m.derivative(z) for z in Z])), m.describe
     a = np.array([0.3, -0.2 + 0.1j])
     Z = np.array([sample_ball(rng, 2, 1.0) for _ in range(50)])
     assert np.array_equal(mobius_ball(a, Z), np.array([mobius_ball(a, z) for z in Z]))
+    # a constant Jacobian broadcasts over the rows; any other shape is refused
+    dom, target = DomainSpec.unit_ball(3), DomainSpec.unit_ball(2)
+    A = np.arange(6.0).reshape(2, 3)
+    m = MapSpec(fn=lambda z: z @ A.T, jacobian=lambda z: A, source=dom, target=target)
+    Z = sample_ball_rows(rng, 50, 3, 0.9)
+    assert np.array_equal(m.derivative(Z), np.broadcast_to(A, (50, 2, 3)))
+    assert np.array_equal(m.derivative(Z[0]), A)
+    for jac in (lambda z: A.T,                        # (n, m)
+                lambda z: A[0],                       # a row, which would broadcast
+                lambda z: A[:1],                      # (1, n), which would broadcast
+                lambda z: np.broadcast_to(A, (7, 2, 3)),   # rows that are not the points'
+                lambda z: A[..., None]):
+        m = MapSpec(fn=lambda z: z @ A.T, jacobian=jac, source=dom, target=target)
+        for z in (Z[0], Z):
+            with pytest.raises(ValidationError, match="jacobian shape"):
+                m.derivative(z)
 
 
 def test_map_with_wrong_output_shape_is_refused():
@@ -400,6 +434,44 @@ def test_estimator_outputs_pinned(seed):
         inc = horoball_inclusion_check(m, p, q, lam, samples_per_radius=100, seed=seed)
         assert (inc.checked, len(inc.violations), inc.undetermined) == (checked, violations, undetermined)
         assert _within_2_ulp(inc.ray_tightness.real, tight), label
+
+
+# Recorded from the per-point probes that the array evaluation replaced:
+# probe 1's limit, probe_max, levels, and the probe-2 and probe-3 limits and tails.
+PROBE_PINS = {
+    "blaschke": (0.4285714285714288 + 0j, (0.4609053497942386, 0.0, 0.0, 0.0), 18,
+                 (0.0, 0.0, 0.0, 0.0)),
+    "power": (3 + 0j, (2.99999427795683, 0.0, 0.0, 0.0), 18, (0.0, 0.0, 0.0, 0.0)),
+    "ball_auto": (1.5555349182763734 + 1.364649134435088e-16j,
+                  (1.5555341303890533, 0.09052264432001422, 0.10783201419171617, 1.2472105795308006),
+                  18, (1.7344507745915742e-13, 1.0815868329242106e-12,
+                       0.00025768887687360953, 0.0003213923645277808)),
+    "diag": (1 + 0j, (1.0, 0.0, 0.0, 0.58309518948453), 18, (0.0, 0.0, 0.0, 0.0)),
+    "compose": (1.076923076923077 + 0j, (1.0769229979197408, 0.0, 0.0, 0.0), 18,
+                (0.0, 0.0, 0.0, 0.0)),
+}
+
+
+def test_probe_outputs_pinned():
+    for label, m, p, q, _ in _bench_maps():
+        limit1, maxima, levels, rest = PROBE_PINS[label]
+        calls = []
+
+        def jacobian(z, m=m):
+            calls.append(z.shape)
+            return m.derivative(z)
+
+        counted = MapSpec(fn=m.fn, jacobian=jacobian, source=m.source, target=m.target)
+        rep = jwc_derivative_probes(counted, p, q)
+        assert len(calls) == 1, label
+        assert _within_2_ulp(rep.probe1_limit.real, limit1.real), label
+        assert all(_within_2_ulp(rep.probe_max[i], want) for i, want in enumerate(maxima, 1)), label
+        assert rep.levels == levels, label
+        # round-off parts stay round-off; the others are kept to 2 ulp
+        got = (rep.probe1_limit.imag, rep.probe2_limit, rep.probe3_limit,
+               rep.probe2_tail, rep.probe3_tail)
+        for x, want in zip(got, (limit1.imag,) + rest):
+            assert abs(x) < 1e-10 if abs(want) < 1e-10 else _within_2_ulp(x, want), label
 
 
 # Half the dilation makes about half the horoball samples violations; the
