@@ -74,9 +74,10 @@ class MapSpec:
     of points they return the (M, m) images and the (M, m, n) Jacobians, row
     for row.  A constant (m, n) Jacobian broadcasts to either shape.  Calling
     the map and ``derivative`` accept both shapes and raise
-    ``ValidationError`` on any other result shape.  ``inverse`` is set for
-    biholomorphisms whose inverse is registered; ``pullback_kernel`` requires
-    it.
+    ``ValidationError`` on any other result shape; ``jwc_derivative_probes``
+    takes every Jacobian it needs in one ``derivative`` call on rows.
+    ``inverse`` is set for biholomorphisms whose inverse is registered;
+    ``pullback_kernel`` requires it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
