@@ -144,6 +144,8 @@ def diag_map(coeffs) -> MapSpec:
 
 def ball_auto_map(anchor) -> MapSpec:
     a = as_vector(anchor)
+    if (a * a.conj()).sum().real >= 1.0:      # |a|^2 as mobius_ball measures it
+        raise ValidationError("automorphism anchor must be inside the open ball")
     dom = DomainSpec.unit_ball(len(a))
     return MapSpec(fn=lambda z: mobius_ball(a, z),
                    jacobian=lambda z: mobius_ball_jacobian(a, z), source=dom, target=dom,
@@ -393,11 +395,17 @@ def _kernel_ratios(mapspec: MapSpec, p, q, Z) -> np.ndarray:
 def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
     """Refine ``_kernel_ratios`` along z = p - h nu, every level in one array call.
 
-    A zero target end reads as divergence.
+    A zero target end reads as divergence.  Returns the extrapolation and the
+    arrays of ratios computed: one, or one per level walked.
     """
-    return refine_until(lambda h: _kernel_ratios(mapspec, p, q, _ray(p, nu, h)),
-                        start_level=start_level, max_level=max_level,
-                        divergence_threshold=_DIVERGENCE)
+    values = []
+
+    def ratios(h):
+        values.append(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))
+        return values[-1]
+
+    return refine_until(ratios, start_level=start_level, max_level=max_level,
+                        divergence_threshold=_DIVERGENCE), values
 
 
 def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) -> np.ndarray:
@@ -441,12 +449,11 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
     sup = float(np.max(_kernel_ratios(mapspec, p, q, grid), initial=0.0))
 
-    ray = _kernel_ratio_ray(mapspec, p, q, nu, _RAY_START_LEVEL, _RAY_MAX_LEVEL)
+    ray, ray_values = _kernel_ratio_ray(mapspec, p, q, nu, _RAY_START_LEVEL, _RAY_MAX_LEVEL)
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
-    h = 2.0 ** -np.arange(_RAY_START_LEVEL, _RAY_START_LEVEL + 6)
-    sup = max(sup, float(np.max(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))))
+    sup = max(sup, float(np.max(np.concatenate(ray_values)[:6])))   # first six levels, as evaluated
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
                        target=q, ray_error=ray.error)
@@ -621,7 +628,7 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
     q = as_vector(q, tgt.n)
     nu = outward_normal(src, p)
 
-    probe_ray = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
+    probe_ray, _ = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
     if probe_ray.diverged:
         raise ValidationError(
             "boundary dilation diverges along the normal ray; probes refused")
@@ -729,7 +736,7 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     if q is None:
         v1, fin1 = float("inf"), False
     else:
-        cond1 = _kernel_ratio_ray(mapspec, p, q, nu, _EQUIV_START_LEVEL, _EQUIV_MAX_LEVEL)
+        cond1, _ = _kernel_ratio_ray(mapspec, p, q, nu, _EQUIV_START_LEVEL, _EQUIV_MAX_LEVEL)
         v1, fin1 = _classify(cond1)
 
     v3, fin3 = _classify(ratio3)

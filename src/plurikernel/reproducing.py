@@ -25,17 +25,18 @@ d^c = i(dbar - d) the current dd^c f equals (Lap f) dx dy, so the area
 integral uses the plain Laplacian against Lebesgue measure; the worked cases
 f = |w|^2 and |w|^4 at z = 0 then reproduce f(0) = 0 exactly.
 
-Node sums use numpy pairwise summation in a fixed order, so results are
-deterministic for a given rule.
+A rule is held as its factors, O(resolution^2) numbers.  ``reproduce`` builds
+a few eta slabs of nodes at a time and sums its integrand, one float per node,
+in one numpy pairwise sum: results are deterministic for a given rule.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -44,34 +45,66 @@ from .errors import ValidationError
 from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 16      # nodes per block in reproduce: a block's temporaries stay in cache
-_MAX_NODES = 1 << 24  # sphere_quadrature's largest rule: 256 MiB per coordinate of its nodes
+_BLOCK = 1 << 15      # nodes per block in reproduce: its nodes and temporaries stay in cache
+_MAX_NODES = 1 << 24  # sphere_quadrature's largest rule: a 128 MiB integrand in reproduce
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Boundary nodes and positive weights approximating the boundary measure.
+    """Boundary nodes and positive weights approximating the boundary measure, as factors.
 
-    ``nodes`` and ``weights`` are read-only views: a rule is shared by every
+    A slab is the nodes that share one eta (on the circle, one node): row i
+    of ``slab_coords[j]`` holds the values of coordinate j on slab i, whose
+    nodes are all their combinations in C order, each of weight
+    ``slab_weights[i]``.  ``nodes`` (M, n) and ``weights`` (M,) are built
+    only when asked for.  Every array is read-only: a rule is shared by every
     call made on it, so a field that writes into its argument raises.
     """
 
-    nodes: np.ndarray          # (M, n) complex boundary points
-    weights: np.ndarray        # (M,) positive
+    slab_coords: tuple         # n complex arrays (slabs, 1 or resolution)
+    slab_weights: np.ndarray   # (slabs,) positive
     n: int                     # complex dimension
     resolution: int
 
     def __post_init__(self):
-        nodes, weights = read_only(self.nodes.view(), self.weights.view())
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        views = read_only(*(c.view() for c in self.slab_coords), self.slab_weights.view())
+        object.__setattr__(self, "slab_coords", views[:-1])
+        object.__setattr__(self, "slab_weights", views[-1])
+
+    def __len__(self):
+        return self.resolution ** (2 * self.n - 1)
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.weights))
+        return float(np.sum(self._weights()))     # the pairwise sum of ``weights``, not kept
 
-    def __len__(self):
-        return len(self.weights)
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return next(self._blocks(len(self), order="C"))[1]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return read_only(self._weights())[0]
+
+    def _weights(self) -> np.ndarray:
+        return np.repeat(self.slab_weights, len(self) // self.resolution)
+
+    def _blocks(self, size: int, order: str):
+        """(rows, nodes, coords, weights) for runs of whole slabs of about ``size`` nodes.
+
+        ``nodes`` is a fresh read-only array in memory ``order``; the rest are slices.
+        """
+        per_slab, width = len(self) // self.resolution, self.slab_coords[0].shape[1]
+        step = max(1, size // per_slab)
+        for start in range(0, self.resolution, step):
+            coords = [c[start:start + step] for c in self.slab_coords]
+            slabs = len(coords[0])
+            nodes = np.empty((slabs * per_slab, self.n), dtype=complex, order=order)
+            grid = nodes.reshape((slabs,) + (width,) * self.n + (self.n,), copy=False)
+            for j, coord in enumerate(coords):
+                grid[..., j] = coord.reshape((slabs,) + (1,) * j + (width,) + (1,) * (self.n - 1 - j))
+            yield (slice(start * per_slab, (start + slabs) * per_slab), read_only(nodes)[0],
+                   coords, self.slab_weights[start:start + step])
 
 
 @lru_cache(maxsize=16)
@@ -94,24 +127,19 @@ def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
         raise ValidationError(f"resolution {resolution} gives a rule of {count} nodes "
                               f"in C^{n}, above the cap of 2^24 = {_MAX_NODES} nodes")
     theta = TWO_PI * np.arange(resolution) / resolution
+    e = np.exp(1j * theta)
     if n == 1:
-        nodes = np.exp(1j * theta)[:, None]
-        weights = np.full(resolution, TWO_PI / resolution)
-        return QuadratureRule(nodes=nodes, weights=weights, n=1, resolution=resolution)
-    # node (i, j, k) is (cos eta_i e^{i th_j}, sin eta_i e^{i th_k}), in C order
+        return QuadratureRule(slab_coords=(e[:, None],), n=1, resolution=resolution,
+                              slab_weights=np.full(resolution, TWO_PI / resolution))
+    # node (i, j, k) is (cos eta_i e^{i th_j}, sin eta_i e^{i th_k})
     x, wx = _gauss_legendre(resolution)
     eta = (x + 1.0) * (math.pi / 4.0)
     weta = wx * (math.pi / 4.0)
     wtheta = TWO_PI / resolution
-    c, s, e = np.cos(eta), np.sin(eta), np.exp(1j * theta)
-    nodes = np.empty((resolution, resolution, resolution, 2), dtype=complex)
-    nodes[..., 0] = (c[:, None] * e)[:, :, None]
-    nodes[..., 1] = s[:, None, None] * e
-    # weight = levi density (= 2) * surface element * quadrature weights,
-    # constant over each eta slab
-    weights = np.repeat(2.0 * c * s * weta * wtheta * wtheta, resolution * resolution)
-    return QuadratureRule(nodes=nodes.reshape(-1, 2), weights=weights, n=2,
-                          resolution=resolution)
+    c, s = np.cos(eta), np.sin(eta)
+    # weight = levi density (= 2) * surface element * quadrature weights
+    return QuadratureRule(slab_coords=(c[:, None] * e, s[:, None] * e), n=2, resolution=resolution,
+                          slab_weights=2.0 * c * s * weta * wtheta * wtheta)
 
 
 class _NotRowwise(Exception):
@@ -134,15 +162,20 @@ def _block_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
 
 
 def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
-    """(2 pi)^{-n} sum_i values(rows)_i |Omega_{xi_i}(z)|^n w_i over _BLOCK-row blocks."""
+    """(2 pi)^{-n} sum_i values(rows, nodes)_i |Omega_{xi_i}(z)|^n w_i, block by block."""
     num = 1.0 - float(np.vdot(z, z).real)
     zc = np.conj(z)
     integrand = np.empty(len(rule))
-    for start in range(0, len(rule), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        fvals = values(rows)
-        om = num / np.abs(1.0 - rule.nodes[rows] @ zc) ** 2
-        integrand[rows] = fvals * om ** rule.n * rule.weights[rows]
+    for rows, nodes, coords, weights in rule._blocks(_BLOCK, order="F"):
+        if rule.n == 1:
+            inner = nodes @ zc     # an elementwise product rounds differently
+        else:
+            # <xi, z> = P_j + Q_k on each slab, the products the matrix product forms
+            p, q = coords[0] * zc[0], coords[1] * zc[1]
+            inner = (p[:, :, None] + q[:, None, :]).reshape(-1)
+        om = num / np.abs(1.0 - inner) ** 2
+        terms = values(rows, nodes) * om ** rule.n
+        integrand[rows] = (terms.reshape(len(weights), -1) * weights[:, None]).reshape(-1)
     # one pairwise sum over the whole rule: the result does not depend on _BLOCK
     return float(np.sum(integrand)) / TWO_PI ** rule.n
 
@@ -150,19 +183,20 @@ def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
 def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z.
 
-    ``f`` is called on blocks of rows of ``rule.nodes`` and must act row by
-    row.  If it raises, warns or returns the wrong shape on any block, the
-    whole rule is evaluated again node by node (one call per node).
+    ``f`` is called on blocks of rows of ``rule.nodes``, built a few slabs at
+    a time, and must act row by row.  If it raises, warns or returns the
+    wrong shape on any block, the whole rule is evaluated again node by
+    node (one call per node).
     """
     z = as_vector(z, rule.n)
     if float(np.vdot(z, z).real) >= 1.0:
         raise ValidationError("reproduction point must be interior")
     try:
-        return _node_sum(lambda rows: _block_values(f, rule.nodes[rows]), z, rule)
+        return _node_sum(lambda rows, nodes: _block_values(f, nodes), z, rule)
     except _NotRowwise:
         fvals = np.array([float(np.asarray(f(xi), dtype=complex).reshape(-1)[0].real)
-                          for xi in rule.nodes])
-        return _node_sum(lambda rows: fvals[rows], z, rule)
+                          for _, nodes, _, _ in rule._blocks(_BLOCK, order="F") for xi in nodes])
+        return _node_sum(lambda rows, nodes: fvals[rows], z, rule)
 
 
 @dataclass(frozen=True)
@@ -213,16 +247,14 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
 
 
 def rule_to_csv(rule: QuadratureRule, stream) -> None:
-    """Write a rule as CSV: re/im of each node coordinate, then the weight."""
-    writer = csv.writer(stream, lineterminator="\n")
-    header = []
-    for j in range(rule.n):
-        header += [f"re_z{j + 1}", f"im_z{j + 1}"]
-    header.append("weight")
-    writer.writerow(header)
-    for xi, w in zip(rule.nodes, rule.weights):
-        row = []
-        for j in range(rule.n):
-            row += [repr(float(xi[j].real)), repr(float(xi[j].imag))]
-        row.append(repr(float(w)))
-        writer.writerow(row)
+    """Write a rule as CSV: re/im of each node coordinate, then the weight.
+
+    Rows follow ``rule.nodes`` and are written slab by slab from the rule's
+    factors, so the node array is never built.
+    """
+    header = [f"{part}_z{j + 1}" for j in range(rule.n) for part in ("re", "im")]
+    stream.write(",".join(header + ["weight"]) + "\n")
+    for i, w in enumerate(rule.slab_weights.tolist()):
+        cells = [[f"{x.real!r},{x.imag!r}" for x in coord[i].tolist()]
+                 for coord in rule.slab_coords]
+        stream.writelines(",".join(row) + f",{w!r}\n" for row in itertools.product(*cells))

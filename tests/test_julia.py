@@ -323,6 +323,17 @@ def test_map_range_validation():
         unitary_map([[1, 1]])
 
 
+def test_ball_auto_anchor_checked_when_built():
+    # outside the ball the Jacobian died in math.sqrt; on the sphere it gave a matrix
+    for anchor in ([1.2, 0.0], [0.6, 0.8j], [1.0, 0.0]):
+        with pytest.raises(ValidationError, match="anchor must be inside"):
+            ball_auto_map(anchor)
+        spec = {"ball_auto": {"anchor": [[z.real, z.imag] for z in np.asarray(anchor, complex)]}}
+        with pytest.raises(ValidationError, match="anchor must be inside"):
+            map_from_json(spec)
+    assert ball_auto_map([0.6, 0.79j]).derivative([0.1, 0.0]).shape == (2, 2)
+
+
 def test_unitary_map_preserves_kernel(rng):
     th = 0.4
     U = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
@@ -421,6 +432,35 @@ ESTIMATOR_PINS = {
 
 def _within_2_ulp(got, want):
     return abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))
+
+
+def _counted(m, calls, refuse=None):
+    """m with every call's argument shape appended to calls; refuse(z) true raises."""
+    def fn(z):
+        calls.append(z.shape)
+        if refuse is not None and refuse(z):
+            raise ValueError("refused")
+        return m.fn(z)
+    return MapSpec(fn=fn, jacobian=m.jacobian, source=m.source, target=m.target)
+
+
+def test_lambda_estimate_reads_its_sup_from_the_ray():
+    # the grid and the ray are one map call each; with the ray's array call
+    # refused, the level walk's values give the same report, and no separate
+    # call of the first six levels is made either way
+    for label, m, p, q, _ in _bench_maps():
+        want = lambda_estimate(m, p, q, SamplingPlan(seed=11))
+        calls = []
+        rep = lambda_estimate(_counted(m, calls), p, q, SamplingPlan(seed=11))
+        assert len(calls) == 2 and calls[1] == (24, m.source.n), label
+        calls.clear()
+        walked = lambda_estimate(_counted(m, calls, refuse=lambda z: len(z) == 24), p, q,
+                                 SamplingPlan(seed=11))
+        for got in (rep, walked):
+            assert got.lambda_estimate == want.lambda_estimate, label
+            assert got.normal_ray_limit == want.normal_ray_limit, label
+            assert got.ray_error == want.ray_error, label
+        assert len(calls) > 3 and all(c == (1, m.source.n) for c in calls[2:]), label
 
 
 @pytest.mark.parametrize("seed", [11, 2024])

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import warnings
@@ -138,13 +139,34 @@ def test_factor_built_rule_equals_meshgrid_rule():
 
 
 def test_reproduce_in_blocks_equals_whole_array_formula(rng):
-    rule = sphere_quadrature(2, 64)          # 262,144 nodes: four blocks
+    rule = sphere_quadrature(2, 64)          # 262,144 nodes: eight blocks
     fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
               lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
     for _ in range(4):
         z = sample_ball(rng, 2, 0.9)
         for f in fields:
             assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+
+
+def test_circle_in_blocks_equals_whole_array_formula(rng):
+    rule = sphere_quadrature(1, 100_003)     # four blocks, the last one short
+    fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
+    for _ in range(4):
+        z = sample_ball(rng, 1, 0.95)
+        for f in fields:
+            assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+
+
+def test_reproduce_leaves_node_arrays_unbuilt():
+    for n, res in ((1, 64), (2, 16)):
+        rule = sphere_quadrature(n, res)
+        assert len(rule) == res ** (2 * n - 1)
+        assert rule.total_mass == float(np.sum(sphere_quadrature(n, res).weights))
+        reproduce(lambda N: np.real(N[:, 0]), [0.3] * n, rule)
+        reproduce(lambda xi: float(np.real(xi[0])), [0.3] * n, rule)    # node by node
+        rule_to_csv(rule, io.StringIO())
+        assert "nodes" not in rule.__dict__ and "weights" not in rule.__dict__
+        assert rule.nodes is rule.nodes and rule.weights is rule.weights
 
 
 def test_field_warning_on_one_block_falls_back_node_by_node():
@@ -257,6 +279,28 @@ def test_quadrature_validation():
     rule = sphere_quadrature(2, 8)
     with pytest.raises(ValidationError):
         reproduce(lambda n: np.ones(len(n)), [1.2, 0.0], rule)
+
+
+def _node_array_csv(rule):
+    """The rule's CSV written from its node and weight arrays, the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{part}_z{j + 1}" for j in range(rule.n) for part in ("re", "im")]
+                    + ["weight"])
+    for xi, w in zip(rule.nodes, rule.weights):
+        row = []
+        for j in range(rule.n):
+            row += [repr(float(xi[j].real)), repr(float(xi[j].imag))]
+        writer.writerow(row + [repr(float(w))])
+    return buf.getvalue()
+
+
+def test_rule_csv_equals_node_array_csv():
+    for n in (1, 2):
+        for res in (6, 33):
+            buf = io.StringIO()
+            rule_to_csv(sphere_quadrature(n, res), buf)
+            assert buf.getvalue() == _node_array_csv(sphere_quadrature(n, res)), (n, res)
 
 
 def test_rule_csv_roundtrip():
