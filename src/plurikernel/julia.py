@@ -395,17 +395,11 @@ def _kernel_ratios(mapspec: MapSpec, p, q, Z) -> np.ndarray:
 def _kernel_ratio_ray(mapspec: MapSpec, p, q, nu, start_level: int, max_level: int):
     """Refine ``_kernel_ratios`` along z = p - h nu, every level in one array call.
 
-    A zero target end reads as divergence.  Returns the extrapolation and the
-    arrays of ratios computed: one, or one per level walked.
+    A zero target end reads as divergence.
     """
-    values = []
-
-    def ratios(h):
-        values.append(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))
-        return values[-1]
-
-    return refine_until(ratios, start_level=start_level, max_level=max_level,
-                        divergence_threshold=_DIVERGENCE), values
+    return refine_until(lambda h: _kernel_ratios(mapspec, p, q, _ray(p, nu, h)),
+                        start_level=start_level, max_level=max_level,
+                        divergence_threshold=_DIVERGENCE)
 
 
 def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) -> np.ndarray:
@@ -449,11 +443,21 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
     sup = float(np.max(_kernel_ratios(mapspec, p, q, grid), initial=0.0))
 
-    ray, ray_values = _kernel_ratio_ray(mapspec, p, q, nu, _RAY_START_LEVEL, _RAY_MAX_LEVEL)
+    seen = []      # the ray's ratios: one array, or one per level walked
+
+    def ratios(h):
+        seen.append(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))
+        return seen[-1]
+
+    ray = refine_until(ratios, start_level=_RAY_START_LEVEL, max_level=_RAY_MAX_LEVEL,
+                       divergence_threshold=_DIVERGENCE)
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
-    sup = max(sup, float(np.max(np.concatenate(ray_values)[:6])))   # first six levels, as evaluated
+    walked = sum(map(len, seen))
+    if walked < 6:     # a level walk that stopped early: evaluate the rest of the six
+        ratios(2.0 ** -np.arange(_RAY_START_LEVEL + walked, _RAY_START_LEVEL + 6))
+    sup = max(sup, float(np.max(np.concatenate(seen)[:6])))
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
                        target=q, ray_error=ray.error)
@@ -628,7 +632,7 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
     q = as_vector(q, tgt.n)
     nu = outward_normal(src, p)
 
-    probe_ray, _ = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
+    probe_ray = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
     if probe_ray.diverged:
         raise ValidationError(
             "boundary dilation diverges along the normal ray; probes refused")
@@ -736,7 +740,7 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     if q is None:
         v1, fin1 = float("inf"), False
     else:
-        cond1, _ = _kernel_ratio_ray(mapspec, p, q, nu, _EQUIV_START_LEVEL, _EQUIV_MAX_LEVEL)
+        cond1 = _kernel_ratio_ray(mapspec, p, q, nu, _EQUIV_START_LEVEL, _EQUIV_MAX_LEVEL)
         v1, fin1 = _classify(cond1)
 
     v3, fin3 = _classify(ratio3)

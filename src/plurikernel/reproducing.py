@@ -72,7 +72,7 @@ class QuadratureRule:
         object.__setattr__(self, "slab_weights", views[-1])
 
     def __len__(self):
-        return self.resolution ** (2 * self.n - 1)
+        return len(self.slab_weights) * self.slab_coords[0].shape[1] ** self.n
 
     @property
     def total_mass(self) -> float:
@@ -80,31 +80,32 @@ class QuadratureRule:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return next(self._blocks(len(self), order="C"))[1]
+        return next(self._blocks(len(self)))[1]
 
     @cached_property
     def weights(self) -> np.ndarray:
         return read_only(self._weights())[0]
 
     def _weights(self) -> np.ndarray:
-        return np.repeat(self.slab_weights, len(self) // self.resolution)
+        return np.repeat(self.slab_weights, len(self) // len(self.slab_weights))
 
-    def _blocks(self, size: int, order: str):
-        """(rows, nodes, coords, weights) for runs of whole slabs of about ``size`` nodes.
+    def _blocks(self, size: int):
+        """(rows, nodes, weights) for runs of whole slabs of about ``size`` nodes.
 
-        ``nodes`` is a fresh read-only array in memory ``order``; the rest are slices.
+        ``nodes`` is a fresh read-only C-ordered array; the rest are slices.
         """
-        per_slab, width = len(self) // self.resolution, self.slab_coords[0].shape[1]
+        width = self.slab_coords[0].shape[1]
+        per_slab = width ** self.n
         step = max(1, size // per_slab)
-        for start in range(0, self.resolution, step):
+        for start in range(0, len(self.slab_weights), step):
             coords = [c[start:start + step] for c in self.slab_coords]
             slabs = len(coords[0])
-            nodes = np.empty((slabs * per_slab, self.n), dtype=complex, order=order)
+            nodes = np.empty((slabs * per_slab, self.n), dtype=complex)
             grid = nodes.reshape((slabs,) + (width,) * self.n + (self.n,), copy=False)
             for j, coord in enumerate(coords):
                 grid[..., j] = coord.reshape((slabs,) + (1,) * j + (width,) + (1,) * (self.n - 1 - j))
             yield (slice(start * per_slab, (start + slabs) * per_slab), read_only(nodes)[0],
-                   coords, self.slab_weights[start:start + step])
+                   self.slab_weights[start:start + step])
 
 
 @lru_cache(maxsize=16)
@@ -166,13 +167,8 @@ def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
     num = 1.0 - float(np.vdot(z, z).real)
     zc = np.conj(z)
     integrand = np.empty(len(rule))
-    for rows, nodes, coords, weights in rule._blocks(_BLOCK, order="F"):
-        if rule.n == 1:
-            inner = nodes @ zc     # an elementwise product rounds differently
-        else:
-            # <xi, z> = P_j + Q_k on each slab, the products the matrix product forms
-            p, q = coords[0] * zc[0], coords[1] * zc[1]
-            inner = (p[:, :, None] + q[:, None, :]).reshape(-1)
+    for rows, nodes, weights in rule._blocks(_BLOCK):
+        inner = nodes @ zc
         om = num / np.abs(1.0 - inner) ** 2
         terms = values(rows, nodes) * om ** rule.n
         integrand[rows] = (terms.reshape(len(weights), -1) * weights[:, None]).reshape(-1)
@@ -195,7 +191,7 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
         return _node_sum(lambda rows, nodes: _block_values(f, nodes), z, rule)
     except _NotRowwise:
         fvals = np.array([float(np.asarray(f(xi), dtype=complex).reshape(-1)[0].real)
-                          for _, nodes, _, _ in rule._blocks(_BLOCK, order="F") for xi in nodes])
+                          for _, nodes, _ in rule._blocks(_BLOCK) for xi in nodes])
         return _node_sum(lambda rows, nodes: fvals[rows], z, rule)
 
 

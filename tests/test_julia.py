@@ -446,8 +446,9 @@ def _counted(m, calls, refuse=None):
 
 def test_lambda_estimate_reads_its_sup_from_the_ray():
     # the grid and the ray are one map call each; with the ray's array call
-    # refused, the level walk's values give the same report, and no separate
-    # call of the first six levels is made either way
+    # refused, the level walk's values give the same report, and only the
+    # levels of the first six that the walk did not reach are evaluated again
+    short = []
     for label, m, p, q, _ in _bench_maps():
         want = lambda_estimate(m, p, q, SamplingPlan(seed=11))
         calls = []
@@ -460,7 +461,13 @@ def test_lambda_estimate_reads_its_sup_from_the_ray():
             assert got.lambda_estimate == want.lambda_estimate, label
             assert got.normal_ray_limit == want.normal_ray_limit, label
             assert got.ray_error == want.ray_error, label
-        assert len(calls) > 3 and all(c == (1, m.source.n) for c in calls[2:]), label
+        walked = calls[2:]
+        if len(walked) < 6:      # the walk stopped early: one call of the levels it missed
+            short.append(label)
+            assert walked[-1] == (7 - len(walked), m.source.n), label
+            walked = walked[:-1]
+        assert len(walked) >= 3 and all(c == (1, m.source.n) for c in walked), label
+    assert short == ["diag"]     # its ratio is constant, so the walk stops after three levels
 
 
 @pytest.mark.parametrize("seed", [11, 2024])

@@ -8,6 +8,7 @@ import pytest
 
 from plurikernel import (
     DomainSpec,
+    QuadratureRule,
     ValidationError,
     demailly_density,
     kernel_value,
@@ -155,6 +156,20 @@ def test_circle_in_blocks_equals_whole_array_formula(rng):
         z = sample_ball(rng, 1, 0.95)
         for f in fields:
             assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+
+
+def test_rule_length_read_from_its_factors():
+    # a rule built directly counts the nodes its factors hold, whatever its resolution says
+    e = np.exp(1j * TWO_PI * np.arange(5) / 5)
+    circle = QuadratureRule(slab_coords=(e[:, None],), slab_weights=np.full(5, TWO_PI / 5),
+                            n=1, resolution=7)
+    sphere = sphere_quadrature(2, 6)
+    slab = QuadratureRule(slab_coords=tuple(c[2:3] for c in sphere.slab_coords),
+                          slab_weights=sphere.slab_weights[2:3], n=2, resolution=6)
+    assert len(circle) == len(circle.nodes) == len(circle.weights) == 5
+    assert np.array_equal(circle.nodes[:, 0], e)
+    assert len(slab) == len(slab.nodes) == len(slab.weights) == 36
+    assert np.array_equal(slab.nodes, sphere.nodes[72:108])
 
 
 def test_reproduce_leaves_node_arrays_unbuilt():
