@@ -45,7 +45,7 @@ from .errors import ValidationError
 from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 15      # nodes per block in reproduce: its nodes and temporaries stay in cache
+_BLOCK = 1 << 14      # nodes per block in reproduce: its nodes and temporaries stay in cache
 _MAX_NODES = 1 << 24  # sphere_quadrature's largest rule: a 128 MiB integrand in reproduce
 
 
@@ -100,9 +100,11 @@ class QuadratureRule:
         for start in range(0, len(self.slab_weights), step):
             coords = [c[start:start + step] for c in self.slab_coords]
             slabs = len(coords[0])
-            nodes = np.empty((slabs * per_slab, self.n), dtype=complex)
+            # the first coordinate by repeating whole rows, twice as fast as a strided broadcast
+            lead = np.column_stack([coords[0].reshape(-1)] * self.n)
+            nodes = np.repeat(lead, per_slab // width, axis=0)
             grid = nodes.reshape((slabs,) + (width,) * self.n + (self.n,), copy=False)
-            for j, coord in enumerate(coords):
+            for j, coord in enumerate(coords[1:], 1):
                 grid[..., j] = coord.reshape((slabs,) + (1,) * j + (width,) + (1,) * (self.n - 1 - j))
             yield (slice(start * per_slab, (start + slabs) * per_slab), read_only(nodes)[0],
                    self.slab_weights[start:start + step])
@@ -168,8 +170,7 @@ def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
     zc = np.conj(z)
     integrand = np.empty(len(rule))
     for rows, nodes, weights in rule._blocks(_BLOCK):
-        inner = nodes @ zc
-        om = num / np.abs(1.0 - inner) ** 2
+        om = num / np.abs(1.0 - nodes @ zc) ** 2
         terms = values(rows, nodes) * om ** rule.n
         integrand[rows] = (terms.reshape(len(weights), -1) * weights[:, None]).reshape(-1)
     # one pairwise sum over the whole rule: the result does not depend on _BLOCK
@@ -179,10 +180,9 @@ def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
 def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z.
 
-    ``f`` is called on blocks of rows of ``rule.nodes``, built a few slabs at
-    a time, and must act row by row.  If it raises, warns or returns the
-    wrong shape on any block, the whole rule is evaluated again node by
-    node (one call per node).
+    ``f`` is called on blocks of rows of ``rule.nodes`` and must act row by
+    row.  If it raises, warns or returns the wrong shape on any block, the
+    whole rule is evaluated again node by node (one call per node).
     """
     z = as_vector(z, rule.n)
     if float(np.vdot(z, z).real) >= 1.0:

@@ -140,7 +140,7 @@ def test_factor_built_rule_equals_meshgrid_rule():
 
 
 def test_reproduce_in_blocks_equals_whole_array_formula(rng):
-    rule = sphere_quadrature(2, 64)          # 262,144 nodes: eight blocks
+    rule = sphere_quadrature(2, 64)          # 262,144 nodes: sixteen blocks
     fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
               lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
     for _ in range(4):
@@ -150,7 +150,7 @@ def test_reproduce_in_blocks_equals_whole_array_formula(rng):
 
 
 def test_circle_in_blocks_equals_whole_array_formula(rng):
-    rule = sphere_quadrature(1, 100_003)     # four blocks, the last one short
+    rule = sphere_quadrature(1, 100_003)     # seven blocks, the last one short
     fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
     for _ in range(4):
         z = sample_ball(rng, 1, 0.95)
