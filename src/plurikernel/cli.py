@@ -68,9 +68,17 @@ def parse_point(text: str, n: int) -> np.ndarray:
     return np.asarray(vals, dtype=complex)
 
 
+def _writable(path: str):
+    """``open(path, "w")``, with a path that cannot be written reported as ValidationError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(args, payload_json: dict, rows=None, header=None) -> None:
     """Write the result in the chosen format: json, csv or plotdata."""
-    out = sys.stdout if args.output is None else open(args.output, "w")
+    out = sys.stdout if args.output is None else _writable(args.output)
     try:
         if args.format == "json":
             out.write(json.dumps(payload_json, sort_keys=True))
@@ -202,7 +210,7 @@ def _cmd_reproduce(args) -> int:
         raise ValidationError("reproduction rules cover the disc and the unit ball of C^2")
     rule = sphere_quadrature(domain.n, args.resolution)
     if args.export_rule:
-        with open(args.export_rule, "w") as fh:
+        with _writable(args.export_rule) as fh:
             rule_to_csv(rule, fh)
     field = ScalarField(args.f, domain.n)
     lap = None if args.laplacian is None else ScalarField(args.laplacian, domain.n)
@@ -215,7 +223,7 @@ def _cmd_reproduce(args) -> int:
             # scalar grids, which need a trailing coordinate axis
             dec = riesz_correction_1d(
                 lambda pts: np.real(field(pts)),
-                lambda w: np.real(lap(np.asarray(w)[..., None])) * np.ones_like(np.real(w)),
+                lambda w: np.real(lap(np.asarray(w)[..., None])),
                 z, rule, radial=args.radial_grid, angular=args.angular_grid)
             payloads.append({"boundary_term": dec.boundary_term,
                              "correction": dec.correction, "value": dec.value})

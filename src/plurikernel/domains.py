@@ -153,8 +153,6 @@ class DomainSpec:
                 values = self.expression(Z).real
         except (OverflowError, ZeroDivisionError) as exc:     # in constants, as 1/0
             raise DomainError(f"defining function {self.expression.source!r} fails: {exc}") from exc
-        if np.ndim(values) == 0:    # an expression free of z1..zn
-            values = np.full(len(Z), values, dtype=float)
         if not np.isfinite(values).all():
             raise DomainError(f"defining function is not finite at {Z[~np.isfinite(values)][0]}")
         return values

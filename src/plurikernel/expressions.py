@@ -70,11 +70,13 @@ class ScalarField:
         self._names = [f"z{j + 1}" for j in range(n)]
 
     def __call__(self, z):
+        """One value per point of z (..., n); a constant expression gives a complex array too."""
         z = np.asarray(z, dtype=complex)
         columns = z.transpose(-1, *range(z.ndim - 1))       # columns[j] is z[..., j]
         env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, **dict(zip(self._names, columns))}
         # the AST was whitelisted at compile time, so eval only sees arithmetic
-        return eval(self._code, env)
+        values = eval(self._code, env)
+        return np.full(z.shape[:-1], values, dtype=complex) if np.ndim(values) == 0 else values
 
     def jet(self, z):
         """Value, first and second derivatives of f at one point z.

@@ -26,27 +26,27 @@ integral uses the plain Laplacian against Lebesgue measure; the worked cases
 f = |w|^2 and |w|^4 at z = 0 then reproduce f(0) = 0 exactly.
 
 A rule is held as its factors, O(resolution^2) numbers.  ``reproduce`` builds
-a few eta slabs of nodes at a time and sums its integrand, one float per node,
-in one numpy pairwise sum: results are deterministic for a given rule.
+a few eta slabs of nodes at a time, calls f once on them, keeps one sum per
+slab and adds the weighted slab sums in slab order: results are
+deterministic for a given rule and do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 1 << 14      # nodes per block in reproduce: its nodes and temporaries stay in cache
-_MAX_NODES = 1 << 24  # sphere_quadrature's largest rule: a 128 MiB integrand in reproduce
+_MAX_NODES = 1 << 24  # sphere_quadrature's largest rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +72,15 @@ class QuadratureRule:
         object.__setattr__(self, "slab_weights", views[-1])
 
     def __len__(self):
-        return len(self.slab_weights) * self.slab_coords[0].shape[1] ** self.n
+        return len(self.slab_weights) * self._slab_size
+
+    @property
+    def _slab_size(self) -> int:
+        return self.slab_coords[0].shape[1] ** self.n
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self._weights()))     # the pairwise sum of ``weights``, not kept
+        return self._slab_size * float(np.sum(self.slab_weights))
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -84,30 +88,23 @@ class QuadratureRule:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return read_only(self._weights())[0]
-
-    def _weights(self) -> np.ndarray:
-        return np.repeat(self.slab_weights, len(self) // len(self.slab_weights))
+        return read_only(np.repeat(self.slab_weights, self._slab_size))[0]
 
     def _blocks(self, size: int):
-        """(rows, nodes, weights) for runs of whole slabs of about ``size`` nodes.
-
-        ``nodes`` is a fresh read-only C-ordered array; the rest are slices.
-        """
+        """(slabs, nodes) for runs of whole slabs of about ``size`` nodes: a slice of slab
+        indices and a fresh read-only C-ordered node array."""
         width = self.slab_coords[0].shape[1]
-        per_slab = width ** self.n
-        step = max(1, size // per_slab)
+        step = max(1, size // self._slab_size)
         for start in range(0, len(self.slab_weights), step):
             coords = [c[start:start + step] for c in self.slab_coords]
             slabs = len(coords[0])
             # the first coordinate by repeating whole rows, twice as fast as a strided broadcast
             lead = np.column_stack([coords[0].reshape(-1)] * self.n)
-            nodes = np.repeat(lead, per_slab // width, axis=0)
+            nodes = np.repeat(lead, self._slab_size // width, axis=0)
             grid = nodes.reshape((slabs,) + (width,) * self.n + (self.n,), copy=False)
             for j, coord in enumerate(coords[1:], 1):
                 grid[..., j] = coord.reshape((slabs,) + (1,) * j + (width,) + (1,) * (self.n - 1 - j))
-            yield (slice(start * per_slab, (start + slabs) * per_slab), read_only(nodes)[0],
-                   self.slab_weights[start:start + step])
+            yield slice(start, start + slabs), read_only(nodes)[0]
 
 
 @lru_cache(maxsize=16)
@@ -145,54 +142,35 @@ def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
                           slab_weights=2.0 * c * s * weta * wtheta * wtheta)
 
 
-class _NotRowwise(Exception):
-    """A field that cannot be evaluated on a block of rule nodes at once."""
-
-
-def _block_values(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """f on a block of nodes as one real value per row; _NotRowwise if it cannot be."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = np.asarray(f(nodes), dtype=float)
-    except Exception as exc:
-        raise _NotRowwise from exc
-    if nodes.shape[1] == 1 and vals.shape == nodes.shape:
-        vals = vals[:, 0]      # a field on the circle's (M, 1) nodes, one column
-    if vals.shape != (len(nodes),):
-        raise _NotRowwise
-    return vals
-
-
-def _node_sum(values: Callable, z: np.ndarray, rule: QuadratureRule) -> float:
-    """(2 pi)^{-n} sum_i values(rows, nodes)_i |Omega_{xi_i}(z)|^n w_i, block by block."""
-    num = 1.0 - float(np.vdot(z, z).real)
-    zc = np.conj(z)
-    integrand = np.empty(len(rule))
-    for rows, nodes, weights in rule._blocks(_BLOCK):
-        om = num / np.abs(1.0 - nodes @ zc) ** 2
-        terms = values(rows, nodes) * om ** rule.n
-        integrand[rows] = (terms.reshape(len(weights), -1) * weights[:, None]).reshape(-1)
-    # one pairwise sum over the whole rule: the result does not depend on _BLOCK
-    return float(np.sum(integrand)) / TWO_PI ** rule.n
-
-
 def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     """(2 pi)^{-n} sum_i f(xi_i) |Omega_{xi_i}(z)|^n w_i  for interior z.
 
-    ``f`` is called on blocks of rows of ``rule.nodes`` and must act row by
-    row.  If it raises, warns or returns the wrong shape on any block, the
-    whole rule is evaluated again node by node (one call per node).
+    ``f`` is called once on each block of whole slabs of ``rule.nodes`` and
+    must return one real value per row (on the circle an (M, 1) column too);
+    another shape raises ``ValidationError``, a value that is not finite
+    ``DomainError``.  Each block gives the slab sums of f |Omega|^n; these
+    times the slab weights are added in slab order, whatever ``_BLOCK`` is.
     """
     z = as_vector(z, rule.n)
-    if float(np.vdot(z, z).real) >= 1.0:
+    num = 1.0 - float(np.vdot(z, z).real)
+    if num <= 0.0:
         raise ValidationError("reproduction point must be interior")
-    try:
-        return _node_sum(lambda rows, nodes: _block_values(f, nodes), z, rule)
-    except _NotRowwise:
-        fvals = np.array([float(np.asarray(f(xi), dtype=complex).reshape(-1)[0].real)
-                          for _, nodes, _ in rule._blocks(_BLOCK) for xi in nodes])
-        return _node_sum(lambda rows, nodes: fvals[rows], z, rule)
+    zc = np.conj(z)
+    slab_sums = np.empty(len(rule.slab_weights))
+    for slabs, nodes in rule._blocks(_BLOCK):
+        # non-finite values are refused below, so numpy need not warn
+        with np.errstate(all="ignore"):
+            vals = np.asarray(np.real(f(nodes)), dtype=float)
+        if rule.n == 1 and vals.shape == nodes.shape:
+            vals = vals[:, 0]      # a field on the circle's (M, 1) nodes, one column
+        if vals.shape != (len(nodes),):
+            raise ValidationError(f"f gave shape {vals.shape}, not one value per node row")
+        if not np.isfinite(vals).all():
+            raise DomainError(f"f is not finite at the node {nodes[~np.isfinite(vals)][0]}")
+        om = num / np.abs(1.0 - nodes @ zc) ** 2
+        np.sum((vals * om ** rule.n).reshape(-1, rule._slab_size), axis=1, out=slab_sums[slabs])
+    slab_sums *= rule.slab_weights
+    return float(np.sum(slab_sums)) / TWO_PI ** rule.n
 
 
 @dataclass(frozen=True)
@@ -235,9 +213,11 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
     with np.errstate(divide="ignore"):
         g = np.log(np.abs((z0 - w_pts) / (1.0 - np.conj(z0) * w_pts)))
     g = np.where(np.isfinite(g), g, 0.0)   # measure-zero pole node, if ever hit
-    lap = np.asarray(laplacian(w_pts), dtype=float)
-    if lap.shape != w_pts.shape:
-        lap = np.broadcast_to(lap, w_pts.shape)
+    # non-finite values are refused below, so numpy need not warn
+    with np.errstate(all="ignore"):
+        lap = np.broadcast_to(np.asarray(laplacian(w_pts), dtype=float), w_pts.shape)
+    if not np.isfinite(lap).all():
+        raise DomainError(f"the Laplacian is not finite at {w_pts[~np.isfinite(lap)][0]}")
     correction = float(np.sum((-g) * lap * W)) / TWO_PI
     return RieszDecomposition(boundary_term=boundary, correction=correction)
 

@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,45 @@ def test_rule_export(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "re_z1,im_z1,weight"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--output", ["kernel", "--domain", "disc", "--pole", "1", "--point", "0.3"]),
+    ("--export-rule", ["reproduce", "--domain", "disc", "--f", "re(z1)", "--z", "0",
+                       "--resolution", "8"]),
+])
+def test_unwritable_output_path_is_json(tmp_path, capsys, flag, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run_cli(capsys, argv + [flag, str(target)])
+    assert (code, out) == (2, "")
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert blob["context"] == {"command": argv[0]}
+    assert str(target) in blob["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "disc", "--f", "log(abs(z1-1))", "--z", "0.2", "--resolution", "8"],
+    ["--domain", "unit_ball:2", "--f", "sqrt(re(z1))", "--z", "0.2,0", "--resolution", "8"],
+    ["--domain", "disc", "--f", "z1*conj(z1)", "--laplacian", "1/im(z1)", "--z", "0",
+     "--resolution", "16"],
+], ids=["log_at_node", "sqrt_of_negative", "laplacian_pole"])
+def test_reproduce_non_finite_field_is_json_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["reproduce"] + argv)
+    assert (code, out, caught) == (2, "", [])
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert "not finite" in blob["message"]
+
+
+@pytest.mark.parametrize("domain, z", [("disc", "0.3"), ("unit_ball:2", "0.3,0")])
+def test_reproduce_constant_field(capsys, domain, z):
+    code, out, err = run_cli(capsys, [
+        "reproduce", "--domain", domain, "--f", "1", "--z", z, "--resolution", "32"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reproduced"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

@@ -30,6 +30,14 @@ def test_vectorized_over_coordinate_arrays():
     assert np.allclose(f(pts), [1.0, 0.25, 0.0])
 
 
+def test_constant_field_gives_one_complex_value_per_point():
+    pts = np.zeros((4, 3, 2), dtype=complex)
+    for source in ("1", "-2.5", "conj(i)"):
+        values = ScalarField(source, n=2)(pts)
+        assert values.shape == (4, 3) and values.dtype == complex
+        assert np.all(values == complex(ScalarField(source, n=2)([0.0, 0.0])))
+
+
 def test_rejects_unknown_names_and_calls():
     with pytest.raises(ValidationError):
         ScalarField("__import__('os')", n=1)

@@ -17,6 +17,7 @@ from plurikernel import (
     rule_to_csv,
     sphere_quadrature,
 )
+from plurikernel import reproducing
 from plurikernel.domains import levi_density
 from plurikernel.utils import sample_ball
 
@@ -93,10 +94,26 @@ def test_reproduce_positivity(rng):
         assert reproduce(f, z, rule) >= 0.0
 
 
-def test_reproduce_scalar_callable_fallback():
-    rule = sphere_quadrature(1, 32)
-    val = reproduce(lambda xi: float(np.real(xi[0])), [0.2], rule)
-    assert val == pytest.approx(0.2, abs=1e-10)
+def test_reproduce_refuses_per_node_callable():
+    # f gets blocks of node rows, never one node: a per-node field returns the
+    # wrong shape, and its own errors are not retried
+    for n in (1, 2):
+        rule = sphere_quadrature(n, 32)
+        calls = []
+
+        def first_node(xi):
+            calls.append(np.shape(xi))
+            return np.real(xi[0])
+
+        with pytest.raises(ValidationError, match=rf"gave shape \({n},\)"):
+            reproduce(first_node, [0.2] * n, rule)
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(TypeError):
+            reproduce(lambda xi: calls.append(1) or float(np.real(xi[0])), [0.2] * n, rule)
+        assert len(calls) == 1
+        with pytest.raises(ValidationError, match=r"gave shape \(\)"):
+            reproduce(lambda xi: 1.0, [0.2] * n, rule)
 
 
 def _meshgrid_rule(res):
@@ -115,20 +132,12 @@ def _meshgrid_rule(res):
 
 
 def _whole_array_reproduce(f, z, rule):
-    """reproduce's formula on the whole rule at once, the reference."""
+    """reproduce's formula on the whole rule at once, summed per slab in slab order: the reference."""
     inner = rule.nodes @ np.conj(z)
     om = (1.0 - float(np.vdot(z, z).real)) / np.abs(1.0 - inner) ** 2
-    integrand = np.asarray(f(rule.nodes), dtype=float) * om ** rule.n * rule.weights
-    return float(np.sum(integrand)) / TWO_PI ** rule.n
-
-
-def _per_node(field):
-    """field, refusing node arrays: reproduce then calls it once per node."""
-    def f(xi):
-        if np.ndim(xi) != 1:
-            raise TypeError("one node at a time")
-        return field(xi)
-    return f
+    terms = np.asarray(f(rule.nodes), dtype=float) * om ** rule.n
+    slab_sums = np.sum(terms.reshape(len(rule.slab_weights), -1), axis=1)
+    return float(np.sum(slab_sums * rule.slab_weights)) / TWO_PI ** rule.n
 
 
 def test_factor_built_rule_equals_meshgrid_rule():
@@ -139,7 +148,16 @@ def test_factor_built_rule_equals_meshgrid_rule():
         assert np.array_equal(rule.weights, weights), res
 
 
-def test_reproduce_in_blocks_equals_whole_array_formula(rng):
+def _assert_block_size_free(f, z, rule, monkeypatch):
+    """reproduce gives the same bits with one slab per block and with the whole rule in one."""
+    value = reproduce(f, z, rule)
+    for size in (1, len(rule)):
+        with monkeypatch.context() as m:
+            m.setattr(reproducing, "_BLOCK", size)
+            assert reproduce(f, z, rule) == value, size
+
+
+def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
     rule = sphere_quadrature(2, 64)          # 262,144 nodes: sixteen blocks
     fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
               lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
@@ -147,15 +165,18 @@ def test_reproduce_in_blocks_equals_whole_array_formula(rng):
         z = sample_ball(rng, 2, 0.9)
         for f in fields:
             assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+            _assert_block_size_free(f, z, rule, monkeypatch)
 
 
-def test_circle_in_blocks_equals_whole_array_formula(rng):
+def test_circle_in_blocks_equals_whole_array_formula(rng, monkeypatch):
     rule = sphere_quadrature(1, 100_003)     # seven blocks, the last one short
+    small = sphere_quadrature(1, 1_009)      # one-node blocks cost about 35 us each
     fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
     for _ in range(4):
         z = sample_ball(rng, 1, 0.95)
         for f in fields:
             assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
+            _assert_block_size_free(f, z, small, monkeypatch)
 
 
 def test_rule_length_read_from_its_factors():
@@ -176,16 +197,18 @@ def test_reproduce_leaves_node_arrays_unbuilt():
     for n, res in ((1, 64), (2, 16)):
         rule = sphere_quadrature(n, res)
         assert len(rule) == res ** (2 * n - 1)
-        assert rule.total_mass == float(np.sum(sphere_quadrature(n, res).weights))
+        assert rule.total_mass == res ** (2 * n - 2) * float(np.sum(rule.slab_weights))
+        assert rule.total_mass == pytest.approx(TWO_PI ** n, abs=1e-12)
         reproduce(lambda N: np.real(N[:, 0]), [0.3] * n, rule)
-        reproduce(lambda xi: float(np.real(xi[0])), [0.3] * n, rule)    # node by node
+        with pytest.raises(ValidationError):
+            reproduce(lambda xi: np.real(xi[0]), [0.3] * n, rule)
         rule_to_csv(rule, io.StringIO())
         assert "nodes" not in rule.__dict__ and "weights" not in rule.__dict__
         assert rule.nodes is rule.nodes and rule.weights is rule.weights
 
 
-def test_field_warning_on_one_block_falls_back_node_by_node():
-    rule = sphere_quadrature(2, 64)
+def test_field_warning_on_one_block_changes_nothing():
+    rule = sphere_quadrature(2, 64)          # sixteen blocks
     z = np.array([0.3, 0.2j])
     blocks = []
 
@@ -193,20 +216,20 @@ def test_field_warning_on_one_block_falls_back_node_by_node():
         return np.real(nodes[..., 0] * nodes[..., 1])
 
     def f(nodes):
-        if np.ndim(nodes) == 2:
-            blocks.append(len(nodes))
-            if len(blocks) == 3:
-                warnings.warn("third block")
+        blocks.append(len(nodes))
+        if len(blocks) == 3:
+            warnings.warn("third block")
         return field(nodes)
 
-    per_node = reproduce(_per_node(field), z, rule)
-    assert reproduce(f, z, rule) == per_node
-    assert len(blocks) == 3
+    with pytest.warns(UserWarning, match="third block"):
+        value = reproduce(f, z, rule)
+    assert value == reproduce(field, z, rule)
+    assert blocks == [len(rule) // 16] * 16
 
 
 def test_circle_field_on_node_column_is_vectorised():
-    # np.abs(w) ** 2 on the circle's (M, 1) nodes is (M, 1): one call, same
-    # value as node by node
+    # np.abs(w) ** 2 on the circle's (M, 1) nodes is (M, 1): one call, the
+    # value of the reference on its column
     rule = sphere_quadrature(1, 256)
     calls = []
 
@@ -218,7 +241,7 @@ def test_circle_field_on_node_column_is_vectorised():
         calls.clear()
         vectorised = reproduce(abs2, [z], rule)
         assert calls == [(256, 1)]
-        assert vectorised == reproduce(_per_node(lambda w: np.abs(w) ** 2), [z], rule)
+        assert vectorised == _whole_array_reproduce(lambda w: np.abs(w[:, 0]) ** 2, [z], rule)
 
 
 def test_rule_arrays_are_read_only():
