@@ -45,7 +45,7 @@ from .errors import DomainError, ValidationError
 from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
-_BLOCK = 1 << 14      # nodes per block in reproduce: its nodes and temporaries stay in cache
+_BLOCK = 1 << 12      # nodes per block in reproduce: its arrays stay in cache and on the heap
 _MAX_NODES = 1 << 24  # sphere_quadrature's largest rule
 
 

@@ -158,7 +158,7 @@ def _assert_block_size_free(f, z, rule, monkeypatch):
 
 
 def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
-    rule = sphere_quadrature(2, 64)          # 262,144 nodes: sixteen blocks
+    rule = sphere_quadrature(2, 64)          # 262,144 nodes: 64 blocks of one slab
     fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
               lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
     for _ in range(4):
@@ -169,7 +169,7 @@ def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
 
 
 def test_circle_in_blocks_equals_whole_array_formula(rng, monkeypatch):
-    rule = sphere_quadrature(1, 100_003)     # seven blocks, the last one short
+    rule = sphere_quadrature(1, 100_003)     # 25 blocks, the last one short
     small = sphere_quadrature(1, 1_009)      # one-node blocks cost about 35 us each
     fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
     for _ in range(4):
@@ -208,7 +208,7 @@ def test_reproduce_leaves_node_arrays_unbuilt():
 
 
 def test_field_warning_on_one_block_changes_nothing():
-    rule = sphere_quadrature(2, 64)          # sixteen blocks
+    rule = sphere_quadrature(2, 64)          # 64 blocks
     z = np.array([0.3, 0.2j])
     blocks = []
 
@@ -224,7 +224,7 @@ def test_field_warning_on_one_block_changes_nothing():
     with pytest.warns(UserWarning, match="third block"):
         value = reproduce(f, z, rule)
     assert value == reproduce(field, z, rule)
-    assert blocks == [len(rule) // 16] * 16
+    assert blocks == [len(nodes) for _, nodes in rule._blocks(reproducing._BLOCK)]
 
 
 def test_circle_field_on_node_column_is_vectorised():
