@@ -149,7 +149,7 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     must return one real value per row (on the circle an (M, 1) column too);
     another shape raises ``ValidationError``, a value that is not finite
     ``DomainError``.  Each block gives the slab sums of f |Omega|^n; these
-    times the slab weights are added in slab order, whatever ``_BLOCK`` is.
+    times the slab weights are added in slab order, whatever the block size.
     """
     z = as_vector(z, rule.n)
     num = 1.0 - float(np.vdot(z, z).real)

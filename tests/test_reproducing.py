@@ -170,7 +170,7 @@ def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
 
 def test_circle_in_blocks_equals_whole_array_formula(rng, monkeypatch):
     rule = sphere_quadrature(1, 100_003)     # 25 blocks, the last one short
-    small = sphere_quadrature(1, 1_009)      # one-node blocks cost about 35 us each
+    small = sphere_quadrature(1, 1_009)      # one-node blocks of the large rule take seconds
     fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
     for _ in range(4):
         z = sample_ball(rng, 1, 0.95)
