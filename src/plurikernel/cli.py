@@ -219,27 +219,17 @@ def _cmd_reproduce(args) -> int:
     for ptext in args.z:
         z = parse_point(ptext, domain.n)
         if lap is not None:
-            # boundary term evaluates on (M, 1) node arrays, the area term on
-            # scalar grids, which need a trailing coordinate axis
+            # the area term evaluates on scalar grids, which need a trailing coordinate axis
             dec = riesz_correction_1d(
-                lambda pts: np.real(field(pts)),
-                lambda w: np.real(lap(np.asarray(w)[..., None])),
+                field.real_part, lambda w: np.real(lap(np.asarray(w)[..., None])),
                 z, rule, radial=args.radial_grid, angular=args.angular_grid)
             payloads.append({"boundary_term": dec.boundary_term,
                              "correction": dec.correction, "value": dec.value})
-            rows.append(list(np.concatenate([z.real, z.imag]))
-                        + [dec.boundary_term, dec.correction, dec.value])
         else:
-            val = reproduce(lambda pts: np.real(field(pts)), z, rule)
-            payloads.append({"reproduced": val})
-            rows.append(list(np.concatenate([z.real, z.imag])) + [val])
-    if lap is not None:
-        header = [f"re_z{j+1}" for j in range(domain.n)] + \
-                 [f"im_z{j+1}" for j in range(domain.n)] + \
-                 ["boundary_term", "correction", "value"]
-    else:
-        header = [f"re_z{j+1}" for j in range(domain.n)] + \
-                 [f"im_z{j+1}" for j in range(domain.n)] + ["reproduced"]
+            payloads.append({"reproduced": reproduce(field.real_part, z, rule)})
+        rows.append(list(np.concatenate([z.real, z.imag])) + list(payloads[-1].values()))
+    header = ([f"re_z{j+1}" for j in range(domain.n)] + [f"im_z{j+1}" for j in range(domain.n)]
+              + list(payloads[0]))
     payload = payloads[0] if len(payloads) == 1 else {"values": payloads}
     _emit(args, payload, rows=rows, header=header)
     return 0

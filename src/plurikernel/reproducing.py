@@ -25,10 +25,13 @@ d^c = i(dbar - d) the current dd^c f equals (Lap f) dx dy, so the area
 integral uses the plain Laplacian against Lebesgue measure; the worked cases
 f = |w|^2 and |w|^4 at z = 0 then reproduce f(0) = 0 exactly.
 
-A rule is held as its factors, O(resolution^2) numbers.  ``reproduce`` builds
-a few eta slabs of nodes at a time, calls f once on them, keeps one sum per
-slab and adds the weighted slab sums in slab order: results are
-deterministic for a given rule and do not depend on the block size.
+A rule is held as its factors, O(resolution^2) numbers.  ``reproduce`` works
+a few eta slabs at a time in one workspace per call (one block plus 8 bytes
+per slab); f gets a read-only, coordinate-major (M, n) view of the block's
+nodes, valid only during that call.  <xi, z> is built from the factors: the
+res values slab_coords[j] * conj(z_j) per slab, broadcast-added over j in
+order into Re and Im, and |1 - <xi, z>|^2 = (1 - Re)^2 + Im^2.  The weighted
+slab sums are added in slab order, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -84,27 +87,23 @@ class QuadratureRule:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return next(self._blocks(len(self)))[1]
+        return self._nodes(slice(None), np.empty((self.n, len(self)), complex))
 
     @cached_property
     def weights(self) -> np.ndarray:
         return read_only(np.repeat(self.slab_weights, self._slab_size))[0]
 
-    def _blocks(self, size: int):
-        """(slabs, nodes) for runs of whole slabs of about ``size`` nodes: a slice of slab
-        indices and a fresh read-only C-ordered node array."""
-        width = self.slab_coords[0].shape[1]
-        step = max(1, size // self._slab_size)
-        for start in range(0, len(self.slab_weights), step):
-            coords = [c[start:start + step] for c in self.slab_coords]
-            slabs = len(coords[0])
-            # the first coordinate by repeating whole rows, twice as fast as a strided broadcast
-            lead = np.column_stack([coords[0].reshape(-1)] * self.n)
-            nodes = np.repeat(lead, self._slab_size // width, axis=0)
-            grid = nodes.reshape((slabs,) + (width,) * self.n + (self.n,), copy=False)
-            for j, coord in enumerate(coords[1:], 1):
-                grid[..., j] = coord.reshape((slabs,) + (1,) * j + (width,) + (1,) * (self.n - 1 - j))
-            yield slice(start, start + slabs), read_only(nodes)[0]
+    def _grid(self, j: int, v: np.ndarray) -> np.ndarray:
+        """Coordinate j's values (slabs, width) shaped to broadcast onto the slabs' node grid."""
+        return v.reshape(v.shape[:1] + (1,) * j + v.shape[1:] + (1,) * (self.n - 1 - j))
+
+    def _nodes(self, slabs: slice, out: np.ndarray) -> np.ndarray:
+        """Write the nodes of ``slabs`` into ``out`` (n, M) and return them read-only as (M, n)."""
+        count = len(self.slab_weights[slabs])
+        out = out[:, :count * self._slab_size]
+        for j, c in enumerate(self.slab_coords):
+            np.copyto(out[j].reshape((count,) + c.shape[1:] * self.n), self._grid(j, c[slabs]))
+        return read_only(out.T)[0]
 
 
 @lru_cache(maxsize=16)
@@ -148,16 +147,22 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     ``f`` is called once on each block of whole slabs of ``rule.nodes`` and
     must return one real value per row (on the circle an (M, 1) column too);
     another shape raises ``ValidationError``, a value that is not finite
-    ``DomainError``.  Each block gives the slab sums of f |Omega|^n; these
-    times the slab weights are added in slab order, whatever the block size.
+    ``DomainError``.  Its argument is overwritten by the next block.
     """
     z = as_vector(z, rule.n)
     num = 1.0 - float(np.vdot(z, z).real)
     if num <= 0.0:
         raise ValidationError("reproduction point must be interior")
-    zc = np.conj(z)
+    step = max(1, _BLOCK // rule._slab_size)        # whole slabs per block
+    slabs = min(step, len(rule.slab_weights))
+    # the workspace: n rows of nodes, a row for the slab factors times conj(z), and
+    # Re and Im of <xi, z>, which become |1 - <xi, z>|^2 and then the kernel
+    work = np.empty((rule.n + 2, slabs * rule._slab_size), complex)
+    products = work[rule.n, :rule.n * rule.slab_coords[0][:slabs].size].reshape(rule.n, slabs, -1)
+    re_im = work[-1].view(float).reshape((2, slabs) + rule.slab_coords[0].shape[1:] * rule.n)
     slab_sums = np.empty(len(rule.slab_weights))
-    for slabs, nodes in rule._blocks(_BLOCK):
+    for block in (slice(start, start + step) for start in range(0, len(slab_sums), step)):
+        nodes = rule._nodes(block, work[:rule.n])
         # non-finite values are refused below, so numpy need not warn
         with np.errstate(all="ignore"):
             vals = np.asarray(np.real(f(nodes)), dtype=float)
@@ -167,8 +172,20 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
             raise ValidationError(f"f gave shape {vals.shape}, not one value per node row")
         if not np.isfinite(vals).all():
             raise DomainError(f"f is not finite at the node {nodes[~np.isfinite(vals)][0]}")
-        om = num / np.abs(1.0 - nodes @ zc) ** 2
-        np.sum((vals * om ** rule.n).reshape(-1, rule._slab_size), axis=1, out=slab_sums[slabs])
+        re, im = re_im[:, :len(nodes) // rule._slab_size]    # on the slabs' node grid
+        for j, p in enumerate(products[:, :len(re)]):     # <xi, z> in coordinate order
+            p = rule._grid(j, np.multiply(rule.slab_coords[j][block], np.conj(z[j]), out=p))
+            if j == 0:
+                re[...], im[...] = p.real, p.imag
+            else:
+                re += p.real
+                im += p.imag
+        np.square(np.subtract(1.0, re, out=re), out=re)
+        re += np.square(im, out=im)                   # |1 - <xi, z>|^2
+        np.divide(num, re, out=re)
+        re **= rule.n
+        re *= vals.reshape(re.shape)
+        np.sum(re.reshape(len(re), -1), axis=1, out=slab_sums[block])
     slab_sums *= rule.slab_weights
     return float(np.sum(slab_sums)) / TWO_PI ** rule.n
 
@@ -209,16 +226,19 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
     theta = TWO_PI * np.arange(angular) / angular
     W = (wr * (TWO_PI / angular) * r)[:, None]     # constant along each circle
     w_pts = r[:, None] * np.exp(1j * theta)
-    z0 = z[0]
+    # in place: fewer grid-sized temporaries for malloc to return and fault in again
+    den = np.conj(z[0]) * w_pts
+    g = np.abs(np.divide(z[0] - w_pts, np.subtract(1.0, den, out=den), out=den))
     with np.errstate(divide="ignore"):
-        g = np.log(np.abs((z0 - w_pts) / (1.0 - np.conj(z0) * w_pts)))
-    g = np.where(np.isfinite(g), g, 0.0)   # measure-zero pole node, if ever hit
+        np.log(g, out=g)
+    g[~np.isfinite(g)] = 0.0   # measure-zero pole node, if ever hit
     # non-finite values are refused below, so numpy need not warn
     with np.errstate(all="ignore"):
         lap = np.broadcast_to(np.asarray(laplacian(w_pts), dtype=float), w_pts.shape)
     if not np.isfinite(lap).all():
         raise DomainError(f"the Laplacian is not finite at {w_pts[~np.isfinite(lap)][0]}")
-    correction = float(np.sum((-g) * lap * W)) / TWO_PI
+    np.multiply(np.negative(g, out=g), lap, out=g)
+    correction = float(np.sum(np.multiply(g, W, out=g))) / TWO_PI
     return RieszDecomposition(boundary_term=boundary, correction=correction)
 
 

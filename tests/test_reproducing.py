@@ -19,6 +19,7 @@ from plurikernel import (
 )
 from plurikernel import reproducing
 from plurikernel.domains import levi_density
+from plurikernel.expressions import ScalarField
 from plurikernel.utils import sample_ball
 
 TWO_PI = 2 * math.pi
@@ -132,9 +133,15 @@ def _meshgrid_rule(res):
 
 
 def _whole_array_reproduce(f, z, rule):
-    """reproduce's formula on the whole rule at once, summed per slab in slab order: the reference."""
-    inner = rule.nodes @ np.conj(z)
-    om = (1.0 - float(np.vdot(z, z).real)) / np.abs(1.0 - inner) ** 2
+    """reproduce's formula on the whole rule at once, summed per slab in slab order: the reference.
+
+    <xi, z> is sum_m xi_m conj(z_m) elementwise in coordinate order, and
+    |1 - <xi, z>|^2 is Re^2 + Im^2 of 1 - <xi, z>."""
+    inner = rule.nodes[:, 0] * np.conj(z[0])
+    for m in range(1, rule.n):
+        inner = inner + rule.nodes[:, m] * np.conj(z[m])
+    d = 1.0 - inner
+    om = (1.0 - float(np.vdot(z, z).real)) / (d.real ** 2 + d.imag ** 2)
     terms = np.asarray(f(rule.nodes), dtype=float) * om ** rule.n
     slab_sums = np.sum(terms.reshape(len(rule.slab_weights), -1), axis=1)
     return float(np.sum(slab_sums * rule.slab_weights)) / TWO_PI ** rule.n
@@ -224,7 +231,49 @@ def test_field_warning_on_one_block_changes_nothing():
     with pytest.warns(UserWarning, match="third block"):
         value = reproduce(f, z, rule)
     assert value == reproduce(field, z, rule)
-    assert blocks == [len(nodes) for _, nodes in rule._blocks(reproducing._BLOCK)]
+    assert blocks == [4096] * 64         # one call per block of one 4,096-node slab
+
+
+def _matrix_product_reproduce(f, z, rule):
+    """The formula as it was computed through nodes @ conj(z) and np.abs, and sum |terms| / (2 pi)^n."""
+    om = (1.0 - float(np.vdot(z, z).real)) / np.abs(1.0 - rule.nodes @ np.conj(z)) ** 2
+    terms = np.asarray(f(rule.nodes), dtype=float) * om ** rule.n * rule.weights
+    return float(np.sum(terms)) / TWO_PI ** rule.n, float(np.sum(np.abs(terms))) / TWO_PI ** rule.n
+
+
+def test_factor_denominators_agree_with_matrix_product(rng):
+    # <xi, z> from the slab factors rounds differently from nodes @ conj(z), not by more
+    fields = {1: (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0]))),
+              2: (lambda N: np.real(N[:, 0] * N[:, 1]), lambda N: np.imag(N[:, 1] ** 2) + np.real(N[:, 0]))}
+    for n, resolutions in ((1, (64, 97)), (2, (16, 21))):
+        points = [np.zeros(n), np.eye(n)[0] * 0.6, np.eye(n)[-1] * -0.45j]
+        points += [sample_ball(rng, n, 0.9) for _ in range(3)]
+        for res in resolutions:
+            rule = sphere_quadrature(n, res)
+            for z in points:
+                for f in fields[n]:
+                    old, scale = _matrix_product_reproduce(f, z, rule)
+                    assert abs(reproduce(f, z, rule) - old) <= 1e-14 * scale, (n, res, z)
+
+
+def test_field_returning_a_view_of_its_argument(monkeypatch):
+    # the workspace is reused between blocks: a field's value may be a view of its
+    # argument, which holds until reproduce has used it
+    rule = sphere_quadrature(2, 16)
+    seen = []
+
+    def first_real(w):
+        seen.append((w.flags.writeable, w[:, 0].flags.c_contiguous, w[:, 1].flags.c_contiguous))
+        return w[:, 0].real
+
+    field = ScalarField("re(z1)", 2)       # its value is a view of the argument too
+    for size in (1, len(rule)):
+        with monkeypatch.context() as m:
+            m.setattr(reproducing, "_BLOCK", size)
+            for z in ([0.3, 0.2j], [-0.1 + 0.5j, 0.4]):
+                copied = reproduce(lambda w: w[:, 0].real.copy(), z, rule)
+                assert reproduce(first_real, z, rule) == reproduce(field.real_part, z, rule) == copied
+    assert set(seen) == {(False, True, True)}
 
 
 def test_circle_field_on_node_column_is_vectorised():

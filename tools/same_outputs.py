@@ -9,7 +9,10 @@ the package from REV's ``src/``, unpacked with ``git archive`` into a
 temporary directory, the other from the working tree's ``src/``.  Both use
 the working tree's ``bench/``.  Every output, a failed operation included,
 is compared by its ``repr``.  Prints, per seed and workload, the number of
-outputs, the number that differ and the first few differences.
+outputs, the number that differ, the largest relative difference among the
+numbers that moved (``|a - b| / max(|a|, |b|)`` over the numbers of two
+differing outputs, paired in order where both hold as many) and the first
+few differences.
 
 Then every ``plurikernel`` command line of the README's ``sh`` blocks runs
 as ``python -m plurikernel`` under both ``src/`` trees, and their stdout is
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -33,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SHOWN = 3       # differences printed per workload
+NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 sys.path.insert(0, str(BENCH))
 from run import worker_env  # noqa: E402  (the benchmark worker's environment)
@@ -103,6 +108,21 @@ def unpack_src(rev: str, into: Path) -> Path:
     return into / "src"
 
 
+def largest_move(diffs) -> tuple:
+    """(relative difference, index, what) of the number that moved most among differing
+    outputs ``(i, (what, old repr), (_, new repr))``; (0.0, None, None) if none pair up."""
+    best = (0.0, None, None)
+    for i, (what, x), (_, y) in diffs:
+        a, b = NUMBER.findall(x), NUMBER.findall(y)
+        if len(a) != len(b):
+            continue
+        for u, v in zip(map(float, a), map(float, b)):
+            scale = max(abs(u), abs(v))
+            if u != v and math.isfinite(scale) and scale > 0 and abs(u - v) / scale > best[0]:
+                best = (abs(u - v) / scale, i, what)
+    return best
+
+
 def compare(old: dict, new: dict) -> int:
     """Print the per-workload comparison; returns the number of differing outputs."""
     total = 0
@@ -113,6 +133,9 @@ def compare(old: dict, new: dict) -> int:
         total += differ
         print(f"  {name}: {len(b)} outputs, {differ} differ"
               + (f" (the revision has {len(a)})" if len(a) != len(b) else ""))
+        rel, i, what = largest_move(diffs)
+        if i is not None:
+            print(f"    largest relative move {rel:.2g}, at #{i} {what}")
         for i, (what, x), (_, y) in diffs[:SHOWN]:
             print(f"    #{i} {what}\n      rev:  {x}\n      tree: {y}")
     return total
