@@ -130,9 +130,9 @@ class DomainSpec:
         z = as_vector(z, self.n)
         if self.kind is DomainKind.BALL:
             d = z - self.center
-            return float(np.real(herm(d, d))) - self.radius ** 2
+            return herm(d, d).real - self.radius ** 2
         if self.kind is DomainKind.ELLIPSOID:
-            return float(np.sum(self.coeffs * np.abs(z) ** 2)) - 1.0
+            return float((self.coeffs * np.abs(z) ** 2).sum()) - 1.0
         return float(self._expression_rows(z[None])[0])
 
     def psi_rows(self, Z) -> np.ndarray:

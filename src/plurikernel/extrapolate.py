@@ -35,36 +35,50 @@ class Extrapolation:
 class RichardsonTableau:
     """A Richardson tableau grown by one value f(h_k) at a time.
 
-    Only the last entry of each column is kept.  ``append`` adds one entry to
-    every column, ``(fac * upper - lower) / (fac - 1)`` on the last two
-    entries of the column before with fac = ratio**p_j, and returns the
-    estimate from the values so far: the last entry of the column whose last
-    two entries differ least (later columns win ties).  ``orders`` as in
-    ``richardson``; when given, the tableau has one column per order.
+    Only the last entry of each column is kept, as a Python complex.
+    ``append`` adds one entry to every column,
+    ``(fac * upper - lower) / (fac - 1)`` on the last two entries of the
+    column before with fac = ratio**p_j, and returns the estimate from the
+    values so far: the last entry of the column whose last two entries
+    differ least (later columns win ties).  ``orders`` as in ``richardson``;
+    when given, the tableau has one column per order.
+
+    The entries round as on numpy complex128 scalars: numpy divides a complex
+    by a real scalar by multiplying by its reciprocal, so each column keeps
+    s = 1/(fac - 1), and ``abs`` of a Python complex is libm's ``hypot``, as
+    numpy's is.  Only the sign of a zero can differ, where a value has a -0.0
+    part, and a difference whose modulus overflows raises ``OverflowError``
+    where numpy gave inf.
     """
 
     def __init__(self, ratio: float = 2.0, orders=None):
         self._ratio = ratio
         self._open = orders is None
-        self._facs = [] if orders is None else [ratio ** p for p in np.asarray(orders, dtype=float)]
+        orders = [] if orders is None else np.asarray(orders, dtype=float)
+        self._facs = [_column(ratio ** p) for p in orders]     # (fac, 1/(fac - 1)) per column
         self.ends = []      # ends[j]: the last entry of column j
 
     def append(self, value) -> Extrapolation:
         older = self.ends
         if self._open and len(self._facs) < len(older):
-            self._facs.append(self._ratio ** np.float64(len(older)))
-        ends = [np.complex128(value)]
-        for fac, below in zip(self._facs, older):
-            ends.append((fac * ends[-1] - below) / (fac - 1.0))
+            self._facs.append(_column(self._ratio ** np.float64(len(older))))
+        ends = [complex(value)]
+        for (fac, s), below in zip(self._facs, older):
+            ends.append((fac * ends[-1] - below) * s)
         self.ends = ends
         if not older:
-            return Extrapolation(limit=complex(ends[0]), error=float("inf"))
+            return Extrapolation(limit=ends[0], error=float("inf"))
         best, best_err = ends[0], abs(ends[0] - older[0])
         for below, top in zip(older[1:], ends[1:]):   # a column's first entry has no error
             err = abs(top - below)
             if err <= best_err:
                 best, best_err = top, err
-        return Extrapolation(limit=complex(best), error=float(best_err))
+        return Extrapolation(limit=best, error=best_err)
+
+
+def _column(fac) -> tuple:
+    """(fac, 1/(fac - 1)) of one tableau column, as floats."""
+    return float(fac), 1.0 / float(fac - 1.0)
 
 
 def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:

@@ -100,7 +100,7 @@ class KernelValue:
     provenance: Provenance
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError("kernel enclosure must be finite")
         # relative slack: where |kernel| is large, coinciding tangent balls
         # give ends that differ by a few ulps in either order

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ def as_vector(z, n: int | None = None) -> np.ndarray:
             raise ValidationError(f"expected a point (1-d vector), got shape {v.shape}")
     if n is not None and len(v) != n:
         raise ValidationError(f"expected a point in C^{n}, got length {len(v)}")
-    if not np.isfinite(v).all():
+    if not all(map(cmath.isfinite, v.tolist())):
         raise ValidationError("point has non-finite components")
     return v
 
@@ -43,8 +44,8 @@ def as_points(z, n: int) -> np.ndarray:
 
 
 def herm(v, w) -> complex:
-    """Standard Hermitian product <v, w> = sum v_j * conj(w_j)."""
-    return complex(np.sum(np.asarray(v, dtype=complex) * np.conj(np.asarray(w, dtype=complex))))
+    """<v, w> = sum v_j * conj(w_j), rounded as ``np.sum(v * np.conj(w))`` (no wrapper)."""
+    return complex((np.asarray(v, dtype=complex) * np.asarray(w, dtype=complex).conj()).sum())
 
 
 def read_only(*arrays) -> tuple:
@@ -55,7 +56,10 @@ def read_only(*arrays) -> tuple:
 
 
 def norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=complex)))
+    """Euclidean norm, rounded as ``np.linalg.norm``: sqrt(re.re + im.im), BLAS dots, no wrapper."""
+    x = np.asarray(v, dtype=complex).ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def row_norms(W: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from plurikernel import BoundaryCurve, boundary_limit
 from plurikernel.errors import ValidationError
-from plurikernel.extrapolate import aitken, refine_until, richardson
+from plurikernel.extrapolate import RichardsonTableau, aitken, refine_until, richardson
 
 
 def test_richardson_polynomial_sequence():
@@ -171,6 +171,49 @@ def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):
                     break
         res = boundary_limit(evaluator, curve, e1)
         assert (res.estimate, res.error, res.levels) == (best[0].real, best[1], len(vals))
+
+
+class _Complex128Tableau:
+    """RichardsonTableau.append on numpy complex128 scalars, the arithmetic it must round as."""
+
+    def __init__(self, ratio=2.0, orders=None):
+        self.ratio, self.open = ratio, orders is None
+        self.facs = [] if orders is None else [ratio ** p for p in np.asarray(orders, dtype=float)]
+        self.ends = []
+
+    def append(self, value):
+        older = self.ends
+        if self.open and len(self.facs) < len(older):
+            self.facs.append(self.ratio ** np.float64(len(older)))
+        ends = [np.complex128(value)]
+        for fac, below in zip(self.facs, older):
+            ends.append((fac * ends[-1] - below) / (fac - 1.0))
+        self.ends = ends
+        if not older:
+            return complex(ends[0]), float("inf")
+        best, best_err = ends[0], abs(ends[0] - older[0])
+        for below, top in zip(older[1:], ends[1:]):
+            err = abs(top - below)
+            if err <= best_err:
+                best, best_err = top, err
+        return complex(best), float(best_err)
+
+
+def test_tableau_rounds_as_complex128_scalars(rng):
+    hs = 2.0 ** -np.arange(3, 27)
+    seqs = [f(hs) for f in _fields(rng)]
+    for scale in 10.0 ** rng.uniform(-6, 6, size=40):
+        seqs += [scale * rng.normal(size=24),
+                 scale * (rng.normal(size=24) + 1j * rng.normal(size=24))]
+    for seq in seqs:
+        # open orders, as refine_until and boundary_limit grow them, and the
+        # half-integer orders jwc_derivative_probes passes
+        for orders in (None, np.arange(1, len(seq)) * 0.5):
+            table, ref = RichardsonTableau(orders=orders), _Complex128Tableau(orders=orders)
+            for v in seq:
+                ext = table.append(v)
+                assert (ext.limit, ext.error) == ref.append(v)
+                assert type(ext.limit) is complex and type(ext.error) is float
 
 
 def test_empty_sequences_rejected():
