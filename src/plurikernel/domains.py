@@ -41,6 +41,7 @@ from .errors import (
     PseudoconvexityError,
     ValidationError,
     malformed_spec,
+    positive,
     spec_count,
 )
 from .expressions import ScalarField, infer_dimension
@@ -84,24 +85,20 @@ class DomainSpec:
     @staticmethod
     def unit_ball(n: int) -> "DomainSpec":
         """The unit ball B(0, 1) of C^n."""
-        if n < 1:
-            raise ValidationError("dimension must be positive")
+        n = spec_count(n, "dimension n")
         return replace(DomainSpec.ball(np.zeros(n), 1.0), label=f"unit_ball:{n}")
 
     @staticmethod
     def ball(center, radius: float) -> "DomainSpec":
         c = as_vector(center)
-        if radius <= 0:
-            raise ValidationError("ball radius must be positive")
-        return DomainSpec(kind=DomainKind.BALL, n=len(c), center=c,
-                          radius=float(radius), interior=c.copy(),
+        radius = positive(radius, "ball radius")
+        return DomainSpec(kind=DomainKind.BALL, n=spec_count(len(c), "ball dimension"),
+                          center=c, radius=radius, interior=c.copy(),
                           label=f"ball(r={radius:g})")
 
     @staticmethod
     def ellipsoid(coeffs) -> "DomainSpec":
-        a = np.asarray(coeffs, dtype=float)
-        if a.ndim != 1 or np.any(a <= 0):
-            raise ValidationError("ellipsoid coefficients must be positive reals")
+        a = positive(coeffs, "ellipsoid coefficients", vector=True)
         return DomainSpec(kind=DomainKind.ELLIPSOID, n=len(a), coeffs=a,
                           interior=np.zeros(len(a), complex),
                           label="ellipsoid(" + ",".join(f"{x:g}" for x in a) + ")")
@@ -114,6 +111,7 @@ class DomainSpec:
         C^n; anything else, a Python callable included, raises
         ``ValidationError``, since only expressions have exact derivatives.
         """
+        n = spec_count(n, "dimension n")
         if isinstance(psi, str):
             psi = ScalarField(psi, n)
         elif not isinstance(psi, ScalarField) or psi.n != n:
@@ -596,6 +594,7 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
 
 def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic (seeded) boundary sample points, |psi| = 0 to high accuracy."""
+    count = spec_count(count, "count")
     V = np.array([sample_sphere(rng, domain.n) for _ in range(count)],
                  dtype=complex).reshape(count, domain.n)
     if domain.is_ball_like:
@@ -662,15 +661,15 @@ def domain_from_json(spec) -> DomainSpec:
     if kind == "disc":
         return DomainSpec.disc()
     if kind == "unit_ball":
-        return DomainSpec.unit_ball(spec_count(spec["n"]))
+        return DomainSpec.unit_ball(spec["n"])
     if kind == "ball":
         center = [complex(re, im) for re, im in spec["center"]]
-        return DomainSpec.ball(center, float(spec["radius"]))
+        return DomainSpec.ball(center, spec["radius"])
     if kind == "ellipsoid":
         return DomainSpec.ellipsoid(spec["a"])
     if kind == "custom":
         source = str(spec["psi"])
-        n = spec_count(spec["n"]) if "n" in spec else infer_dimension(source)
+        n = spec["n"] if "n" in spec else infer_dimension(source)
         return DomainSpec.custom(source, n)
     raise ValidationError(f"unknown domain kind {kind!r}")
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, positive, spec_count
 from .kernels import _ball_kernels, _poisson_discs, _to_unit_ball, mobius_ball
 from .utils import as_rows, as_vector, herm, norm
 
@@ -51,8 +51,7 @@ class DiscAutomorphism:
     @staticmethod
     def from_halfplane(a: float, b: float) -> "DiscAutomorphism":
         """The automorphism conjugate to w -> a w + i b on Re w > 0."""
-        if a <= 0:
-            raise ValidationError("half-plane dilation must be positive")
+        a = positive(a, "half-plane dilation a")
         return DiscAutomorphism(A=a + 1 - 1j * b, B=a - 1 + 1j * b,
                                 C=a - 1 - 1j * b, D=a + 1 + 1j * b)
 
@@ -102,6 +101,7 @@ def geodesic_through(z, p, normalize_chl: bool = True,
     is the normalized one described in the module docstring; otherwise
     phi(0) = z.
     """
+    radius = positive(radius, "ball radius")
     if center is None:
         center = np.zeros(len(as_vector(p)), dtype=complex)
     c0 = as_vector(center)
@@ -180,13 +180,12 @@ def geodesic_through(z, p, normalize_chl: bool = True,
                         phi1_second=radius * phi1_second,
                         chl_flag=chl,
                         chl_direction=v,
-                        center=c0, radius=float(radius))
+                        center=c0, radius=radius)
 
 
 def default_disc_grid(count: int = 200, rmax: float = 0.95) -> np.ndarray:
     """Deterministic evaluation grid in the disc: tensor of radii and angles."""
-    if count < 1:
-        raise ValidationError(f"grid needs at least 1 point, got {count}")
+    count = spec_count(count, "grid count")
     n_r = max(4, int(np.sqrt(count)))
     n_t = max(4, -(-count // n_r))
     radii = np.linspace(0.05, rmax, n_r)

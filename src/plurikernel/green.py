@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import kernel_value
 from .domains import DomainSpec, levi_density, outward_normal, require_on_boundary
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, positive
 from .extrapolate import aitken
 from .kernels import _SPHERE_TOL, NEG_INFINITY, _to_unit_ball, is_neg_infinity, mobius_ball
 from .utils import as_vector, norm
@@ -85,8 +85,7 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
         raise ValidationError("z must differ from the boundary point")
     if domain.psi(z) >= 0:
         raise ValidationError("z must be interior")
-    if not (np.isfinite(h0) and h0 > 0):
-        raise ValidationError(f"initial step must be finite and positive, got {h0}")
+    h0 = positive(h0, "initial step h0")
     nu = outward_normal(domain, p)
 
     steps = []

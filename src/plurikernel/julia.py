@@ -45,7 +45,7 @@ from .domains import (
     require_on_boundary,
     signed_boundary_distance,
 )
-from .errors import NumericalError, ValidationError, malformed_spec, spec_count
+from .errors import NumericalError, ValidationError, malformed_spec, positive, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
 from .kernels import (KernelValue, _cabs, _to_unit_ball, kobayashi, mobius_ball,
                       mobius_ball_jacobian)
@@ -104,8 +104,8 @@ class MapSpec:
 
 
 def identity_map(n: int) -> MapSpec:
-    eye = np.eye(n, dtype=complex)
     dom = DomainSpec.unit_ball(n)
+    eye = np.eye(dom.n, dtype=complex)
     return MapSpec(fn=lambda z: z, jacobian=lambda z: eye,
                    source=dom, target=dom, describe=f"identity:{n}",
                    inverse=lambda w: w)
@@ -124,8 +124,7 @@ def blaschke_map(a: complex) -> MapSpec:
 
 
 def power_map(k: int) -> MapSpec:
-    if k < 1:
-        raise ValidationError("power must be a positive integer")
+    k = spec_count(k, "power k")
     dom = DomainSpec.disc()
     return MapSpec(fn=lambda z: z ** k,
                    jacobian=lambda z: k * z[..., None] ** (k - 1),
@@ -175,6 +174,7 @@ def constant_map(c, source_n: int) -> MapSpec:
     if norm(c) >= 1.0:
         raise ValidationError("constant value must be interior to the target ball")
     m = len(c)
+    source_n = spec_count(source_n, "source_n")
     Z = np.zeros((m, source_n), dtype=complex)
     return MapSpec(fn=lambda z: np.broadcast_to(c, z.shape[:-1] + (m,)).copy(),
                    jacobian=lambda z: Z, source=DomainSpec.unit_ball(source_n),
@@ -183,15 +183,13 @@ def constant_map(c, source_n: int) -> MapSpec:
 
 def product_map(n: int) -> MapSpec:
     """Coordinate product (z_1 ... z_n): ball of C^n -> disc."""
-    if n < 1:
-        raise ValidationError("dimension must be positive")
-    diagonal = np.eye(n, dtype=bool)
+    dom = DomainSpec.unit_ball(n)
+    diagonal = np.eye(dom.n, dtype=bool)
     # row j of the stacked copies has 1 in place of z_j; its product is d/dz_j
     return MapSpec(fn=lambda z: np.prod(z, axis=-1, keepdims=True),
                    jacobian=lambda z: np.prod(np.where(diagonal, 1.0, z[..., None, :]),
                                               axis=-1)[..., None, :],
-                   source=DomainSpec.unit_ball(n), target=DomainSpec.disc(),
-                   describe=f"product:{n}")
+                   source=dom, target=DomainSpec.disc(), describe=f"product:{dom.n}")
 
 
 def compose_maps(outer: MapSpec, inner: MapSpec) -> MapSpec:
@@ -224,7 +222,7 @@ def map_from_json(spec) -> MapSpec:
         a = complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
         return blaschke_map(a)
     if key == "power":
-        return power_map(spec_count(val))
+        return power_map(val)
     if key == "diag":
         return diag_map([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                          for v in val])
@@ -233,12 +231,11 @@ def map_from_json(spec) -> MapSpec:
     if key == "unitary":
         return unitary_map([[complex(re, im) for re, im in row] for row in val])
     if key == "identity":
-        return identity_map(spec_count(val))
+        return identity_map(val)
     if key == "constant":
-        return constant_map([complex(re, im) for re, im in val["c"]],
-                            spec_count(val["n_source"]))
+        return constant_map([complex(re, im) for re, im in val["c"]], val["n_source"])
     if key == "product":
-        return product_map(spec_count(val))
+        return product_map(val)
     if key == "compose":
         maps = [map_from_json(m) for m in val]
         if not maps:
@@ -334,8 +331,8 @@ class SamplingPlan:
     grid_count: int = 400
 
     def __post_init__(self):
-        if self.grid_count < 1:
-            raise ValidationError(f"grid_count must be at least 1, got {self.grid_count}")
+        spec_count(self.seed, "seed", least=0)
+        spec_count(self.grid_count, "grid_count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,13 +348,6 @@ class JuliaReport:
     @property
     def finite(self) -> bool:
         return not self.diverged and np.isfinite(self.lambda_estimate)
-
-
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for a sampling seed, which must be a non-negative integer."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def _ratio_lower(num_hi, den_lo):
@@ -438,7 +428,7 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
     nu = outward_normal(src, p)
-    rng = _seeded_rng(plan.seed)
+    rng = np.random.default_rng(plan.seed)
 
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
     sup = float(np.max(_kernel_ratios(mapspec, p, q, grid), initial=0.0))
@@ -531,16 +521,13 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     mu(h) = image radius / (lam * source radius), which tends to 1 exactly
     when the dilation is attained along the normal.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError("inclusion check requires a finite positive dilation")
-    if not all(np.isfinite(R) and R > 0 for R in radii):
-        raise ValidationError(f"horoball radii must be finite and positive, got {list(radii)}")
-    if samples_per_radius < 1:
-        raise ValidationError(f"samples_per_radius must be at least 1, got {samples_per_radius}")
+    lam = positive(lam, "dilation lam")
+    positive(radii, "horoball radii", vector=True)
+    samples_per_radius = spec_count(samples_per_radius, "samples_per_radius")
+    rng = np.random.default_rng(spec_count(seed, "seed", least=0))
     src, tgt = mapspec.source, mapspec.target
     p = as_vector(p, src.n)
     q = as_vector(q, tgt.n)
-    rng = _seeded_rng(seed)
     violations: List[InclusionViolation] = []
     undetermined = 0
     checked = 0

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, positive
 from .extrapolate import Extrapolation, RichardsonTableau, richardson
 from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, row_norms
 
@@ -136,8 +136,7 @@ class KernelValue:
 
     def scaled(self, factor: float) -> "KernelValue":
         """Multiply the enclosure by a positive factor."""
-        if factor <= 0:
-            raise ValidationError("scaling factor must be positive")
+        factor = positive(factor, "scaling factor")
         return KernelValue(lo=self.lo * factor, hi=self.hi * factor,
                            provenance=self.provenance)
 
@@ -318,8 +317,7 @@ def _ball_kernels(c: np.ndarray, radius: float, p: np.ndarray, Z: np.ndarray) ->
 
 def rescale_couple(value, rho: float):
     """Re-express a kernel value in the couple rho * theta (values scale by 1/rho)."""
-    if rho <= 0:
-        raise ValidationError("couple scale must be positive")
+    rho = positive(rho, "couple scale rho")
     if isinstance(value, KernelValue):
         return value.scaled(1.0 / rho)
     return value / rho

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, spec_count
 from .utils import as_vector, read_only
 
 TWO_PI = 2.0 * math.pi
@@ -119,8 +119,7 @@ def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
     """
     if n not in (1, 2):
         raise ValidationError(f"sphere quadrature implemented for n in {{1, 2}}, got n={n}")
-    if resolution < 4:
-        raise ValidationError("resolution must be at least 4")
+    resolution = spec_count(resolution, "resolution", least=4)
     count = resolution ** (2 * n - 1)
     if count > _MAX_NODES:
         raise ValidationError(f"resolution {resolution} gives a rule of {count} nodes "
@@ -212,9 +211,8 @@ def riesz_correction_1d(f: Callable, laplacian: Callable, z, rule: QuadratureRul
     """
     if rule.n != 1:
         raise ValidationError("riesz correction is the n = 1 formula; need a circle rule")
-    if radial < 1 or angular < 1:
-        raise ValidationError(f"polar grid needs at least 1 node per axis, "
-                              f"got radial={radial}, angular={angular}")
+    radial = spec_count(radial, "radial polar grid")
+    angular = spec_count(angular, "angular polar grid")
     z = as_vector(z, 1)
     if abs(z[0]) >= 1.0:
         raise ValidationError("evaluation point must be inside the disc")

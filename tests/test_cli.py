@@ -296,6 +296,8 @@ _GEODESIC = ["geodesic", "--domain", "unit_ball:2", "--pole", "e1", "--through",
 _JULIA = ["julia", "--map", '{"blaschke":{"a":0.5}}', "--p", "1", "--q", "1"]
 _RIESZ = ["reproduce", "--domain", "disc", "--f", "re(z1)", "--z", "0.3", "--laplacian", "0"]
 _GREEN = ["green", "--domain", "unit_ball:2", "--pole", "e1", "--point", "0.3,0"]
+#: A ball in C^2 whose radius is a JSON constant Python's json module reads (NaN, Infinity).
+_NONFINITE_BALL = '{"kind":"ball","center":[[0,0],[0,0]],"radius":%s}'
 
 
 @pytest.mark.parametrize("argv, subject", [
@@ -316,10 +318,20 @@ _GREEN = ["green", "--domain", "unit_ball:2", "--pole", "e1", "--point", "0.3,0"
     (_RIESZ[:-2] + ["--resolution", "100000000000"], "cap of 2^24"),
     (["reproduce", "--domain", "unit_ball:2", "--f", "re(z1)", "--z", "0.3,0",
       "--resolution", "257"], "cap of 2^24"),
+    *[([command, "--domain", f"ellipsoid:1,{a}", "--pole", "e1", "--point", "0.5,0"],
+       "ellipsoid coefficients") for command in ("kernel", "bounds") for a in ("nan", "inf")],
+    *[([command, "--domain", _NONFINITE_BALL % r, "--pole", "e1", option, "0.5,0"], "ball radius")
+      for command, option in (("kernel", "--point"), ("geodesic", "--through"),
+                              ("green", "--point"))
+      for r in ("NaN", "Infinity")],
 ], ids=["grid_negative", "grid_zero", "radius_zero", "radius_negative_fraction",
         "radius_minus_one", "radius_inf", "samples_zero", "samples_negative",
         "grid_count_zero", "radial_grid_zero", "angular_grid_negative", "h0_nan", "h0_zero", "seed_negative",
-        "resolution_above_cap_disc", "resolution_above_cap_ball"])
+        "resolution_above_cap_disc", "resolution_above_cap_ball",
+        "kernel_ellipsoid_nan", "kernel_ellipsoid_inf",
+        "bounds_ellipsoid_nan", "bounds_ellipsoid_inf",
+        "kernel_ball_nan", "kernel_ball_inf", "geodesic_ball_nan", "geodesic_ball_inf",
+        "green_ball_nan", "green_ball_inf"])
 def test_out_of_range_sizes_are_json(capsys, argv, subject):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")

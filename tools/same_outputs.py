@@ -16,7 +16,9 @@ few differences.
 
 Then every ``plurikernel`` command line of the README's ``sh`` blocks runs
 as ``python -m plurikernel`` under both ``src/`` trees, and their stdout is
-compared byte for byte.  Exits 1 if any output differs.
+compared byte for byte.  Last, the lines of each ``src/plurikernel/*.py`` in
+both trees are counted as ``wc -l`` counts them (source size is tracked).
+Exits 1 if any output differs.
 """
 
 from __future__ import annotations
@@ -108,6 +110,20 @@ def unpack_src(rev: str, into: Path) -> Path:
     return into / "src"
 
 
+def source_lines(src: Path) -> dict:
+    """Newlines in each ``plurikernel/*.py`` under ``src``, as ``wc -l`` counts them."""
+    return {f.name: f.read_bytes().count(b"\n") for f in sorted((src / "plurikernel").glob("*.py"))}
+
+
+def compare_lines(rev_src: Path) -> None:
+    """Print ``wc -l src/plurikernel/*.py`` of both trees: the files that moved, and totals."""
+    old, new = source_lines(rev_src), source_lines(ROOT / "src")
+    for name in sorted(set(old) | set(new)):
+        if old.get(name) != new.get(name):
+            print(f"  {name}: {old.get(name, 0)} -> {new.get(name, 0)}")
+    print(f"  total: {sum(old.values())} -> {sum(new.values())}")
+
+
 def largest_move(diffs) -> tuple:
     """(relative difference, index, what) of the number that moved most among differing
     outputs ``(i, (what, old repr), (_, new repr))``; (0.0, None, None) if none pair up."""
@@ -160,6 +176,8 @@ def main(argv=None) -> int:
             differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
         print(f"README commands: {args.rev} against the working tree")
         differ += compare_cli(rev_src, tmp)
+        print(f"Source lines (wc -l src/plurikernel/*.py): {args.rev} -> the working tree")
+        compare_lines(rev_src)
     print(f"{differ} outputs differ")
     return 1 if differ else 0
 
