@@ -58,13 +58,11 @@ from .julia import (
     pullback_kernel,
 )
 from .kernels import (
-    NEG_INFINITY,
     BoundaryCurve,
     BoundaryLimitResult,
     KernelValue,
     Provenance,
     boundary_limit,
-    is_neg_infinity,
     kobayashi,
     mobius_ball,
     poisson_disc,

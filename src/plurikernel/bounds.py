@@ -14,7 +14,7 @@ constructions give computable two-sided control:
 
 The resulting enclosure is reported as an interval KernelValue.  Built-in
 convex kinds get globally certified tangent balls from the osculating radii;
-custom domains are served by the lower envelope only.
+custom domains have no kernel bound yet.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def _tangent_balls(domain: DomainSpec, p: np.ndarray):
     rad = osculating_radii(domain, p)
     if not rad.global_containment:
         raise ContainmentError(
-            "tangent-ball containment not certified for this domain; "
-            "use lower_envelope for one-sided bounds")
+            "tangent-ball containment not certified for this domain: "
+            "custom domains have no kernel bound yet")
     frame = boundary_frame(domain, p)
     c_in, c_out = read_only(frame.p - rad.r_in * frame.nu, frame.p - rad.r_out * frame.nu)
     return (c_in, rad.r_in), (c_out, rad.r_out)
@@ -195,8 +195,7 @@ def kernel_value(domain: DomainSpec, p, z) -> KernelValue:
             domain.center, domain.radius, as_vector(p, domain.n), as_vector(z, domain.n)))
     if domain.kind is DomainKind.ELLIPSOID:
         return sandwich_bounds(domain, p, z)
-    raise ContainmentError(
-        "no certified two-sided kernel bounds for custom domains; use lower_envelope")
+    raise ContainmentError("custom domains have no kernel bound yet")
 
 
 def kernel_values(domain: DomainSpec, p, Z):
@@ -207,8 +206,7 @@ def kernel_values(domain: DomainSpec, p, Z):
     scalar path's tests, and fails with the same error types.
     """
     if domain.kind is DomainKind.CUSTOM:
-        raise ContainmentError(
-            "no certified two-sided kernel bounds for custom domains; use lower_envelope")
+        raise ContainmentError("custom domains have no kernel bound yet")
     Z = as_rows(Z, domain.n)
     if domain.kind is DomainKind.ELLIPSOID:
         if np.any(domain.psi_rows(Z) >= 0):

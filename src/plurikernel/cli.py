@@ -76,7 +76,7 @@ def _writable(path: str):
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(args, payload_json: dict, rows=None, header=None) -> None:
+def _emit(args, payload_json: dict, rows, header) -> None:
     """Write the result in the chosen format: json, csv or plotdata."""
     out = sys.stdout if args.output is None else _writable(args.output)
     try:
@@ -85,14 +85,12 @@ def _emit(args, payload_json: dict, rows=None, header=None) -> None:
             out.write("\n")
         elif args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
-            if header:
-                writer.writerow(header)
-            for row in rows or []:
+            writer.writerow(header)
+            for row in rows:
                 writer.writerow([_fmt(x) for x in row])
         else:  # plotdata
-            if header:
-                out.write("# " + " ".join(header) + "\n")
-            for row in rows or []:
+            out.write("# " + " ".join(header) + "\n")
+            for row in rows:
                 out.write(" ".join(_fmt(x) for x in row) + "\n")
     finally:
         if out is not sys.stdout:
@@ -113,21 +111,33 @@ def _kv_payload(kv) -> dict:
 
 # -- subcommands ----------------------------------------------------------------
 
+def _emit_points(args, n: int, texts, evaluate, header=None) -> int:
+    """Write ``evaluate(z)`` at each point z of ``texts``: one payload, or {"values": [...]}.
+
+    ``evaluate`` returns the point's JSON payload and its table: a dict of
+    named values, one row after the point's re_z*, im_z* columns, or, with
+    ``header`` given, a list of rows written as they are.
+    """
+    payloads, rows = [], []
+    for text in texts:
+        z = parse_point(text, n)
+        payload, table = evaluate(z)
+        payloads.append(payload)
+        rows.extend(table if header else [[*z.real, *z.imag, *table.values()]])
+    header = header or [f"{part}_z{j+1}" for part in ("re", "im") for j in range(n)] + list(table)
+    _emit(args, payloads[0] if len(payloads) == 1 else {"values": payloads}, rows, header)
+    return 0
+
+
 def _cmd_kernel(args) -> int:
     domain = domain_from_json(args.domain)
     pole = parse_point(args.pole, domain.n)
-    rows = []
-    payloads = []
-    for ptext in args.point:
-        z = parse_point(ptext, domain.n)
+
+    def evaluate(z):
         kv = kernel_value(domain, pole, z)
-        payloads.append(_kv_payload(kv))
-        rows.append(list(np.concatenate([z.real, z.imag])) + [kv.lo, kv.hi])
-    header = [f"re_z{j+1}" for j in range(domain.n)] + \
-             [f"im_z{j+1}" for j in range(domain.n)] + ["lo", "hi"]
-    payload = payloads[0] if len(payloads) == 1 else {"values": payloads}
-    _emit(args, payload, rows=rows, header=header)
-    return 0
+        return _kv_payload(kv), {"lo": kv.lo, "hi": kv.hi}
+
+    return _emit_points(args, domain.n, args.point, evaluate)
 
 
 def _cmd_bounds(args) -> int:
@@ -138,21 +148,13 @@ def _cmd_bounds(args) -> int:
         candidates.append(ball_restriction_candidate(domain, pole))
     except PluriKernelError:
         pass
-    rows = []
-    payloads = []
-    for ptext in args.point:
-        z = parse_point(ptext, domain.n)
-        kv = sandwich_bounds(domain, pole, z)
-        env = lower_envelope(domain, pole, z, candidates)
-        item = _kv_payload(kv)
-        item["lower_envelope"] = env
-        payloads.append(item)
-        rows.append(list(np.concatenate([z.real, z.imag])) + [kv.lo, kv.hi, env])
-    header = [f"re_z{j+1}" for j in range(domain.n)] + \
-             [f"im_z{j+1}" for j in range(domain.n)] + ["lo", "hi", "lower_envelope"]
-    payload = payloads[0] if len(payloads) == 1 else {"values": payloads}
-    _emit(args, payload, rows=rows, header=header)
-    return 0
+
+    def evaluate(z):
+        kv, env = sandwich_bounds(domain, pole, z), lower_envelope(domain, pole, z, candidates)
+        table = {"lo": kv.lo, "hi": kv.hi, "lower_envelope": env}
+        return {**_kv_payload(kv), "lower_envelope": env}, table
+
+    return _emit_points(args, domain.n, args.point, evaluate)
 
 
 def _cmd_geodesic(args) -> int:
@@ -177,30 +179,26 @@ def _cmd_geodesic(args) -> int:
     ts = np.linspace(-0.95, 0.95, 97)
     values, _ = kernel_values(domain, g.boundary_point, [g.phi(t) for t in ts])
     rows = [[float(t), float(v)] for t, v in zip(ts, values)]
-    _emit(args, payload, rows=rows, header=["t", "omega_on_geodesic"])
+    _emit(args, payload, rows, ["t", "omega_on_geodesic"])
     return 0
 
 
 def _cmd_green(args) -> int:
     domain = domain_from_json(args.domain)
     pole = parse_point(args.pole, domain.n)
-    rows = []
-    payloads = []
-    for ptext in args.point:
-        z = parse_point(ptext, domain.n)
+
+    def evaluate(z):
         nd = normal_derivative_green(domain, z, pole, h0=args.h0)
         om = kernel_value(domain, pole, z).value
-        payloads.append({
+        return {
             "normal_derivative": nd.value,
             "omega": om,
             "deviation": abs(nd.value - om),
             "lipschitz_estimate": nd.lipschitz_estimate,
             "demailly_density": demailly_density(domain, z, pole),
-        })
-        rows.extend([[h, q] for h, q in nd.step_sequence])
-    payload = payloads[0] if len(payloads) == 1 else {"values": payloads}
-    _emit(args, payload, rows=rows, header=["h", "quotient"])
-    return 0
+        }, nd.step_sequence
+
+    return _emit_points(args, domain.n, args.point, evaluate, header=["h", "quotient"])
 
 
 def _cmd_reproduce(args) -> int:
@@ -214,25 +212,20 @@ def _cmd_reproduce(args) -> int:
             rule_to_csv(rule, fh)
     field = ScalarField(args.f, domain.n)
     lap = None if args.laplacian is None else ScalarField(args.laplacian, domain.n)
-    rows = []
-    payloads = []
-    for ptext in args.z:
-        z = parse_point(ptext, domain.n)
-        if lap is not None:
+
+    def evaluate(z):
+        if lap is None:
+            payload = {"reproduced": reproduce(field.real_part, z, rule)}
+        else:
             # the area term evaluates on scalar grids, which need a trailing coordinate axis
             dec = riesz_correction_1d(
                 field.real_part, lambda w: np.real(lap(np.asarray(w)[..., None])),
                 z, rule, radial=args.radial_grid, angular=args.angular_grid)
-            payloads.append({"boundary_term": dec.boundary_term,
-                             "correction": dec.correction, "value": dec.value})
-        else:
-            payloads.append({"reproduced": reproduce(field.real_part, z, rule)})
-        rows.append(list(np.concatenate([z.real, z.imag])) + list(payloads[-1].values()))
-    header = ([f"re_z{j+1}" for j in range(domain.n)] + [f"im_z{j+1}" for j in range(domain.n)]
-              + list(payloads[0]))
-    payload = payloads[0] if len(payloads) == 1 else {"values": payloads}
-    _emit(args, payload, rows=rows, header=header)
-    return 0
+            payload = {"boundary_term": dec.boundary_term,
+                       "correction": dec.correction, "value": dec.value}
+        return payload, payload
+
+    return _emit_points(args, domain.n, args.z, evaluate)
 
 
 def _cmd_julia(args) -> int:
@@ -280,7 +273,7 @@ def _cmd_julia(args) -> int:
             "all_infinite": eq.all_infinite,
             "consistent": eq.consistent,
         }
-    _emit(args, payload, rows=rows, header=header)
+    _emit(args, payload, rows, header)
     return 0
 
 
@@ -312,43 +305,29 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"plurikernel {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+    def command(name, help, func, *required):
+        """A subcommand running ``func``, with the ``required`` options (--point takes many)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for option in required:
+            p.add_argument(f"--{option}", required=True, nargs="+" if option == "point" else None)
+        return p
 
-    p = sub.add_parser("kernel", help="evaluate a kernel at interior points")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
-    p.add_argument("--point", required=True, nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_kernel)
+    command("kernel", "evaluate a kernel at interior points", _cmd_kernel,
+            "domain", "pole", "point")
+    command("bounds", "certified kernel enclosures and envelopes", _cmd_bounds,
+            "domain", "pole", "point")
 
-    p = sub.add_parser("bounds", help="certified kernel enclosures and envelopes")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
-    p.add_argument("--point", required=True, nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("geodesic", help="normalized geodesic through a point")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
-    p.add_argument("--through", required=True)
+    p = command("geodesic", "normalized geodesic through a point", _cmd_geodesic,
+                "domain", "pole", "through")
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--raw", action="store_true", help="skip boundary normalization")
-    common(p)
-    p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("green", help="Green normal derivative vs kernel")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--pole", required=True)
-    p.add_argument("--point", required=True, nargs="+")
+    p = command("green", "Green normal derivative vs kernel", _cmd_green,
+                "domain", "pole", "point")
     p.add_argument("--h0", type=float, default=1e-3)
-    common(p)
-    p.set_defaults(func=_cmd_green)
 
-    p = sub.add_parser("reproduce", help="boundary reproducing formula")
-    p.add_argument("--domain", required=True)
+    p = command("reproduce", "boundary reproducing formula", _cmd_reproduce, "domain")
     p.add_argument("--f", required=True, help="scalar field expression in z1..zn")
     p.add_argument("--z", required=True, nargs="+")
     p.add_argument("--resolution", type=int, default=64)
@@ -357,13 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radial-grid", type=int, default=200)
     p.add_argument("--angular-grid", type=int, default=200)
     p.add_argument("--export-rule", default=None, help="write quadrature rule CSV here")
-    common(p)
-    p.set_defaults(func=_cmd_reproduce)
 
-    p = sub.add_parser("julia", help="boundary dilation, horoballs, probes")
-    p.add_argument("--map", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
+    p = command("julia", "boundary dilation, horoballs, probes", _cmd_julia, "map", "p", "q")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid-count", type=int, default=400)
     p.add_argument("--radii", type=float, nargs="*", default=None,
@@ -373,9 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dilation used by the inclusion check (default: estimated)")
     p.add_argument("--probes", action="store_true")
     p.add_argument("--equivalence", action="store_true")
-    common(p)
-    p.set_defaults(func=_cmd_julia)
 
+    for p in sub.choices.values():      # every subcommand's last options
+        p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json")
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
     return ap
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError, positive, spec_count
+
 
 @dataclass(frozen=True)
 class Extrapolation:
@@ -41,7 +43,8 @@ class RichardsonTableau:
     column before with fac = ratio**p_j, and returns the estimate from the
     values so far: the last entry of the column whose last two entries
     differ least (later columns win ties).  ``orders`` as in ``richardson``;
-    when given, the tableau has one column per order.
+    when given, the tableau has one column per order.  ``ratio`` is a finite
+    real > 0 other than 1.
 
     The entries round as on numpy complex128 scalars: numpy divides a complex
     by a real scalar by multiplying by its reciprocal, so each column keeps
@@ -52,6 +55,9 @@ class RichardsonTableau:
     """
 
     def __init__(self, ratio: float = 2.0, orders=None):
+        ratio = positive(ratio, "step ratio")
+        if ratio == 1.0:
+            raise ValidationError("step ratio must not be 1, got 1.0")
         self._ratio = ratio
         self._open = orders is None
         orders = [] if orders is None else np.asarray(orders, dtype=float)
@@ -121,20 +127,23 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     """Sample f at h_k = 2**-k for k = start_level..max_level and Richardson-extrapolate.
 
     ``f`` takes the array of every level's h and returns the array of its
-    values, so the whole ladder is one call.  The tableau is then grown one
-    level at a time.  It stops early when the error estimate is exactly 0,
-    which no later level can improve, or when a raw value blows past
-    ``divergence_threshold`` (reported as divergence, with the last raw value
-    as the limit); the values past the stop are never read.
-
-    If the array call raises, the levels are walked one at a time, each a
-    one-element call of ``f``: an error at a level the ladder never reaches
-    does not surface, and one at a level it reaches is raised there.
+    values, so the whole ladder is one call, and an error it raises
+    propagates.  The tableau is then grown one level at a time.  It stops
+    early when the error estimate is exactly 0, which no later level can
+    improve, or when a raw value blows past ``divergence_threshold``
+    (reported as divergence, with the last raw value as the limit); the
+    values past the stop are never read.
     """
+    start_level = spec_count(start_level, "start_level", least=0)
+    max_level = spec_count(max_level, "max_level", least=start_level)
+    hs = np.ldexp(1.0, -np.arange(start_level, max_level + 1))
+    values = f(hs)
+    if np.shape(values) != hs.shape:
+        raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
     vals = []
     table = RichardsonTableau()
     best = None
-    for v in _level_values(f, np.ldexp(1.0, -np.arange(start_level, max_level + 1))):
+    for v in values:
         if not np.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         vals.append(v)
@@ -146,14 +155,3 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     if best is None:
         best = richardson(vals)
     return best
-
-
-def _level_values(f, hs: np.ndarray):
-    """f at every level in one call, or, if that call raises, a lazy walk level by level."""
-    try:
-        values = f(hs)
-    except Exception:
-        return (f(hs[i:i + 1])[0] for i in range(len(hs)))
-    if np.shape(values) != hs.shape:
-        raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
-    return values

@@ -29,7 +29,7 @@ from .bounds import kernel_value
 from .domains import DomainSpec, levi_density, outward_normal, require_on_boundary
 from .errors import ConvergenceError, ValidationError, positive
 from .extrapolate import aitken
-from .kernels import _SPHERE_TOL, NEG_INFINITY, _to_unit_ball, is_neg_infinity, mobius_ball
+from .kernels import _SPHERE_TOL, _to_unit_ball, mobius_ball
 from .utils import as_vector, norm
 
 _HALVINGS = 8       # halvings of the initial step in the difference-quotient ladder
@@ -46,8 +46,8 @@ def green_function(domain: DomainSpec, z, w):
     """Pluricomplex Green function of a ball with pole z: G(z, w) = log ||phi_z(w)||.
 
     Points are carried to the unit ball by (z - c)/r.  Symmetric in (z, w),
-    negative inside, zero on the boundary, logarithmic pole at w = z
-    (returned as the NEG_INFINITY sentinel).
+    negative inside, zero on the boundary, logarithmic pole at w = z, where
+    it raises ValidationError, as a kernel does at its boundary pole.
     """
     _require_symmetric_green(domain)
     c, r = domain.center, domain.radius
@@ -57,7 +57,7 @@ def green_function(domain: DomainSpec, z, w):
         raise ValidationError("green_function requires z interior and w in the closed ball")
     m = norm(mobius_ball(z, w))
     if m == 0.0:
-        return NEG_INFINITY
+        raise ValidationError("green_function evaluated at its pole")
     return float(np.log(min(m, 1.0)))
 
 
@@ -93,8 +93,6 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
     for k in range(_HALVINGS + 1):
         h = h0 * 2.0 ** (-k)
         g = green_function(domain, z, p - h * nu)
-        if is_neg_infinity(g):
-            raise ValidationError("difference stencil hit the Green pole")
         quotients.append(g / h)
         steps.append((h, g / h))
 

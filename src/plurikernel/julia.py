@@ -433,7 +433,7 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     grid = _interior_samples(src, plan.grid_count, rng, _COMPACT_RADIUS)
     sup = float(np.max(_kernel_ratios(mapspec, p, q, grid), initial=0.0))
 
-    seen = []      # the ray's ratios: one array, or one per level walked
+    seen = []      # the ray's ratios, from refine_until's one call
 
     def ratios(h):
         seen.append(_kernel_ratios(mapspec, p, q, _ray(p, nu, h)))
@@ -444,10 +444,7 @@ def lambda_estimate(mapspec: MapSpec, p, q,
     if ray.diverged:
         return JuliaReport(lambda_estimate=float("inf"), normal_ray_limit=float("inf"),
                            target=q, diverged=True)
-    walked = sum(map(len, seen))
-    if walked < 6:     # a level walk that stopped early: evaluate the rest of the six
-        ratios(2.0 ** -np.arange(_RAY_START_LEVEL + walked, _RAY_START_LEVEL + 6))
-    sup = max(sup, float(np.max(np.concatenate(seen)[:6])))
+    sup = max(sup, float(np.max(seen[0][:6])))
     return JuliaReport(lambda_estimate=max(sup, ray.real),
                        normal_ray_limit=ray.real,
                        target=q, ray_error=ray.error)

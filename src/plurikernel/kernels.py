@@ -31,59 +31,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, positive
+from .errors import ValidationError, positive, spec_count
 from .extrapolate import Extrapolation, RichardsonTableau, richardson
 from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
 _SPHERE_TOL = 1e-9
-
-
-class _NegInfinity:
-    """Explicit sentinel for negative-infinite values (Green-function pole hits).
-
-    Orders below every float but supports no arithmetic, so it can never
-    silently propagate through computations.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NEG_INFINITY"
-
-    def __float__(self):
-        return float("-inf")
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInfinity)
-
-    def __hash__(self):
-        return hash("NEG_INFINITY")
-
-
-NEG_INFINITY = _NegInfinity()
-
-
-def is_neg_infinity(x) -> bool:
-    return isinstance(x, _NegInfinity)
 
 
 class Provenance(str, Enum):
@@ -355,6 +308,8 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
 
     Also returns the predicted transversal limit -2 Re [<gamma'(1), nu_p>]^{-1}.
     """
+    start_level = spec_count(start_level, "start_level", least=0)
+    max_level = spec_count(max_level, "max_level", least=start_level)
     nu_p = as_vector(nu_p)
     gp = as_vector(curve.gamma_prime_at_1, len(nu_p))
     theta = herm(gp, nu_p)

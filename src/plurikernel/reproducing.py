@@ -117,7 +117,7 @@ def sphere_quadrature(n: int, resolution: int) -> QuadratureRule:
 
     The rule has resolution**(2n - 1) nodes, at most 2^24.
     """
-    if n not in (1, 2):
+    if spec_count(n, "dimension n") not in (1, 2):
         raise ValidationError(f"sphere quadrature implemented for n in {{1, 2}}, got n={n}")
     resolution = spec_count(resolution, "resolution", least=4)
     count = resolution ** (2 * n - 1)

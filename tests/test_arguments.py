@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from plurikernel import (
+    BoundaryCurve,
     DomainSpec,
     KernelValue,
     SamplingPlan,
     ValidationError,
+    boundary_limit,
     geodesic_through,
     horoball_inclusion_check,
     kernel_value,
@@ -28,6 +30,7 @@ from plurikernel import (
     sphere_quadrature,
 )
 from plurikernel.domains import boundary_samples
+from plurikernel.extrapolate import RichardsonTableau, refine_until, richardson
 from plurikernel.geodesics import DiscAutomorphism, default_disc_grid
 from plurikernel.julia import blaschke_map, constant_map, identity_map, power_map, product_map
 
@@ -35,6 +38,11 @@ E1 = np.array([1, 0], dtype=complex)
 P1 = np.array([1], dtype=complex)
 BLASCHKE = blaschke_map(0.5)
 CIRCLE = sphere_quadrature(1, 16)
+CHORD = BoundaryCurve(gamma=lambda t: np.array([t, 0.0], dtype=complex), gamma_prime_at_1=E1)
+
+
+def _limit(**levels):
+    return boundary_limit(lambda z: -2.0 / (1.0 - z[0].real), CHORD, E1, **levels)
 
 
 def _riesz(**grid):
@@ -61,6 +69,11 @@ COUNTS = [
     ("radial polar grid", 1, lambda v: _riesz(radial=v)),
     ("angular polar grid", 1, lambda v: _riesz(angular=v)),
     ("grid count", 1, default_disc_grid),
+    ("dimension n", 1, lambda v: sphere_quadrature(v, 8)),
+    ("start_level", 0, lambda v: refine_until(lambda h: 1.0 + h, start_level=v)),
+    ("max_level", 3, lambda v: refine_until(lambda h: 1.0 + h, max_level=v)),
+    ("start_level", 0, lambda v: _limit(start_level=v)),
+    ("max_level", 3, lambda v: _limit(max_level=v)),
 ]
 
 #: (argument name, the entry point called with the value)
@@ -75,6 +88,8 @@ REALS = [
     ("couple scale rho", lambda v: rescale_couple(-1.0, v)),
     ("dilation lam", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, v)),
     ("horoball radii", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=(v,))),
+    ("step ratio", lambda v: richardson([1.0, 1.1, 1.2], ratio=v)),
+    ("step ratio", lambda v: RichardsonTableau(ratio=v)),
 ]
 
 BAD_REALS = [True, 0, -1, math.nan, math.inf, "1"]
@@ -112,6 +127,19 @@ def test_scalars_and_vectors_are_not_mixed_up():
         horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=1.0)
 
 
+def test_level_counts_and_step_ratios_that_give_no_ladder():
+    # a ladder needs max_level >= start_level, and h_k = h0/ratio**k needs ratio != 1
+    for call in (lambda: refine_until(lambda h: 1.0 + h, start_level=5, max_level=4),
+                 lambda: _limit(start_level=5, max_level=4)):
+        with pytest.raises(ValidationError, match=r"^max_level must be an integer >= 5"):
+            call()
+    assert refine_until(lambda h: 1.0 + h, start_level=0, max_level=0).limit == 2.0
+    for call in (lambda: richardson([1.0, 1.1, 1.2], ratio=1.0),
+                 lambda: RichardsonTableau(ratio=1)):
+        with pytest.raises(ValidationError, match=r"^step ratio must not be 1"):
+            call()
+
+
 def test_empty_ball_is_refused():
     with pytest.raises(ValidationError, match="ball dimension"):
         DomainSpec.ball([], 1.0)
@@ -131,3 +159,8 @@ def test_numpy_scalars_give_the_results_of_python_numbers():
     assert lambda_estimate(BLASCHKE, P1, P1, plan).lambda_estimate == \
         lambda_estimate(BLASCHKE, P1, P1, SamplingPlan(seed=3, grid_count=20)).lambda_estimate
     assert rescale_couple(-1.0, np.float64(4.0)) == -0.25
+    assert sphere_quadrature(np.int64(1), 8).total_mass == sphere_quadrature(1, 8).total_mass
+    f = lambda h: 2.0 + h + h * h       # noqa: E731
+    assert refine_until(f, start_level=np.int64(3), max_level=np.int64(26)) == refine_until(f)
+    assert richardson([1.0, 1.1, 1.2], ratio=np.float64(3.0)) == \
+        richardson([1.0, 1.1, 1.2], ratio=3.0)

@@ -340,3 +340,17 @@ def test_kernel_values_refuse_custom_domains_and_bad_shapes():
     with pytest.raises(ValidationError):
         kernel_values(BALL2, E1, np.zeros((3, 3)))    # rows of the wrong length
 
+
+def test_custom_domains_have_no_kernel_bound_and_say_so():
+    # no candidate can be built on a custom domain, so no message points at lower_envelope
+    dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
+    z = np.array([0.2, 0.1j])
+    for call in (lambda: kernel_value(dom, E1, z), lambda: kernel_values(dom, E1, [z]),
+                 lambda: sandwich_bounds(dom, E1, z),
+                 lambda: ball_restriction_candidate(dom, E1)):
+        with pytest.raises(ContainmentError, match="custom domains have no kernel bound yet") as err:
+            call()
+        assert "lower_envelope" not in str(err.value)
+    with pytest.raises(ValidationError, match="convex built-in"):
+        peak_candidate(dom, E1)
+

@@ -9,7 +9,6 @@ from plurikernel import (
     demailly_density,
     green_function,
     green_omega_identity_check,
-    is_neg_infinity,
     kernel_value,
     normal_derivative_green,
     poisson_disc,
@@ -116,7 +115,13 @@ def test_green_function_general_ball():
     dom = DomainSpec.ball(0.5 * E1, 0.5)
     g = green_function(dom, 0.5 * E1, [0.75, 0.0])
     assert g == pytest.approx(math.log(0.5), abs=1e-12)
-    assert is_neg_infinity(green_function(dom, 0.5 * E1, 0.5 * E1))
+    with pytest.raises(ValidationError, match="pole"):
+        green_function(dom, 0.5 * E1, 0.5 * E1)
+
+
+def test_normal_derivative_stencil_on_z_reports_the_green_pole():
+    with pytest.raises(ValidationError, match="green_function evaluated at its pole"):
+        normal_derivative_green(BALL2, E1 - 1e-3 * E1, E1, h0=1e-3)
 
 
 def test_green_requires_symmetric_domain():

@@ -434,40 +434,24 @@ def _within_2_ulp(got, want):
     return abs(got - want) <= 2 * np.spacing(max(abs(got), abs(want)))
 
 
-def _counted(m, calls, refuse=None):
-    """m with every call's argument shape appended to calls; refuse(z) true raises."""
+def _counted(m, calls):
+    """m with every call's argument shape appended to calls."""
     def fn(z):
         calls.append(z.shape)
-        if refuse is not None and refuse(z):
-            raise ValueError("refused")
         return m.fn(z)
     return MapSpec(fn=fn, jacobian=m.jacobian, source=m.source, target=m.target)
 
 
 def test_lambda_estimate_reads_its_sup_from_the_ray():
-    # the grid and the ray are one map call each; with the ray's array call
-    # refused, the level walk's values give the same report, and only the
-    # levels of the first six that the walk did not reach are evaluated again
-    short = []
+    # the grid and the ray are one map call each
     for label, m, p, q, _ in _bench_maps():
         want = lambda_estimate(m, p, q, SamplingPlan(seed=11))
         calls = []
         rep = lambda_estimate(_counted(m, calls), p, q, SamplingPlan(seed=11))
         assert len(calls) == 2 and calls[1] == (24, m.source.n), label
-        calls.clear()
-        walked = lambda_estimate(_counted(m, calls, refuse=lambda z: len(z) == 24), p, q,
-                                 SamplingPlan(seed=11))
-        for got in (rep, walked):
-            assert got.lambda_estimate == want.lambda_estimate, label
-            assert got.normal_ray_limit == want.normal_ray_limit, label
-            assert got.ray_error == want.ray_error, label
-        walked = calls[2:]
-        if len(walked) < 6:      # the walk stopped early: one call of the levels it missed
-            short.append(label)
-            assert walked[-1] == (7 - len(walked), m.source.n), label
-            walked = walked[:-1]
-        assert len(walked) >= 3 and all(c == (1, m.source.n) for c in walked), label
-    assert short == ["diag"]     # its ratio is constant, so the walk stops after three levels
+        assert rep.lambda_estimate == want.lambda_estimate, label
+        assert rep.normal_ray_limit == want.normal_ray_limit, label
+        assert rep.ray_error == want.ray_error, label
 
 
 @pytest.mark.parametrize("seed", [11, 2024])

@@ -14,9 +14,10 @@ numbers that moved (``|a - b| / max(|a|, |b|)`` over the numbers of two
 differing outputs, paired in order where both hold as many) and the first
 few differences.
 
-Then every ``plurikernel`` command line of the README's ``sh`` blocks runs
-as ``python -m plurikernel`` under both ``src/`` trees, and their stdout is
-compared byte for byte.  Last, the lines of each ``src/plurikernel/*.py`` in
+Then every ``plurikernel`` command line of the README's ``sh`` blocks, and
+every line of ``CLI_MATRIX``, runs as ``python -m plurikernel`` under both
+``src/`` trees, and their stdout, stderr and exit status are compared byte
+for byte.  Last, the lines of each ``src/plurikernel/*.py`` in
 both trees are counted as ``wc -l`` counts them (source size is tracked).
 Exits 1 if any output differs.
 """
@@ -40,6 +41,27 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SHOWN = 3       # differences printed per workload
 NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+#: (command line without its points, two points) of the subcommands that evaluate at points
+_PER_POINT = [
+    ("kernel --domain unit_ball:2 --pole e1 --point", ["0.3,0.1i", "0,-0.2"]),
+    ("bounds --domain ellipsoid:1,2 --pole e1 --point", ["0.5,0", "0.1,0.2i"]),
+    ("green --domain unit_ball:2 --pole e1 --point", ["0", "0.2,0.1i"]),
+    ("reproduce --domain unit_ball:2 --f 're(z1)' --resolution 16 --z", ["0.3,0", "0,0.2i"]),
+    ("reproduce --domain disc --f 'z1*conj(z1)' --laplacian 4 --radial-grid 40 "
+     "--angular-grid 40 --z", ["0", "0.3"]),
+]
+
+#: Command lines compared besides the README's: each of ``_PER_POINT`` in every format with
+#: one point and with two, every --help, and a usage error (a missing --pole).
+CLI_MATRIX = (
+    [f"plurikernel {command} {' '.join(points[:k])} --format {fmt}"
+     for command, points in _PER_POINT for k in (1, 2) for fmt in ("json", "csv", "plotdata")]
+    + ["plurikernel --help"]
+    + [f"plurikernel {sub} --help"
+       for sub in ("kernel", "bounds", "geodesic", "green", "reproduce", "julia")]
+    + ["plurikernel kernel --domain unit_ball:2 --point 0"]
+)
 
 sys.path.insert(0, str(BENCH))
 from run import worker_env  # noqa: E402  (the benchmark worker's environment)
@@ -80,20 +102,20 @@ def readme_commands() -> list:
             for line in block.splitlines() if line.startswith("plurikernel ")]
 
 
-def cli_stdout(src: Path, line: str, cwd: str) -> bytes:
-    """The stdout of one README command line, importing the package from ``src``."""
+def cli_run(src: Path, line: str, cwd: str) -> tuple:
+    """(stdout, stderr, exit status) of one command line, importing the package from ``src``."""
     env = worker_env()
     env["PYTHONPATH"] = str(src)
-    return subprocess.run([sys.executable, "-m", "plurikernel", *shlex.split(line)[1:]],
-                          env=env, cwd=cwd, capture_output=True).stdout
+    proc = subprocess.run([sys.executable, "-m", "plurikernel", *shlex.split(line)[1:]],
+                          env=env, cwd=cwd, capture_output=True)
+    return proc.stdout, proc.stderr, proc.returncode
 
 
-def compare_cli(rev_src: Path, cwd: str) -> int:
-    """Print the README command comparison; returns the number of commands whose stdout differs."""
-    lines = readme_commands()
+def compare_cli(rev_src: Path, cwd: str, what: str, lines: list) -> int:
+    """Print one command-line comparison; returns the number of lines whose results differ."""
     differ = [line for line in lines
-              if cli_stdout(rev_src, line, cwd) != cli_stdout(ROOT / "src", line, cwd)]
-    print(f"  README commands: {len(lines)} run, {len(differ)} differ")
+              if cli_run(rev_src, line, cwd) != cli_run(ROOT / "src", line, cwd)]
+    print(f"  {what}: {len(lines)} run, {len(differ)} differ")
     for line in differ[:SHOWN]:
         print(f"    {line}")
     return len(differ)
@@ -174,8 +196,9 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
             differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
-        print(f"README commands: {args.rev} against the working tree")
-        differ += compare_cli(rev_src, tmp)
+        print(f"Command lines: {args.rev} against the working tree")
+        differ += compare_cli(rev_src, tmp, "README commands", readme_commands())
+        differ += compare_cli(rev_src, tmp, "CLI matrix", CLI_MATRIX)
         print(f"Source lines (wc -l src/plurikernel/*.py): {args.rev} -> the working tree")
         compare_lines(rev_src)
     print(f"{differ} outputs differ")
