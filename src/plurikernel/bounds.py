@@ -25,22 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domains import (
-    DomainKind,
-    DomainSpec,
-    boundary_frame,
-    osculating_radii,
-)
+from .domains import DomainKind, DomainSpec, boundary_frame, osculating_radii
 from .errors import ContainmentError, ValidationError
-from .kernels import (
-    BoundaryCurve,
-    BoundaryLimitResult,
-    KernelValue,
-    _ball_kernel,
-    _ball_kernels,
-    boundary_limit,
-    poisson_disc,
-)
+from .kernels import (BoundaryCurve, BoundaryLimitResult, KernelValue, _ball_kernel_at,
+                      _ball_kernels, _cabs, _disc_at, _poisson_discs, _unit_pole, boundary_limit)
 from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, row_norms
 
 
@@ -84,7 +72,7 @@ def peak_candidate(domain: DomainSpec, p) -> CandidateMember:
             if abs(h - 1.0) < 1e-12:
                 raise ValidationError("peak candidate evaluated at its pole")
             return 0.0
-        return poisson_disc(1.0, h)
+        return _disc_at(1.0, h)
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.PEAK_POISSON,
                            pole=pole, metadata={"nu": nu, "peak_slope": 1.0})
@@ -94,9 +82,10 @@ def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
     """Kernel of the circumscribed tangent ball, restricted to the domain."""
     _, (center, radius) = tangent_balls(domain, p)
     pole = boundary_frame(domain, p).p
+    q = _unit_pole(center, radius, pole)
 
     def evaluator(z) -> float:
-        return _ball_kernel(center, radius, pole, as_vector(z, domain.n))
+        return _ball_kernel_at(center, radius, q, as_vector(z, domain.n))
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.BALL_RESTRICTION,
                            pole=pole, metadata={"center": center, "radius": radius})
@@ -107,11 +96,13 @@ def lower_envelope(domain: DomainSpec, p, z, candidates: Sequence[CandidateMembe
     if not candidates:
         raise ValidationError("empty candidate list")
     z = as_vector(z, domain.n)
-    if domain.psi(z) >= 0:
+    if domain._psi(z) >= 0:
         raise ValidationError("envelope bounds are defined for interior points")
     p = as_vector(p, domain.n)
+    key = p.tobytes()
     for cand in candidates:
-        if norm(cand.pole - p) > 1e-8:
+        # a pole with p's bytes is at distance 0; any other takes the norm test
+        if cand.pole.tobytes() != key and norm(cand.pole - p) > 1e-8:
             raise ValidationError("candidate pole does not match the requested pole")
     return max(c.evaluator(z) for c in candidates)
 
@@ -148,6 +139,16 @@ def _tangent_balls(domain: DomainSpec, p: np.ndarray):
     return (c_in, rad.r_in), (c_out, rad.r_out)
 
 
+def _kernel_pole(domain: DomainSpec, p: np.ndarray):
+    """The kernel's pole side at a coerced p, kept in the pole memo as "kernel".
+
+    A ball's pole on B(0, 1), or an ellipsoid's tangent balls as (center, radius, carried pole).
+    """
+    if domain.kind is DomainKind.BALL:
+        return _unit_pole(domain.center, domain.radius, p)
+    return tuple((c, r, _unit_pole(c, r, p)) for c, r in tangent_balls(domain, p))
+
+
 def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
     """Two-sided enclosure of the kernel from tangent-ball comparisons.
 
@@ -155,17 +156,14 @@ def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:
     end: inscribed tangent ball kernel where z lies in that ball, else 0.
     """
     z = as_vector(z, domain.n)
-    if domain.psi(z) >= 0:
+    if domain._psi(z) >= 0:
         raise ValidationError("sandwich bounds are defined for interior points")
+    record = domain._per_pole("kernel", as_vector(p, domain.n), _kernel_pole)
     if domain.is_ball_like:
-        return kernel_value(domain, p, z)
-    (c_in, r_in), (c_out, r_out) = tangent_balls(domain, p)
-    p = boundary_frame(domain, p).p
-    lo = _ball_kernel(c_out, r_out, p, z)
-    if norm(z - c_in) < r_in:
-        hi = _ball_kernel(c_in, r_in, p, z)
-    else:
-        hi = 0.0
+        return KernelValue.closed_form(_ball_kernel_at(domain.center, domain.radius, record, z))
+    (c_in, r_in, q_in), (c_out, r_out, q_out) = record
+    lo = _ball_kernel_at(c_out, r_out, q_out, z)
+    hi = _ball_kernel_at(c_in, r_in, q_in, z) if norm(z - c_in) < r_in else 0.0
     return KernelValue.interval(lo, hi)
 
 
@@ -176,23 +174,26 @@ def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points) ->
     returned max dominates sup_p |kernel_p(z)| over the compact grid K, whose
     points must lie deeper than the boundary tolerance.
     """
-    pts = [as_vector(z, domain.n) for z in interior_points]
-    for z in pts:
-        if domain.psi(z) >= -BOUNDARY_TOL:
-            raise ValidationError("compact grid touches the boundary")
-    worst = 0.0
-    for p in boundary_points:
-        cand = peak_candidate(domain, p)
-        for z in pts:
-            worst = max(worst, abs(cand.evaluator(z)))
-    return worst
+    Z = np.array([as_vector(z, domain.n) for z in interior_points]).reshape(-1, domain.n)
+    if np.any(domain.psi_rows(Z) >= -BOUNDARY_TOL):
+        raise ValidationError("compact grid touches the boundary")
+    cands = [peak_candidate(domain, p) for p in boundary_points]
+    poles = np.array([c.pole for c in cands]).reshape(-1, 1, domain.n)
+    nus = np.array([c.metadata["nu"] for c in cands]).reshape(-1, 1, domain.n)
+    # every candidate's evaluator at every grid point, rounded as one call rounds it
+    h = np.exp(np.add.reduce((Z - poles) * nus.conj(), axis=2))
+    outside = _cabs(h) >= 1.0
+    if np.any(_cabs(h[outside] - 1.0) < 1e-12):
+        raise ValidationError("peak candidate evaluated at its pole")
+    return float(np.max(np.abs(_poisson_discs(1.0, h[~outside])), initial=0.0))
 
 
 def kernel_value(domain: DomainSpec, p, z) -> KernelValue:
     """Best available kernel evaluation: closed form on balls, enclosure otherwise."""
     if domain.kind is DomainKind.BALL:
-        return KernelValue.closed_form(_ball_kernel(
-            domain.center, domain.radius, as_vector(p, domain.n), as_vector(z, domain.n)))
+        p, z = as_vector(p, domain.n), as_vector(z, domain.n)
+        return KernelValue.closed_form(_ball_kernel_at(
+            domain.center, domain.radius, domain._per_pole("kernel", p, _kernel_pole), z))
     if domain.kind is DomainKind.ELLIPSOID:
         return sandwich_bounds(domain, p, z)
     raise ContainmentError("custom domains have no kernel bound yet")
@@ -208,19 +209,19 @@ def kernel_values(domain: DomainSpec, p, Z):
     if domain.kind is DomainKind.CUSTOM:
         raise ContainmentError("custom domains have no kernel bound yet")
     Z = as_rows(Z, domain.n)
-    if domain.kind is DomainKind.ELLIPSOID:
-        if np.any(domain.psi_rows(Z) >= 0):
-            raise ValidationError("sandwich bounds are defined for interior points")
-        (c_in, r_in), (c_out, r_out) = tangent_balls(domain, p)
-        p = boundary_frame(domain, p).p
-        lo = _ball_kernels(c_out, r_out, p, Z)
-        hi = np.zeros(len(Z))
-        inside = row_norms(Z - c_in) < r_in
-        if inside.any():
-            hi[inside] = _ball_kernels(c_in, r_in, p, Z[inside])
-        return _enclosures(lo, hi)
-    value = _ball_kernels(domain.center, domain.radius, as_vector(p, domain.n), Z)
-    return value, value.copy()
+    if domain.kind is DomainKind.ELLIPSOID and np.any(domain.psi_rows(Z) >= 0):
+        raise ValidationError("sandwich bounds are defined for interior points")
+    record = domain._per_pole("kernel", as_vector(p, domain.n), _kernel_pole)
+    if domain.is_ball_like:
+        value = _ball_kernels(domain.center, domain.radius, record, Z)
+        return value, value.copy()
+    (c_in, r_in, q_in), (c_out, r_out, q_out) = record
+    lo = _ball_kernels(c_out, r_out, q_out, Z)
+    hi = np.zeros(len(Z))
+    inside = row_norms(Z - c_in) < r_in
+    if inside.any():
+        hi[inside] = _ball_kernels(c_in, r_in, q_in, Z[inside])
+    return _enclosures(lo, hi)
 
 
 def _enclosures(lo: np.ndarray, hi: np.ndarray):

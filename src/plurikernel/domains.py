@@ -125,7 +125,10 @@ class DomainSpec:
     # -- defining function and derivatives ---------------------------------
 
     def psi(self, z) -> float:
-        z = as_vector(z, self.n)
+        return self._psi(as_vector(z, self.n))
+
+    def _psi(self, z: np.ndarray) -> float:
+        """``psi`` at a point already coerced by ``as_vector``."""
         if self.kind is DomainKind.BALL:
             d = z - self.center
             return herm(d, d).real - self.radius ** 2

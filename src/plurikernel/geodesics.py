@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError, positive, spec_count
-from .kernels import _ball_kernels, _poisson_discs, _to_unit_ball, mobius_ball
+from .kernels import _ball_kernels, _poisson_discs, _to_unit_ball, _unit_pole, mobius_ball
 from .utils import as_rows, as_vector, herm, norm
 
 
@@ -204,7 +204,7 @@ def restriction_identity_check(p, g: GeodesicDisc, grid=None) -> float:
         raise ValidationError("restriction check needs a non-empty grid")
     theta = herm(g.phi1_prime, g.nu)
     factor = (1.0 / theta).real
-    lhs = _ball_kernels(g.center, g.radius, g.boundary_point,
+    lhs = _ball_kernels(g.center, g.radius, _unit_pole(g.center, g.radius, g.boundary_point),
                         as_rows([g.phi(zeta) for zeta in zetas], len(g.center)))
     rhs = factor * _poisson_discs(1.0, zetas)
     return float(np.max(np.abs(lhs - rhs)))

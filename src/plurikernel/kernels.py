@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError, positive, spec_count
 from .extrapolate import Extrapolation, RichardsonTableau, richardson
-from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, row_norms
+from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, read_only, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
 _SPHERE_TOL = 1e-9
@@ -61,8 +61,10 @@ class KernelValue:
             raise ValidationError(f"invalid enclosure [{self.lo}, {self.hi}]")
         if self.hi > 1e-9:
             raise ValidationError(f"kernel values must be <= 0, got hi = {self.hi}")
-        object.__setattr__(self, "hi", min(self.hi, 0.0))
-        object.__setattr__(self, "lo", min(self.lo, self.hi))
+        if self.hi > 0.0:
+            object.__setattr__(self, "hi", 0.0)
+        if self.hi < self.lo:
+            object.__setattr__(self, "lo", self.hi)
 
     @staticmethod
     def closed_form(value: float) -> "KernelValue":
@@ -98,10 +100,13 @@ class KernelValue:
 
 def poisson_disc(p: complex, zeta: complex) -> float:
     """Negative Poisson kernel of the unit disc with boundary pole p."""
+    return _disc_at(_unit_pole(np.zeros(1), 1.0, np.array([complex(p)]))[0], zeta)
+
+
+def _disc_at(p: complex, zeta: complex) -> float:
+    """Point side of ``poisson_disc``, at a pole checked by ``_unit_pole``."""
     p = complex(p)
     zeta = complex(zeta)
-    if abs(abs(p) - 1.0) > _SPHERE_TOL:
-        raise ValidationError(f"pole must be unimodular, |p| = {abs(p)}")
     if abs(zeta) >= 1.0:
         raise ValidationError(f"point must be in the open disc, |zeta| = {abs(zeta)}")
     denom = abs(p - zeta) ** 2
@@ -125,10 +130,8 @@ def _square(x: np.ndarray) -> np.ndarray:
 
 
 def _poisson_discs(p: complex, zeta: np.ndarray) -> np.ndarray:
-    """poisson_disc at every entry of a complex array, with the same tests."""
+    """_disc_at at every entry of a complex array, with the same tests."""
     p = complex(p)
-    if abs(abs(p) - 1.0) > _SPHERE_TOL:
-        raise ValidationError(f"pole must be unimodular, |p| = {abs(p)}")
     r = _cabs(zeta)
     if np.any(r >= 1.0):
         raise ValidationError(f"point must be in the open disc, |zeta| = {np.max(r)}")
@@ -222,49 +225,53 @@ def _to_unit_ball(c: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
     return w if radius == 1.0 else w / radius
 
 
-def _unit_ball_kernel(p: np.ndarray, z: np.ndarray) -> float:
-    """-(1 - ||z||^2)/|1 - <z, p>|^2 of the unit ball at pole p, for coerced vectors."""
-    if abs(norm(p) - 1.0) > _SPHERE_TOL:
-        raise ValidationError("pole must lie on the unit sphere")
-    nz = norm(z)
-    if nz > 1.0 + _SPHERE_TOL:
-        raise ValidationError("point must lie in the closed ball")
-    denom = abs(1.0 - herm(z, p)) ** 2
-    if denom < 1e-300:
-        raise ValidationError("kernel evaluated at its pole")
-    return -max(1.0 - nz ** 2, 0.0) / denom
+def _unit_pole(c: np.ndarray, radius: float, p: np.ndarray) -> np.ndarray:
+    """Pole side of the kernel of B(c, r): q = (p - c)/r, checked to lie on the unit sphere.
 
-
-def _ball_kernel(c: np.ndarray, radius: float, p: np.ndarray, z: np.ndarray) -> float:
-    """Kernel of B(c, r) by the scaling rule (1/r) Omega((z-c)/r).
-
-    Takes vectors coerced by as_vector to one length and a positive radius.
-
-    In C the unit-ball core is the disc's, poisson_disc, with denominator
-    |q - w|^2, so every 1-D ball gives the disc's value.
+    Read-only, as the pole memo keeps it; in C the test is the disc's, on abs(complex).
     """
-    q, w = _to_unit_ball(c, radius, p), _to_unit_ball(c, radius, z)
-    value = poisson_disc(q[0], w[0]) if len(c) == 1 else _unit_ball_kernel(q, w)
+    q = read_only(_to_unit_ball(c, radius, p))[0]
+    if len(q) == 1:
+        if abs(abs(complex(q[0])) - 1.0) > _SPHERE_TOL:
+            raise ValidationError(f"pole must be unimodular, |p| = {abs(complex(q[0]))}")
+    elif abs(norm(q) - 1.0) > _SPHERE_TOL:
+        raise ValidationError("pole must lie on the unit sphere")
+    return q
+
+
+def _ball_kernel_at(c: np.ndarray, radius: float, q: np.ndarray, z: np.ndarray) -> float:
+    """Point side: the kernel (1/r) Omega((z-c)/r) of B(c, r) at q = _unit_pole(c, r, p).
+
+    Omega(w) = -(1 - ||w||^2)/|1 - <w, q>|^2; in C the core is the disc's,
+    with denominator |q - w|^2, so every 1-D ball gives the disc's value.
+    """
+    w = _to_unit_ball(c, radius, z)
+    if len(w) == 1:
+        value = _disc_at(q[0], w[0])
+    else:
+        nz = norm(w)
+        if nz > 1.0 + _SPHERE_TOL:
+            raise ValidationError("point must lie in the closed ball")
+        denom = abs(1.0 - herm(w, q)) ** 2
+        if denom < 1e-300:
+            raise ValidationError("kernel evaluated at its pole")
+        value = -max(1.0 - nz ** 2, 0.0) / denom
     return value if radius == 1.0 else value / radius
 
 
-def _unit_ball_kernels(p: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """_unit_ball_kernel at every row of an (M, n) array, with the same tests."""
-    if abs(norm(p) - 1.0) > _SPHERE_TOL:
-        raise ValidationError("pole must lie on the unit sphere")
-    nz = row_norms(W)
-    if np.any(nz > 1.0 + _SPHERE_TOL):
-        raise ValidationError("point must lie in the closed ball")
-    denom = _square(_cabs(1.0 - np.sum(W * np.conj(p), axis=1)))
-    if np.any(denom < 1e-300):
-        raise ValidationError("kernel evaluated at its pole")
-    return -np.maximum(1.0 - _square(nz), 0.0) / denom
-
-
-def _ball_kernels(c: np.ndarray, radius: float, p: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """_ball_kernel at every row of an (M, n) array."""
-    q, W = _to_unit_ball(c, radius, p), _to_unit_ball(c, radius, Z)
-    value = _poisson_discs(q[0], W[:, 0]) if len(c) == 1 else _unit_ball_kernels(q, W)
+def _ball_kernels(c: np.ndarray, radius: float, q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """_ball_kernel_at at every row of an (M, n) array, with the same tests."""
+    W = _to_unit_ball(c, radius, Z)
+    if len(c) == 1:
+        value = _poisson_discs(q[0], W[:, 0])
+    else:
+        nz = row_norms(W)
+        if np.any(nz > 1.0 + _SPHERE_TOL):
+            raise ValidationError("point must lie in the closed ball")
+        denom = _square(_cabs(1.0 - np.sum(W * np.conj(q), axis=1)))
+        if np.any(denom < 1e-300):
+            raise ValidationError("kernel evaluated at its pole")
+        value = -np.maximum(1.0 - _square(nz), 0.0) / denom
     return value if radius == 1.0 else value / radius
 
 

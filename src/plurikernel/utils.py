@@ -45,7 +45,8 @@ def as_points(z, n: int) -> np.ndarray:
 
 def herm(v, w) -> complex:
     """<v, w> = sum v_j * conj(w_j), rounded as ``np.sum(v * np.conj(w))`` (no wrapper)."""
-    return complex((np.asarray(v, dtype=complex) * np.asarray(w, dtype=complex).conj()).sum())
+    return complex(np.add.reduce(np.asarray(v, dtype=complex) * np.asarray(w, dtype=complex).conj(),
+                                 axis=None))
 
 
 def read_only(*arrays) -> tuple:

@@ -17,10 +17,11 @@ from plurikernel import (
     sandwich_bounds,
     uniform_bound_check,
 )
+from plurikernel import bounds
 from plurikernel.bounds import candidate_normal_limit
 from plurikernel.domains import boundary_samples, outward_normal
 from plurikernel.extrapolate import richardson
-from plurikernel.utils import herm, sample_ball, sample_sphere
+from plurikernel.utils import herm, norm, sample_ball, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 ELL = DomainSpec.ellipsoid([1.0, 2.0])
@@ -96,6 +97,25 @@ def test_lower_envelope_examples(rng):
 def test_lower_envelope_empty_candidates():
     with pytest.raises(ValidationError):
         lower_envelope(BALL2, E1, [0, 0], [])
+
+
+@pytest.mark.parametrize("dom", [BALL2, ELL], ids=["unit_ball:2", "ellipsoid:1,2"])
+def test_lower_envelope_pole_match(dom, monkeypatch):
+    p, other = boundary_samples(dom, 2, np.random.default_rng(12))
+    cands = [peak_candidate(dom, p), ball_restriction_candidate(dom, p)]
+    z = 0.5 * p
+    norms = []
+    monkeypatch.setattr(bounds, "norm", lambda v: norms.append(1) or norm(v))
+    # the candidates' pole bytes: accepted without a norm
+    value = lower_envelope(dom, p, z, cands)
+    assert norms == []
+    # another pole still fails the 1e-8 test
+    with pytest.raises(ValidationError, match="candidate pole"):
+        lower_envelope(dom, other, z, cands)
+    # within 1e-8 of the candidates' pole but not bit for bit: the norm test accepts it
+    near = p + np.array([1e-12, -1e-12j])
+    assert near.tobytes() != p.tobytes()
+    assert lower_envelope(dom, near, z, cands) == value
 
 
 def test_sandwich_ball_degenerate():
@@ -192,6 +212,19 @@ def test_uniform_bound_ellipsoid_at_origin(rng):
         direct = max(direct, abs(cand.evaluator(np.zeros(2))))
     assert bound == pytest.approx(direct, rel=1e-12)
     assert np.isfinite(bound)
+
+
+@pytest.mark.parametrize("dom", [DomainSpec.disc(), BALL2, DomainSpec.ball([0.2 + 0.1j, -0.3], 1.5),
+                                 ELL, DomainSpec.ellipsoid([1.0, 2.0, 3.0])])
+def test_uniform_bound_equals_candidate_loop(dom):
+    # the grid in one array call gives the scalar evaluators' max, bit for bit
+    rng = np.random.default_rng(13)
+    poles = boundary_samples(dom, 12, rng)
+    b = boundary_samples(dom, 20, rng)
+    grid = dom.interior + (0.999 * rng.random(20))[:, None] * (b - dom.interior)
+    loop = max(abs(peak_candidate(dom, p).evaluator(z)) for p in poles for z in grid)
+    assert uniform_bound_check(dom, grid, poles).hex() == loop.hex()
+    assert uniform_bound_check(dom, grid, []) == uniform_bound_check(dom, [], poles) == 0.0
 
 
 def test_uniform_bound_rejects_boundary_grid():

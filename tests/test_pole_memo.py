@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from plurikernel import DomainSpec, NotOnBoundaryError
+from plurikernel import (
+    DomainKind,
+    DomainSpec,
+    NotOnBoundaryError,
+    ValidationError,
+    ball_restriction_candidate,
+    kernel_value,
+    kernel_values,
+    sandwich_bounds,
+)
+from plurikernel import bounds
 from plurikernel.bounds import tangent_balls
 from plurikernel.domains import (
     _POLE_MEMO_SIZE,
@@ -13,6 +23,7 @@ from plurikernel.domains import (
     osculating_radii,
 )
 from plurikernel.expressions import ScalarField
+from plurikernel.kernels import _unit_pole as unit_pole
 
 DOMAINS = [
     DomainSpec.ellipsoid([1.0, 2.0]),
@@ -88,3 +99,86 @@ def test_rejected_pole_is_not_stored(dom):
             with pytest.raises(NotOnBoundaryError):
                 levi_density(dom, q)
         assert all(key[1] != q.tobytes() for key in dom._poles)
+
+
+# -- the kernel's pole side: carried once per pole and ball -----------------------
+
+KERNEL_DOMAINS = [
+    DomainSpec.unit_ball(2),
+    DomainSpec.ball([0.2 + 0.1j, -0.3], 1.5),
+    DomainSpec.ellipsoid([1.0, 2.0]),
+    DomainSpec.disc(),
+]
+KERNEL_IDS = ["unit_ball:2", "ball(r=1.5)", "ellipsoid:1,2", "disc"]
+
+
+def _interior_points(dom, rng, count):
+    """Points on chords from the domain's centre to its boundary, at most 0.9 of the way."""
+    b = boundary_samples(dom, count, rng)
+    return dom.interior + 0.9 * rng.random(count)[:, None] * (b - dom.interior)
+
+
+def _kernel_ends(dom, p, z):
+    kv = kernel_value(dom, p, z)
+    return kv.lo.hex(), kv.hi.hex()
+
+
+ENTRIES = {
+    "kernel_value": lambda dom, p, z: kernel_value(dom, p, z),
+    "sandwich_bounds": lambda dom, p, z: sandwich_bounds(dom, p, z),
+    "kernel_values": lambda dom, p, z: kernel_values(dom, p, z[None]),
+}
+
+
+@pytest.mark.parametrize("entry", [*ENTRIES, "ball_restriction_candidate"])
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
+def test_pole_side_runs_once_per_pole(dom, entry, monkeypatch):
+    rng = np.random.default_rng(8)
+    p = boundary_samples(dom, 1, rng)[0]
+    Z = _interior_points(dom, rng, 50)
+    balls = []
+
+    def counted(c, r, q):
+        balls.append((c.tobytes(), r))
+        return unit_pole(c, r, q)
+
+    monkeypatch.setattr(bounds, "_unit_pole", counted)
+    dom._poles.clear()
+    if entry == "ball_restriction_candidate":
+        evaluate = ball_restriction_candidate(dom, p).evaluator
+        for z in Z:
+            evaluate(z)
+    else:
+        for z in Z:
+            ENTRIES[entry](dom, p, z)
+    # one carried pole per ball: the domain's own, or an ellipsoid's two tangent balls,
+    # or the candidate's circumscribed ball
+    expected = 2 if dom.kind is DomainKind.ELLIPSOID and entry in ENTRIES else 1
+    assert len(balls) == len(set(balls)) == expected
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
+def test_memoised_kernel_values_equal_fresh(dom):
+    rng = np.random.default_rng(9)
+    for p in boundary_samples(dom, 4, rng):
+        Z = _interior_points(dom, rng, 10)
+        memoised = [_kernel_ends(dom, p, z) for z in Z]
+        rows = [tuple(map(float.hex, map(float, ends))) for ends in zip(*kernel_values(dom, p, Z))]
+        fresh = []
+        for z in Z:
+            dom._poles.clear()
+            fresh.append(_kernel_ends(dom, p, z))
+        assert memoised == fresh == rows
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
+def test_rejected_kernel_pole_is_not_stored(dom):
+    rng = np.random.default_rng(10)
+    p = boundary_samples(dom, 1, rng)[0]
+    z = _interior_points(dom, rng, 1)[0]
+    q = dom.interior + (1.0 + 1e-8) * (p - dom.interior)    # 1e-8 outside, past the tolerance
+    for _ in range(2):
+        for call in (*ENTRIES.values(), lambda dom, q, z: ball_restriction_candidate(dom, q)):
+            with pytest.raises(ValidationError):
+                call(dom, q, z)
+    assert all(key[1] != q.tobytes() for key in dom._poles)
