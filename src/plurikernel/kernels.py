@@ -100,11 +100,19 @@ class KernelValue:
 
 def poisson_disc(p: complex, zeta: complex) -> float:
     """Negative Poisson kernel of the unit disc with boundary pole p."""
-    return _disc_at(_unit_pole(np.zeros(1), 1.0, np.array([complex(p)]))[0], zeta)
+    return _disc_at(_disc_pole(p), zeta)
+
+
+def _disc_pole(p) -> complex:
+    """p as a complex number, checked to be unimodular: the disc's pole test."""
+    p = complex(p)
+    if abs(abs(p) - 1.0) > _SPHERE_TOL:
+        raise ValidationError(f"pole must be unimodular, |p| = {abs(p)}")
+    return p
 
 
 def _disc_at(p: complex, zeta: complex) -> float:
-    """Point side of ``poisson_disc``, at a pole checked by ``_unit_pole``."""
+    """Point side of ``poisson_disc``, at a pole checked by ``_disc_pole``."""
     p = complex(p)
     zeta = complex(zeta)
     if abs(zeta) >= 1.0:
@@ -228,12 +236,11 @@ def _to_unit_ball(c: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
 def _unit_pole(c: np.ndarray, radius: float, p: np.ndarray) -> np.ndarray:
     """Pole side of the kernel of B(c, r): q = (p - c)/r, checked to lie on the unit sphere.
 
-    Read-only, as the pole memo keeps it; in C the test is the disc's, on abs(complex).
+    Read-only, as the pole memo keeps it; in C the test is the disc's.
     """
     q = read_only(_to_unit_ball(c, radius, p))[0]
     if len(q) == 1:
-        if abs(abs(complex(q[0])) - 1.0) > _SPHERE_TOL:
-            raise ValidationError(f"pole must be unimodular, |p| = {abs(complex(q[0]))}")
+        _disc_pole(q[0])
     elif abs(norm(q) - 1.0) > _SPHERE_TOL:
         raise ValidationError("pole must lie on the unit sphere")
     return q
