@@ -124,8 +124,8 @@ def _kernel_ends(dom, p, z):
 
 
 ENTRIES = {
-    "kernel_value": lambda dom, p, z: kernel_value(dom, p, z),
-    "sandwich_bounds": lambda dom, p, z: sandwich_bounds(dom, p, z),
+    "kernel_value": kernel_value,
+    "sandwich_bounds": sandwich_bounds,
     "kernel_values": lambda dom, p, z: kernel_values(dom, p, z[None]),
 }
 
