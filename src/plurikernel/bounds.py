@@ -59,11 +59,8 @@ def peak_candidate(domain: DomainSpec, p) -> CandidateMember:
     with unit slope along the normal, and composing with the disc kernel
     yields a family member with the exact transversal rate.
     """
-    if not domain.is_convex_kind:
-        raise ValidationError("peak candidates require a convex built-in domain kind")
-    frame = boundary_frame(domain, p)
-    nu = frame.nu
-    pole = frame.p
+    frame = _peak_frame(domain, p)
+    nu, pole = frame.nu, frame.p
 
     def evaluator(z) -> float:
         z = as_vector(z, domain.n)
@@ -76,6 +73,13 @@ def peak_candidate(domain: DomainSpec, p) -> CandidateMember:
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.PEAK_POISSON,
                            pole=pole, metadata={"nu": nu, "peak_slope": 1.0})
+
+
+def _peak_frame(domain: DomainSpec, p):
+    """The memoised boundary frame at the pole of a peak candidate, on convex kinds only."""
+    if not domain.is_convex_kind:
+        raise ValidationError("peak candidates require a convex built-in domain kind")
+    return boundary_frame(domain, p)
 
 
 def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
@@ -177,9 +181,9 @@ def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points) ->
     Z = np.array([as_vector(z, domain.n) for z in interior_points]).reshape(-1, domain.n)
     if np.any(domain.psi_rows(Z) >= -BOUNDARY_TOL):
         raise ValidationError("compact grid touches the boundary")
-    cands = [peak_candidate(domain, p) for p in boundary_points]
-    poles = np.array([c.pole for c in cands]).reshape(-1, 1, domain.n)
-    nus = np.array([c.metadata["nu"] for c in cands]).reshape(-1, 1, domain.n)
+    frames = [_peak_frame(domain, p) for p in boundary_points]
+    poles = np.array([f.p for f in frames]).reshape(-1, 1, domain.n)
+    nus = np.array([f.nu for f in frames]).reshape(-1, 1, domain.n)
     # every candidate's evaluator at every grid point, rounded as one call rounds it
     h = np.exp(np.add.reduce((Z - poles) * nus.conj(), axis=2))
     outside = _cabs(h) >= 1.0

@@ -107,9 +107,7 @@ def geodesic_through(z, p, normalize_chl: bool = True,
     c0 = as_vector(center)
     n = len(c0)
     z = _to_unit_ball(c0, radius, as_vector(z, n))
-    p = _to_unit_ball(c0, radius, as_vector(p, n))
-    if abs(norm(p) - 1.0) > 1e-9:
-        raise ValidationError("anchor point p must lie on the boundary sphere")
+    p = _unit_pole(c0, radius, as_vector(p, n))
     if norm(z) >= 1.0 - 1e-12:
         raise ValidationError("z must be strictly inside the ball")
     if norm(z - p) < 1e-12:
@@ -175,11 +173,8 @@ def geodesic_through(z, p, normalize_chl: bool = True,
         return phi(rho_tilde(w))
 
     return GeodesicDisc(phi=phi, phi_prime=phi_prime, rho=rho, rho_tilde=rho_tilde,
-                        boundary_point=c0 + radius * p,
-                        phi1_prime=radius * phi1_prime,
-                        phi1_second=radius * phi1_second,
-                        chl_flag=chl,
-                        chl_direction=v,
+                        boundary_point=c0 + radius * p, phi1_prime=radius * phi1_prime,
+                        phi1_second=radius * phi1_second, chl_flag=chl, chl_direction=v,
                         center=c0, radius=radius)
 
 

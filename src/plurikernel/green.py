@@ -30,16 +30,15 @@ from .domains import DomainSpec, levi_density, outward_normal, require_on_bounda
 from .errors import ConvergenceError, ValidationError, positive
 from .extrapolate import aitken
 from .kernels import _SPHERE_TOL, _to_unit_ball, mobius_ball
-from .utils import as_vector, norm
+from .utils import as_points, as_vector, norm, point_norms
 
 _HALVINGS = 8       # halvings of the initial step in the difference-quotient ladder
 
 
 def _require_symmetric_green(domain: DomainSpec) -> None:
     if not domain.is_ball_like:
-        raise ValidationError(
-            "Green-kernel identities require a domain with symmetric Green function "
-            "(disc, unit ball, general ball)")
+        raise ValidationError("Green-kernel identities require a domain with symmetric Green "
+                              "function (disc, unit ball, general ball)")
 
 
 def green_function(domain: DomainSpec, z, w):
@@ -47,18 +46,22 @@ def green_function(domain: DomainSpec, z, w):
 
     Points are carried to the unit ball by (z - c)/r.  Symmetric in (z, w),
     negative inside, zero on the boundary, logarithmic pole at w = z, where
-    it raises ValidationError, as a kernel does at its boundary pole.
+    it raises ValidationError, as a kernel does at its boundary pole.  w is
+    a point (n,) or an (M, n) array of points; with rows the values come as
+    an array, each as one call would give it, and a row that one call would
+    refuse makes the whole call raise that call's error.
     """
     _require_symmetric_green(domain)
     c, r = domain.center, domain.radius
     z = _to_unit_ball(c, r, as_vector(z, domain.n))
-    w = _to_unit_ball(c, r, as_vector(w, domain.n))
-    if norm(z) >= 1.0 or norm(w) > 1.0 + _SPHERE_TOL:
+    w = _to_unit_ball(c, r, as_points(w, domain.n))
+    if norm(z) >= 1.0 or (point_norms(w) > 1.0 + _SPHERE_TOL).any():
         raise ValidationError("green_function requires z interior and w in the closed ball")
-    m = norm(mobius_ball(z, w))
-    if m == 0.0:
+    m = point_norms(mobius_ball(z, w))
+    if (m == 0.0).any():
         raise ValidationError("green_function evaluated at its pole")
-    return float(np.log(min(m, 1.0)))
+    g = np.log(np.minimum(m, 1.0))
+    return g if g.ndim else float(g)
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,11 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
     h0 = positive(h0, "initial step h0")
     nu = outward_normal(domain, p)
 
-    steps = []
-    quotients = []
-    for k in range(_HALVINGS + 1):
-        h = h0 * 2.0 ** (-k)
-        g = green_function(domain, z, p - h * nu)
-        quotients.append(g / h)
-        steps.append((h, g / h))
+    hs = h0 * np.ldexp(1.0, -np.arange(_HALVINGS + 1))
+    quotients = green_function(domain, z, p - hs[:, None] * nu) / hs
+    steps = list(zip(hs.tolist(), quotients.tolist()))
 
     diffs = np.abs(np.diff(quotients))
-    hs = np.array([s[0] for s in steps])
     with np.errstate(divide="ignore"):
         constants = diffs / hs[:-1]
     lipschitz = float(np.max(constants)) if len(constants) else 0.0

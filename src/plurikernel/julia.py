@@ -291,9 +291,7 @@ def pullback_kernel(F: MapSpec, q) -> PulledBackKernel:
     if abs(rho.imag) > 1e-9 * abs(rho) or rho.real <= 0:
         raise ValidationError(f"pulled-back couple is not positively oriented: theta'(nu) = {rho}")
     return PulledBackKernel(evaluator=lambda z: kernel_value(tgt, q, F(z)).value,
-                            couple_coeffs=coeffs,
-                            pole=p,
-                            scale_to_standard=float(rho.real))
+                            couple_coeffs=coeffs, pole=p, scale_to_standard=float(rho.real))
 
 
 # -- horoballs -----------------------------------------------------------------
@@ -555,9 +553,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
             lo, hi = kernel_values(tgt, q, mapspec(Z))
             image_side = _side(lo, hi, required)
             undetermined += int(np.count_nonzero(image_side == 0))
-            violations.extend(InclusionViolation(point=Z[i], radius=R,
-                                                 target_value_hi=float(hi[i]),
-                                                 required=required)
+            violations.extend(InclusionViolation(point=Z[i], radius=R, required=required,
+                                                 target_value_hi=float(hi[i]))
                               for i in np.flatnonzero(image_side < 0))
         checked += got
         if got < samples_per_radius:
@@ -572,9 +569,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
         return _divide(-1.0, kernel_values(tgt, q, mapspec(Z))[1]) / (lam * Rz)
 
     ray = refine_until(tightness, start_level=4, max_level=24)
-    return InclusionReport(radii=tuple(radii), checked=checked,
-                           violations=violations, undetermined=undetermined,
-                           ray_tightness=ray)
+    return InclusionReport(radii=tuple(radii), checked=checked, violations=violations,
+                           undetermined=undetermined, ray_tightness=ray)
 
 
 # -- derivative probes ------------------------------------------------------------
@@ -618,8 +614,7 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
 
     probe_ray = _kernel_ratio_ray(mapspec, p, q, nu, start_level=6, max_level=23)
     if probe_ray.diverged:
-        raise ValidationError(
-            "boundary dilation diverges along the normal ray; probes refused")
+        raise ValidationError("boundary dilation diverges along the normal ray; probes refused")
 
     # the normal, then nu + eps tau for each complex tangent tau and each eps
     tangents = boundary_frame(src, p).tangent_basis
@@ -680,9 +675,7 @@ def _classify(ext: Extrapolation, tol: float = 1e-3):
     is classified as divergent; this catches the logarithmically growing
     Kobayashi defect, which never trips a magnitude threshold.
     """
-    if ext.diverged or not np.isfinite(ext.real):
-        return float("inf"), False
-    if ext.error > tol * (1.0 + abs(ext.real)):
+    if ext.diverged or not np.isfinite(ext.real) or ext.error > tol * (1.0 + abs(ext.real)):
         return float("inf"), False
     return ext.real, True
 
@@ -730,9 +723,5 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     v3, fin3 = _classify(ratio3)
     v2, fin2 = _classify(cond2)
     finite = [fin1, fin2, fin3]
-    return EquivalenceReport(lambda_value=v1,
-                             kobayashi_liminf=v2,
-                             distance_ratio_liminf=v3,
-                             target=q,
-                             all_finite=all(finite),
-                             all_infinite=not any(finite))
+    return EquivalenceReport(lambda_value=v1, kobayashi_liminf=v2, distance_ratio_liminf=v3,
+                             target=q, all_finite=all(finite), all_infinite=not any(finite))

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError, positive, spec_count
-from .extrapolate import Extrapolation, RichardsonTableau, richardson
+from .extrapolate import Extrapolation, RichardsonTableau
 from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, read_only, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
@@ -332,23 +332,20 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
             f"curve is tangential: Re <gamma'(1), nu> = {theta.real:.3e} must be positive")
     predicted = -2.0 * (1.0 / theta).real
 
-    vals = []
     table = RichardsonTableau()
     best: Optional[Extrapolation] = None
-    for k in range(start_level, max_level + 1):
+    for levels, k in enumerate(range(start_level, max_level + 1), 1):
         h = 2.0 ** (-k)
         v = evaluator(curve.gamma(1.0 - h))
         if isinstance(v, KernelValue):
             v = v.value
-        vals.append(v * h)
-        ext = table.append(vals[-1])
-        if len(vals) >= 3:
+        table.append(v * h)
+        if levels >= 3 or k == max_level:   # a shorter ladder has its last estimate
+            ext = table.estimate()
             if best is None or ext.error <= best.error:
                 best = ext
             elif ext.error > 16.0 * max(best.error, 1e-15):
                 break  # refinement has hit the round-off floor
-    if best is None:
-        best = richardson(vals)
     return BoundaryLimitResult(estimate=best.real, predicted=predicted,
-                               error=best.error, levels=len(vals))
+                               error=best.error, levels=levels)
 

@@ -108,9 +108,10 @@ def sample_ball_rows(rng: np.random.Generator, count: int, n: int,
     Python's ``**`` (numpy's ``**`` does not).
     """
     G = np.empty((count, 2 * n))
-    u = np.empty(count)
-    for i in range(count):
-        rng.standard_normal(out=G[i])
-        u[i] = rng.random()
+    normal, uniform = rng.standard_normal, rng.random
+    u = []
+    for row in G:
+        normal(out=row)
+        u.append(uniform())
     V = G[:, :n] + 1j * G[:, n:]
     return V / row_norms(V)[:, None] * radius * np.float_power(u, 1.0 / (2 * n))[:, None]

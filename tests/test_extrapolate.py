@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plurikernel import BoundaryCurve, boundary_limit
+from plurikernel import extrapolate
 from plurikernel.errors import ValidationError
 from plurikernel.extrapolate import RichardsonTableau, aitken, refine_until, richardson
 
@@ -75,7 +76,10 @@ def _full_tableau(values, ratio=2.0, orders=None):
 
 
 def _rebuilt_every_level(f, start_level, max_level):
-    """refine_until's loop (no divergence) with the full tableau rebuilt at every level."""
+    """refine_until's loop (no divergence) with the full tableau rebuilt at every level.
+
+    Returns (limit, error, levels read).
+    """
     vals, best = [], None
     for v in f(2.0 ** -np.arange(start_level, max_level + 1.0)):
         vals.append(v)
@@ -83,7 +87,7 @@ def _rebuilt_every_level(f, start_level, max_level):
             best = _full_tableau(vals)
             if best[1] == 0.0:
                 break
-    return best if best is not None else _full_tableau(vals)
+    return (*(best if best is not None else _full_tableau(vals)), len(vals))
 
 
 def _fields(rng):
@@ -110,11 +114,20 @@ def test_richardson_equals_full_tableau_bit_for_bit(rng):
                 assert (ext.limit, ext.error) == _full_tableau(vals, ratio, orders)
 
 
-def test_refine_until_equals_full_tableau_bit_for_bit(rng):
+def test_refine_until_equals_full_tableau_bit_for_bit(rng, monkeypatch):
+    read = []
+
+    class Counted(RichardsonTableau):
+        def append(self, value):
+            read.append(value)
+            super().append(value)
+
+    monkeypatch.setattr(extrapolate, "RichardsonTableau", Counted)
     for f in _fields(rng):
         for start, stop in ((3, 26), (4, 24), (3, 5), (3, 4)):
+            read.clear()
             ext = refine_until(f, start_level=start, max_level=stop)
-            assert (ext.limit, ext.error) == _rebuilt_every_level(f, start, stop)
+            assert (ext.limit, ext.error, len(read)) == _rebuilt_every_level(f, start, stop)
 
 
 @pytest.mark.parametrize("error", [ValidationError, FloatingPointError])
@@ -197,15 +210,23 @@ def test_tableau_rounds_as_complex128_scalars(rng):
     for scale in 10.0 ** rng.uniform(-6, 6, size=40):
         seqs += [scale * rng.normal(size=24),
                  scale * (rng.normal(size=24) + 1j * rng.normal(size=24))]
+    # a constant tail, a complex value after real ones, and a -0.0 imaginary part
+    negative_zero = (1.0 + 0.3 * hs).astype(complex)
+    negative_zero.imag = -0.0
+    seqs += [np.r_[1.0 + hs[:10], np.full(14, 1.5)],
+             np.r_[2.0 - hs[:12], 2.0 - hs[12:] + 1e-9j],
+             negative_zero]
     for seq in seqs:
         # open orders, as refine_until and boundary_limit grow them, and the
         # half-integer orders jwc_derivative_probes passes
         for orders in (None, np.arange(1, len(seq)) * 0.5):
             table, ref = RichardsonTableau(orders=orders), _Complex128Tableau(orders=orders)
             for v in seq:
-                ext = table.append(v)
+                assert table.append(v) is None
+                ext = table.estimate()
                 assert (ext.limit, ext.error) == ref.append(v)
                 assert type(ext.limit) is complex and type(ext.error) is float
+                assert table.exact() == (ext.error == 0.0)
 
 
 def test_empty_sequences_rejected():

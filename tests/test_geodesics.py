@@ -167,6 +167,21 @@ def test_geodesic_validation():
         geodesic_through([0.5, 0.0], [0.5, 0.0])
 
 
+def test_geodesic_anchor_is_refused_as_a_kernel_pole():
+    # the anchor takes the kernel's pole test: the disc's modulus, and the sphere's norm in C^2
+    disc, ball = DomainSpec.disc(), DomainSpec.unit_ball(2)
+    for p in (0.5, 1.0 + 2e-9, 1j * (1.0 - 2e-9)):
+        for call in (lambda: geodesic_through([0.0], [p]), lambda: poisson_disc(p, 0.0),
+                     lambda: kernel_value(disc, [p], [0.0])):
+            with pytest.raises(ValidationError, match="pole must be unimodular"):
+                call()
+    for p in ([0.5, 0.0], [0.6, 0.8j * (1.0 + 2e-9)]):
+        for call in (lambda: geodesic_through([0.0, 0.0], p),
+                     lambda: kernel_value(ball, p, [0.0, 0.0])):
+            with pytest.raises(ValidationError, match="pole must lie on the unit sphere"):
+                call()
+
+
 def _geodesic_with_normal_component(eps, tau, p):
     # anchor direction v = eps*nu + sqrt(1-eps^2)*tau, second point p - eps*v
     v = eps * p + np.sqrt(1 - eps ** 2) * tau

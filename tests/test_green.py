@@ -14,7 +14,9 @@ from plurikernel import (
     poisson_disc,
     sphere_quadrature,
 )
-from plurikernel.utils import sample_ball, sample_sphere
+from plurikernel import green
+from plurikernel.domains import outward_normal
+from plurikernel.utils import sample_ball, sample_ball_rows, sample_sphere
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 BALL2 = DomainSpec.unit_ball(2)
@@ -117,6 +119,48 @@ def test_green_function_general_ball():
     assert g == pytest.approx(math.log(0.5), abs=1e-12)
     with pytest.raises(ValidationError, match="pole"):
         green_function(dom, 0.5 * E1, 0.5 * E1)
+
+
+@pytest.mark.parametrize("dom", [DISC, BALL2, DomainSpec.ball([0.3, -0.2j, 0.1 + 0.1j], 1.7)],
+                         ids=["disc", "unit_ball:2", "ball in C^3"])
+def test_green_function_on_rows_equals_one_call_per_row(rng, dom):
+    c, r = dom.center, dom.radius
+    u = sample_ball(rng, dom.n, 0.8)
+    z = c + r * u
+    W = c + r * np.vstack([sample_ball_rows(rng, 40, dom.n, 0.999), sample_sphere(rng, dom.n),
+                           u + 1e-9 * sample_sphere(rng, dom.n)])
+    one_by_one = np.array([green_function(dom, z, w) for w in W])
+    assert green_function(dom, z, W).tobytes() == one_by_one.tobytes()
+    assert type(green_function(dom, z, W[0])) is float
+    # a row at the pole, or outside the ball, raises what one call at it raises
+    pole = c + 0.5 * r * np.eye(dom.n)[0]
+    outside = c + 1.01 * r * sample_sphere(rng, dom.n)
+    for bad, message in ((pole, "evaluated at its pole"), (outside, "requires z interior")):
+        for w in (bad, np.vstack([W[:3], bad, W[3:]])):
+            with pytest.raises(ValidationError, match=message):
+                green_function(dom, pole, w)
+
+
+def test_normal_derivative_ladder_is_one_green_call(rng, monkeypatch):
+    one_call = green.green_function
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return one_call(*args)
+
+    monkeypatch.setattr(green, "green_function", counted)
+    for dom in (DISC, BALL2, DomainSpec.ball([0.3, -0.2j, 0.1 + 0.1j], 1.7)):
+        z = dom.center + dom.radius * sample_ball(rng, dom.n, 0.8)
+        p = dom.center + dom.radius * sample_sphere(rng, dom.n)
+        calls.clear()
+        nd = normal_derivative_green(dom, z, p, h0=3e-3)
+        assert len(calls) == 1
+        # the quotients of the old per-step loop, bit for bit
+        nu = outward_normal(dom, p)
+        steps = [(h, one_call(dom, z, p - h * nu) / h) for h in (3e-3 * 2.0 ** -k for k in range(9))]
+        assert repr(nd.step_sequence) == repr(steps)
+        assert all(type(h) is float and type(q) is float for h, q in nd.step_sequence)
 
 
 def test_normal_derivative_stencil_on_z_reports_the_green_pole():
