@@ -49,7 +49,7 @@ def green_function(domain: DomainSpec, z, w):
     it raises ValidationError, as a kernel does at its boundary pole.  w is
     a point (n,) or an (M, n) array of points; with rows the values come as
     an array, each as one call would give it, and a row that one call would
-    refuse makes the whole call raise that call's error.
+    refuse makes the whole call raise the same error type.
     """
     _require_symmetric_green(domain)
     c, r = domain.center, domain.radius

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from plurikernel import BoundaryCurve, boundary_limit
-from plurikernel import extrapolate
+from plurikernel import BoundaryCurve, boundary_limit, extrapolate
 from plurikernel.errors import ValidationError
 from plurikernel.extrapolate import RichardsonTableau, aitken, refine_until, richardson
 

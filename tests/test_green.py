@@ -21,6 +21,7 @@ from plurikernel.utils import sample_ball, sample_ball_rows, sample_sphere
 E1 = np.array([1.0, 0.0], dtype=complex)
 BALL2 = DomainSpec.unit_ball(2)
 DISC = DomainSpec.disc()
+BALL3 = DomainSpec.ball([0.3, -0.2j, 0.1 + 0.1j], 1.7)     # translated and scaled
 
 
 def test_normal_derivative_at_ball_center():
@@ -121,8 +122,7 @@ def test_green_function_general_ball():
         green_function(dom, 0.5 * E1, 0.5 * E1)
 
 
-@pytest.mark.parametrize("dom", [DISC, BALL2, DomainSpec.ball([0.3, -0.2j, 0.1 + 0.1j], 1.7)],
-                         ids=["disc", "unit_ball:2", "ball in C^3"])
+@pytest.mark.parametrize("dom", [DISC, BALL2, BALL3], ids=["disc", "unit_ball:2", "ball in C^3"])
 def test_green_function_on_rows_equals_one_call_per_row(rng, dom):
     c, r = dom.center, dom.radius
     u = sample_ball(rng, dom.n, 0.8)
@@ -150,7 +150,7 @@ def test_normal_derivative_ladder_is_one_green_call(rng, monkeypatch):
         return one_call(*args)
 
     monkeypatch.setattr(green, "green_function", counted)
-    for dom in (DISC, BALL2, DomainSpec.ball([0.3, -0.2j, 0.1 + 0.1j], 1.7)):
+    for dom in (DISC, BALL2, BALL3):
         z = dom.center + dom.radius * sample_ball(rng, dom.n, 0.8)
         p = dom.center + dom.radius * sample_sphere(rng, dom.n)
         calls.clear()
@@ -158,7 +158,8 @@ def test_normal_derivative_ladder_is_one_green_call(rng, monkeypatch):
         assert len(calls) == 1
         # the quotients of the old per-step loop, bit for bit
         nu = outward_normal(dom, p)
-        steps = [(h, one_call(dom, z, p - h * nu) / h) for h in (3e-3 * 2.0 ** -k for k in range(9))]
+        hs = [3e-3 * 2.0 ** -k for k in range(9)]
+        steps = [(h, one_call(dom, z, p - h * nu) / h) for h in hs]
         assert repr(nd.step_sequence) == repr(steps)
         assert all(type(h) is float and type(q) is float for h, q in nd.step_sequence)
 

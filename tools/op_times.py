@@ -110,7 +110,8 @@ def against(args) -> None:
     print(f"{args.workload}, seed {args.seed}: {args.against} against the working tree, "
           f"{args.pairs} pairs of fresh processes, {ROUNDS} rounds each")
     case = f"{'case':<36} " if args.by == "case" else ""
-    print(f"  {case}{'kind':<28} {'calls/round':>11} {'rev µs':>10} {'tree µs':>10} {'tree/rev':>9}")
+    print(f"  {case}{'kind':<28} {'calls/round':>11} {'rev µs':>10} {'tree µs':>10} "
+          f"{'tree/rev':>9}")
     for group in sorted(set(rev) | set(tree), key=lambda g: -sum(tree.get(g, rev.get(g)))):
         a, b = rev.get(group), tree.get(group)
         calls = len(b or a) // (ROUNDS * args.pairs)
@@ -118,7 +119,8 @@ def against(args) -> None:
         ratio = f"{median(b) / median(a):>9.3f}" if a and b else f"{'-':>9}"
         print(f"  {label(group, args.by)} {calls:>11} {cells[0]} {cells[1]} {ratio}")
     r_rev, r_tree = median(rounds["rev"]), median(rounds["tree"])
-    print(f"  median round: rev {r_rev:.1f} ms, tree {r_tree:.1f} ms, tree/rev {r_tree / r_rev:.3f}")
+    print(f"  median round: rev {r_rev:.1f} ms, tree {r_tree:.1f} ms, "
+          f"tree/rev {r_tree / r_rev:.3f}")
 
 
 def main(argv=None) -> int:
@@ -146,7 +148,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     times, rounds = op_times(args.workload, args.seed, args.by)
     total = sum(map(sum, times.values()))
-    print(f"{args.workload}, seed {args.seed}: {ROUNDS} rounds, median round {median(rounds):.1f} ms")
+    print(f"{args.workload}, seed {args.seed}: {ROUNDS} rounds, "
+          f"median round {median(rounds):.1f} ms")
     case = f"{'case':<36} " if args.by == "case" else ""
     print(f"  {case}{'kind':<28} {'calls/round':>11} {'median µs':>10} {'share':>7}")
     for group, ts in sorted(times.items(), key=lambda kv: -sum(kv[1])):
