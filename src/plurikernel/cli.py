@@ -177,7 +177,7 @@ def _cmd_geodesic(args) -> int:
         "grid_points": int(len(grid)),
     }
     ts = np.linspace(-0.95, 0.95, 97)
-    values, _ = kernel_values(domain, g.boundary_point, [g.phi(t) for t in ts])
+    values, _ = kernel_values(domain, g.boundary_point, g.phi(ts))
     rows = [[float(t), float(v)] for t, v in zip(ts, values)]
     _emit(args, payload, rows, ["t", "omega_on_geodesic"])
     return 0

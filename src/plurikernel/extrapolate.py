@@ -63,8 +63,9 @@ class RichardsonTableau:
             raise ValidationError("step ratio must not be 1, got 1.0")
         self._ratio = ratio
         self._open = orders is None
-        orders = [] if orders is None else np.asarray(orders, dtype=float)
-        self._facs = [_column(ratio ** p) for p in orders]     # (fac, 1/(fac - 1)) per column
+        orders = [] if self._open or not np.size(orders) else \
+            positive(orders, "Richardson orders", vector=True).tolist()
+        self._facs = [_column(ratio, p) for p in orders]     # (fac, 1/(fac - 1)) per column
         self._real = ratio > 1.0 and all(fac > 1.0 for fac, _ in self._facs)
         self.ends = []      # ends[j]: the last entry of column j
         self._below = []    # the ends before the last append
@@ -72,7 +73,7 @@ class RichardsonTableau:
     def append(self, value) -> None:
         older = self.ends
         if self._open and len(self._facs) < len(older):
-            self._facs.append(_column(self._ratio ** np.float64(len(older))))
+            self._facs.append(_column(self._ratio, float(len(older))))
         v = complex(value)
         if self._real and v.imag == 0.0 and math.copysign(1.0, v.imag) > 0.0:
             ends = self._entries(v.real, older)
@@ -107,16 +108,25 @@ class RichardsonTableau:
         return 0.0 in map(operator.sub, self.ends, self._below)
 
 
-def _column(fac) -> tuple:
-    """(fac, 1/(fac - 1)) of one tableau column, as floats."""
-    return float(fac), 1.0 / float(fac - 1.0)
+def _column(ratio: float, p: float) -> tuple:
+    """(fac, 1/(fac - 1)) of the column of order p, fac = ratio**p (inf past the float range)."""
+    try:
+        fac = ratio ** p
+    except OverflowError:
+        # libm left errno at ERANGE, which CPython's abs of a complex with a nan
+        # part would report later as OverflowError; math.pow of inf clears it
+        fac = math.pow(math.inf, 1.0)
+    if fac == 1.0:
+        raise ValidationError(f"Richardson order {p!r} gives the column factor {ratio!r}**p = 1")
+    return fac, 1.0 / (fac - 1.0)
 
 
 def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
     """Extrapolate values[k] = f(h0/ratio**k) assuming f(h) = L + sum c_i h^{p_i}.
 
     ``orders`` lists the exponents p_1 < p_2 < ... of the error expansion;
-    defaults to 1, 2, 3, ...  Entries may be fractional.
+    defaults to 1, 2, 3, ...  Entries may be fractional; each is a finite
+    real > 0 with ratio**p not 1, else ValidationError.
     """
     seq = np.asarray(values)
     if len(seq) == 0:

@@ -74,7 +74,7 @@ class DiscAutomorphism:
 class GeodesicDisc:
     """A parametrized complex geodesic of a ball, with projection and left inverse."""
 
-    phi: Callable[[complex], np.ndarray]
+    phi: Callable[[complex], np.ndarray]             # or a 1-D array of zeta to (M, n) rows
     phi_prime: Callable[[complex], np.ndarray]
     rho: Callable[[np.ndarray], np.ndarray]          # Lempert projection
     rho_tilde: Callable[[np.ndarray], complex]       # left inverse
@@ -157,8 +157,14 @@ def geodesic_through(z, p, normalize_chl: bool = True,
         chl = False
     h_inv = h.inverse()
 
-    def phi(zeta: complex) -> np.ndarray:
-        return c0 + radius * phi_raw(h(zeta))
+    def phi(zeta) -> np.ndarray:
+        if np.ndim(zeta) == 0:
+            return c0 + radius * phi_raw(h(zeta))
+        if len(zeta) == 1:                      # numpy multiplies 1 x 1 arrays in another loop
+            return phi(zeta[0])[None, :]
+        w = [h(x) for x in zeta]                # phi_raw's steps: the scalar ones per element
+        d = np.array([1.0 - x * c for x in w])
+        return c0 + radius * ((z - np.array(w)[:, None] * L_pp) / d[:, None])
 
     def phi_prime(zeta: complex) -> np.ndarray:
         return radius * phi_raw_prime(h(zeta)) * h.derivative(zeta)
@@ -200,6 +206,6 @@ def restriction_identity_check(p, g: GeodesicDisc, grid=None) -> float:
     theta = herm(g.phi1_prime, g.nu)
     factor = (1.0 / theta).real
     lhs = _ball_kernels(g.center, g.radius, _unit_pole(g.center, g.radius, g.boundary_point),
-                        as_rows([g.phi(zeta) for zeta in zetas], len(g.center)))
+                        as_rows(g.phi(zetas), len(g.center)))
     rhs = factor * _poisson_discs(1.0, zetas)
     return float(np.max(np.abs(lhs - rhs)))

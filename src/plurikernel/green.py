@@ -57,8 +57,8 @@ def green_function(domain: DomainSpec, z, w):
     w = _to_unit_ball(c, r, as_points(w, domain.n))
     if norm(z) >= 1.0 or (point_norms(w) > 1.0 + _SPHERE_TOL).any():
         raise ValidationError("green_function requires z interior and w in the closed ball")
-    m = point_norms(mobius_ball(z, w))
-    if (m == 0.0).any():
+    m = point_norms(mobius_ball(z, w))     # not always 0 at w = z, so w is compared too
+    if ((m == 0.0) | (w == z).all(axis=-1)).any():
         raise ValidationError("green_function evaluated at its pole")
     g = np.log(np.minimum(m, 1.0))
     return g if g.ndim else float(g)

@@ -394,9 +394,8 @@ def _interior_samples(domain: DomainSpec, count: int, rng, radius_cap: float) ->
     """``count`` seeded interior points, as an array, drawn a batch at a time.
 
     Each batch is one ``sample_ball_rows`` call for exactly the points still
-    missing (within a budget of 50 * count draws), on the per-row stream of
-    ``sample_ball``, so the accepted points are those a draw-and-test loop
-    would accept, in the same order.
+    missing (within a budget of 50 * count draws); the accepted points keep
+    their order of drawing.
     """
     radius = radius_cap * domain.bounding_radius()
     budget = 50 * count
@@ -481,7 +480,7 @@ def _horoball_draws(rng, n: int, R: float, count: int, Q: Optional[np.ndarray]) 
     In coordinates with p = e1 the horoball is the ellipsoid
     (1+R)|w1 - 1/(1+R)|^2 + R ||w'||^2 < R^2/(1+R); ``Q`` is a unitary
     sending e1 to p, or None when p = e1.  The unit-ball draws are one
-    ``sample_ball_rows`` call, on the per-row stream of ``sample_ball``.
+    ``sample_ball_rows`` batch.
     """
     U = sample_ball_rows(rng, count, n, 1.0)
     W = np.empty_like(U)
@@ -510,8 +509,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
 
     Membership on both sides goes through kernel values; interval kernels
     count indeterminate cases in ``undetermined`` instead of failing them.
-    Samples are drawn in batches of the count still missing and classified
-    as arrays; the draws are those of a draw-and-test loop.
+    Samples are drawn in batches of the count still missing (one
+    ``sample_ball_rows`` call each) and classified as arrays.
     Also reports the tightness ratio along the normal ray:
     mu(h) = image radius / (lam * source radius), which tends to 1 exactly
     when the dilation is attained along the normal.

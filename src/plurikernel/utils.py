@@ -100,18 +100,13 @@ def sample_ball(rng: np.random.Generator, n: int, radius: float = 1.0) -> np.nda
 
 def sample_ball_rows(rng: np.random.Generator, count: int, n: int,
                      radius: float = 1.0) -> np.ndarray:
-    """``count`` rows of ``sample_ball(rng, n, radius)``, bit for bit.
+    """``count`` uniform points in the ball of C^n, as rows, drawn in one batch.
 
-    Each row draws as ``sample_ball`` draws, 2n normals and one uniform, so
-    the generator's stream is unchanged; the arithmetic is done on arrays.
-    ``row_norms`` rounds as the sphere's norm and ``float_power`` as
-    Python's ``**`` (numpy's ``**`` does not).
+    The draws are one ``(count, 2n)`` block of normals, then ``count``
+    uniforms; one row draws and rounds as ``sample_ball(rng, n, radius)``, bit
+    for bit.  ``row_norms`` rounds as the sphere's norm and ``float_power``
+    as Python's ``**`` (numpy's ``**`` does not).
     """
-    G = np.empty((count, 2 * n))
-    normal, uniform = rng.standard_normal, rng.random
-    u = []
-    for row in G:
-        normal(out=row)
-        u.append(uniform())
+    G, u = rng.standard_normal((count, 2 * n)), rng.random(count)
     V = G[:, :n] + 1j * G[:, n:]
     return V / row_norms(V)[:, None] * radius * np.float_power(u, 1.0 / (2 * n))[:, None]

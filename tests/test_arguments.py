@@ -90,6 +90,8 @@ REALS = [
     ("horoball radii", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=(v,))),
     ("step ratio", lambda v: richardson([1.0, 1.1, 1.2], ratio=v)),
     ("step ratio", lambda v: RichardsonTableau(ratio=v)),
+    ("Richardson orders", lambda v: richardson([1.0, 1.5, 1.75], orders=[v])),
+    ("Richardson orders", lambda v: RichardsonTableau(ratio=3.0, orders=[v])),
 ]
 
 BAD_REALS = [True, 0, -1, math.nan, math.inf, "1"]

@@ -1,3 +1,7 @@
+import cmath
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +230,30 @@ def test_tableau_rounds_as_complex128_scalars(rng):
                 assert (ext.limit, ext.error) == ref.append(v)
                 assert type(ext.limit) is complex and type(ext.error) is float
                 assert table.exact() == (ext.error == 0.0)
+
+
+def test_overflowing_column_factor_gives_a_nan_error():
+    # ratio**k overflows from the third column on; a nan value then gives a
+    # nan error, as at ratio 2, with no warning and no OverflowError
+    seq = [0.49, 1.83, 0.62, 0.13, 0.71, -0.92, -0.34, 0.79, 0.63, math.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio, orders in ((2.0, None), (1e200, None), (1e200, [1.0, 2.0, 3.0]), (1e-200, None)):
+            ext = richardson(seq, ratio=ratio, orders=orders)
+            assert cmath.isnan(ext.limit) and math.isnan(ext.error)
+            # finite values keep the estimate of the columns whose factors are finite
+            ext = richardson(seq[:-1], ratio=ratio, orders=orders)
+            assert math.isfinite(ext.error)
+
+
+def test_orders_whose_factor_rounds_to_one_are_refused():
+    for call in (lambda: richardson([1.0, 1.5, 1.75], orders=[1e-17]),
+                 lambda: richardson([1.0, 1.5, 1.75], orders=[1.0, 1e-17]),
+                 lambda: RichardsonTableau(ratio=1.0 + 2.0 ** -52, orders=[0.5])):
+        with pytest.raises(ValidationError, match=r"^Richardson order .* gives the column factor"):
+            call()
+    # no orders at all: the raw sequence, as before
+    assert richardson([1.0, 1.5, 1.75], orders=[]).limit == 1.75
 
 
 def test_empty_sequences_rejected():

@@ -134,6 +134,27 @@ def test_restriction_check_is_the_per_point_maximum(n, radius):
             assert restriction_identity_check(p, g, grid) == worst
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1.0, 0.6])
+def test_phi_rows_are_per_point_phi(n, radius):
+    # phi on a 1-D array gives an (M, n) array whose rows are the per-point
+    # calls on the array's elements, bit for bit, CHL and raw, on complex and
+    # real grids; a scalar keeps the one-point form
+    rng = np.random.default_rng(2000 * n + int(10 * radius))
+    for trial in range(6):
+        center = np.zeros(n, dtype=complex) if radius == 1.0 else 0.3 * sample_ball(rng, n, 1.0)
+        z = center + sample_ball(rng, n, 0.8 * radius)
+        g = geodesic_through(z, center + radius * sample_sphere(rng, n),
+                             normalize_chl=trial % 2 == 0, center=center, radius=radius)
+        seeded = np.array([sample_ball(rng, 1, 0.99)[0] for _ in range(60)])
+        for grid in (default_disc_grid(), seeded, np.linspace(-0.95, 0.95, 97), seeded[:1]):
+            rows = g.phi(grid)
+            assert rows.shape == (len(grid), n)
+            for zeta, row in zip(grid, rows):
+                assert row.tobytes() == g.phi(zeta).tobytes()
+        assert g.phi(complex(seeded[0])).shape == (n,)
+
+
 def test_restriction_check_refuses_an_empty_grid():
     g = geodesic_through([0, 0], E1)
     with pytest.raises(ValidationError):

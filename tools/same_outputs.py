@@ -1,8 +1,9 @@
 """Check that the working tree's program gives the same outputs as a git revision's.
 
-    python tools/same_outputs.py REV [--seeds 1 2]
+    python tools/same_outputs.py REV [--seeds 1 2] [--workloads NAME ...]
 
-For each seed, one round of every benchmark workload's operations
+For each seed, one round of every benchmark workload's operations (or of
+the ``--workloads`` named, all four by default)
 (``bench/workloads.py``'s plan and build functions, each operation run
 through ``bench/checks.run_op``) runs in two fresh processes: one imports
 the package from REV's ``src/``, unpacked with ``git archive`` into a
@@ -64,11 +65,11 @@ CLI_MATRIX = (
 )
 
 sys.path.insert(0, str(BENCH))
-from run import worker_env  # noqa: E402  (the benchmark worker's environment)
+from run import WORKLOADS, worker_env  # noqa: E402  (the benchmark worker's environment)
 
 
-def emit(seed: int) -> None:
-    """Child process: one round of every workload, as {workload: [repr, ...]} on stdout."""
+def emit(seed: int, names: list) -> None:
+    """Child process: one round of each named workload, as {workload: [repr, ...]} on stdout."""
     import numpy as np
 
     import plurikernel as P
@@ -76,18 +77,20 @@ def emit(seed: int) -> None:
     from checks import run_op
 
     result = {}
-    for name, (plan_fn, build_fn) in W.WORKLOADS.items():
+    for name in names:
+        plan_fn, build_fn = W.WORKLOADS[name]
         cases = build_fn(P, plan_fn(np.random.default_rng(seed)))
         result[name] = [[f"{case.label} / {kind}", repr(run_op(fn))]
                         for case in cases for kind, fn in case.ops]
     print(json.dumps(result))
 
 
-def outputs(src: Path, seed: int) -> dict:
-    """One round of every workload in a fresh process importing the package from ``src``."""
+def outputs(src: Path, seed: int, names: list) -> dict:
+    """One round of each named workload in a fresh process importing the package from ``src``."""
     env = worker_env()
     env["PYTHONPATH"] = os.pathsep.join([str(src), str(BENCH)])
-    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed)], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed), "--workloads", *names],
+                          env=env, cwd=ROOT,
                           capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -183,10 +186,12 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                    metavar="NAME", help="the workloads to run (default: all four)")
     ap.add_argument("--emit", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit is not None:
-        emit(args.emit)
+        emit(args.emit, args.workloads)
         return 0
     if args.rev is None:
         ap.error("a revision is required")
@@ -195,7 +200,8 @@ def main(argv=None) -> int:
         rev_src = unpack_src(args.rev, Path(tmp))
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
-            differ += compare(outputs(rev_src, seed), outputs(ROOT / "src", seed))
+            differ += compare(outputs(rev_src, seed, args.workloads),
+                              outputs(ROOT / "src", seed, args.workloads))
         print(f"Command lines: {args.rev} against the working tree")
         differ += compare_cli(rev_src, tmp, "README commands", readme_commands())
         differ += compare_cli(rev_src, tmp, "CLI matrix", CLI_MATRIX)
