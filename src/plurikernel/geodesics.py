@@ -160,9 +160,9 @@ def geodesic_through(z, p, normalize_chl: bool = True,
     def phi(zeta) -> np.ndarray:
         if np.ndim(zeta) == 0:
             return c0 + radius * phi_raw(h(zeta))
-        if len(zeta) == 1:                      # numpy multiplies 1 x 1 arrays in another loop
+        if len(zeta) == 1:      # numpy rounds a 1 x 1 product unlike a scalar times a vector
             return phi(zeta[0])[None, :]
-        w = [h(x) for x in zeta]                # phi_raw's steps: the scalar ones per element
+        w = [h(x) for x in zeta]                # the scalar steps of phi_raw, per element
         d = np.array([1.0 - x * c for x in w])
         return c0 + radius * ((z - np.array(w)[:, None] * L_pp) / d[:, None])
 

@@ -90,8 +90,7 @@ def outputs(src: Path, seed: int, names: list) -> dict:
     env = worker_env()
     env["PYTHONPATH"] = os.pathsep.join([str(src), str(BENCH)])
     proc = subprocess.run([sys.executable, __file__, "--emit", str(seed), "--workloads", *names],
-                          env=env, cwd=ROOT,
-                          capture_output=True, text=True)
+                          env=env, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"the outputs of {src} at seed {seed} could not be computed")
