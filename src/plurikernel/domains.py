@@ -269,8 +269,8 @@ class BoundaryFrame:
 def psi_jet(domain: DomainSpec, z):
     """Defining function value, Wirtinger gradient and mixed complex Hessian at z."""
     z = as_vector(z, domain.n)
-    if norm(z - domain.interior) > 10.0 * max(domain.bounding_radius(), 1.0) \
-            and domain.bounding_radius() < float("inf"):
+    radius = domain.bounding_radius()
+    if radius < float("inf") and norm(z - domain.interior) > 10.0 * max(radius, 1.0):
         raise ValidationError(f"point {z} is far outside the domain's bounding box")
     if domain.expression is None:
         return domain.psi(z), domain.grad_psi(z), domain.hess_psi(z)
@@ -411,10 +411,10 @@ def signed_boundary_distance(domain: DomainSpec, z) -> float:
     if domain.is_ball_like:
         return norm(z - domain.center) - domain.radius
     if domain.kind is DomainKind.ELLIPSOID:
-        q, dist = _ellipsoid_nearest_point(domain.coeffs, z)
-        return dist if domain.psi(z) > 0 else -dist
-    q, dist = _footpoint_nearest(domain, z)
-    return dist if domain.psi(z) > 0 else -dist
+        dist, value = _ellipsoid_nearest_point(domain.coeffs, z)[1], domain.psi(z)
+    else:
+        _, dist, value = _footpoint_nearest(domain, z)
+    return dist if value > 0 else 0.0 - dist      # +0.0 on the boundary, as a ball's
 
 
 def nearest_boundary_point(domain: DomainSpec, z) -> np.ndarray:
@@ -424,9 +424,7 @@ def nearest_boundary_point(domain: DomainSpec, z) -> np.ndarray:
         d = z - domain.center
         nd = norm(d)
         if nd < 1e-15:
-            d = np.zeros(domain.n, complex)
-            d[0] = 1.0
-            nd = 1.0
+            d, nd = np.eye(1, domain.n, dtype=complex)[0], 1.0
         return domain.center + domain.radius * d / nd
     if domain.kind is DomainKind.ELLIPSOID:
         return _ellipsoid_nearest_point(domain.coeffs, z)[0]
@@ -529,21 +527,16 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
     normal.  A step that neither lowers the merit |z - x|^2 / 2 + mu |psi| nor
     halves the Lagrange residual is halved, at the cost of one more jet.  The
     start is the end of the ray bracket towards z with the smaller |psi|.
+    Returns x, |z - x| and psi(z), which rides in the bracket's first field call.
     """
     n = domain.n
     offset = z - domain.interior
-    if norm(offset) < 1e-14:
-        direction = np.zeros(n, complex)
-        direction[0] = 1.0
-    else:
-        direction = offset / norm(offset)
-    t = _ray_bracket(domain, direction[None])[0]
-    x = domain.interior + t * direction
-    if t > 1:       # psi < 0 at t / 2
-        ends = domain.interior + np.array([0.5 * t, t])[:, None] * direction
-        x = ends[np.argmin(np.abs(domain.psi_rows(ends)))]
-    x, zr = to_real(x), to_real(z)
-    J, eye = _to_real_derivatives(n), np.eye(2 * n)
+    direction = offset / r if (r := norm(offset)) >= 1e-14 else np.eye(1, n, dtype=complex)[0]
+    t, at_t, at_half, at_z = _ray_bracket(domain, direction[None], z[None])
+    # the end with the smaller |psi|, t / 2 on a tie; at t = 1 at_half is nan
+    t = 0.5 * t[0] if abs(at_half[0]) <= abs(at_t[0]) else t[0]
+    x, zr = to_real(domain.interior + t * direction), to_real(z)
+    J = _to_real_derivatives(n)
     scale = max(norm(z), 1.0)
     trace = []
     last = None         # the last accepted iterate: x, merit, step, slope, mu, residual
@@ -562,7 +555,7 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
         trace.append((it, resid, abs(v)))
         if resid < 1e-12 * scale and abs(v) < 1e-14:
             x = x - (v / g2) * grad         # the last normal correction needs no new jet
-            return x[:n] + 1j * x[n:], float(np.linalg.norm(zr - x))
+            return x[:n] + 1j * x[n:], float(np.linalg.norm(zr - x)), float(at_z[0])
         residual = math.hypot(resid, v / math.sqrt(g2))
         if last is not None:
             x0, merit, step, slope, mu, residual0 = last
@@ -574,6 +567,7 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
         # the tangential part y of the Newton step solves P A y = w_tan + v P A grad / g2,
         # with A = I + lam Hess psi and P the projection onto the tangent space;
         # A is positive definite there iff P A P + nu nu^T is
+        eye = np.eye(2 * n)
         A = eye + lam * np.real(J @ h @ J.T)
         nu = grad / math.sqrt(g2)
         normal = np.outer(nu, nu)
@@ -598,14 +592,13 @@ def _footpoint_nearest(domain: DomainSpec, z: np.ndarray):
 def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic (seeded) boundary sample points, |psi| = 0 to high accuracy."""
     count = spec_count(count, "count")
-    V = np.array([sample_sphere(rng, domain.n) for _ in range(count)],
-                 dtype=complex).reshape(count, domain.n)
+    V = np.array([sample_sphere(rng, domain.n) for _ in range(count)])
     if domain.is_ball_like:
         return domain.center + domain.radius * V
     if domain.kind is DomainKind.ELLIPSOID:
         return V * np.sqrt(1.0 / np.sum(domain.coeffs * np.abs(V) ** 2, axis=1))[:, None]
-    # bisect every ray at once, one psi_rows call per step
-    t_hi = _ray_bracket(domain, V)
+    # bisect every ray at once, one field call per step
+    t_hi = _ray_bracket(domain, V, V[:0])[0]       # no point rides along
     t_lo = np.zeros(count)
     for _ in range(80):
         mid = 0.5 * (t_lo + t_hi)
@@ -613,22 +606,25 @@ def boundary_samples(domain: DomainSpec, count: int, rng: np.random.Generator) -
         moving = (mid != t_lo) & (mid != t_hi)
         if not moving.any():
             break
-        inside = domain.psi_rows(domain.interior + mid[:, None] * V) < 0
-        t_lo = np.where(moving & inside, mid, t_lo)
-        t_hi = np.where(moving & ~inside, mid, t_hi)
+        inside = domain._expression_rows(domain.interior + mid[:, None] * V) < 0
+        np.copyto(t_lo, mid, where=moving & inside)
+        np.copyto(t_hi, mid, where=moving > inside)     # moving and not inside
     return domain.interior + (0.5 * (t_lo + t_hi))[:, None] * V
 
 
-def _ray_bracket(domain: DomainSpec, V: np.ndarray) -> np.ndarray:
-    """For each row v of V, the first t in 1, 2, 4, ... with psi(interior + t * v) >= 0."""
-    t = np.ones(len(V))
-    while True:
-        below = domain.psi_rows(domain.interior + t[:, None] * V) < 0
-        if not below.any():
-            return t
+def _ray_bracket(domain: DomainSpec, V: np.ndarray, Z: np.ndarray) -> tuple:
+    """For each row v of V, the first t in 1, 2, 4, ... with psi(interior + t * v) >= 0,
+    psi there and at t / 2 (nan at t = 1); psi at the (k, n) rows Z rides in the first call."""
+    t, at_half = np.ones(len(V)), np.full(len(V), np.nan)
+    values = domain._expression_rows(np.concatenate([Z, domain.interior + V]))
+    at_z, values = values[:len(Z)], values[len(Z):]
+    while (below := values < 0).any():
+        at_half[below] = values[below]
         t[below] *= 2.0
         if t.max() > _RAY_LIMIT:
             raise ConvergenceError("domain appears unbounded along the ray")
+        values = domain._expression_rows(domain.interior + t[:, None] * V)
+    return t, values, at_half, at_z
 
 
 # -- JSON interface ----------------------------------------------------------

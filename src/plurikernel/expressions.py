@@ -25,6 +25,7 @@ import functools
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .utils import read_only
 
 _FUNCTIONS = {
     "re": np.real,
@@ -37,6 +38,9 @@ _FUNCTIONS = {
 }
 
 _CONSTANTS = {"pi": np.pi, "e": np.e, "i": 1j, "j": 1j, "I": 1j}
+
+#: The names a field call sees besides z1..zn, which each call binds in locals of its own
+_ENV = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
@@ -73,33 +77,32 @@ class ScalarField:
         """One value per point of z (..., n); a constant expression gives a complex array too."""
         z = np.asarray(z, dtype=complex)
         columns = z.transpose(-1, *range(z.ndim - 1))       # columns[j] is z[..., j]
-        env = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, **dict(zip(self._names, columns))}
         # the AST was whitelisted at compile time, so eval only sees arithmetic
-        values = eval(self._code, env)
+        values = eval(self._code, _ENV, dict(zip(self._names, columns)))
         return np.full(z.shape[:-1], values, dtype=complex) if np.ndim(values) == 0 else values
 
     def jet(self, z):
         """Value, first and second derivatives of f at one point z.
 
-        The derivatives are taken in the 2n variables (z_1 .. z_n,
-        conj z_1 .. conj z_n): a length-2n vector and a 2n x 2n matrix,
-        symmetric up to rounding.  ``abs(u)**p`` with a real p >= 2 is
-        exact at u = 0, where it is smooth although ``abs`` is not.  Raises
-        ``DomainError`` where a derivative does not exist, such as ``abs``
-        (in any other use), ``sqrt`` or ``log`` at 0, or where the value or
-        a derivative is not finite (an overflow).
+        The derivatives are taken in the 2n variables (z_1 .. z_n, conj z_1 ..
+        conj z_n): a length-2n vector and a 2n x 2n matrix, symmetric up to
+        rounding and read-only where shared with the seeds.  ``abs(u)**p``
+        with a real p >= 2 is exact at u = 0, where it is smooth although
+        ``abs`` is not.  Raises ``DomainError`` where a derivative does not
+        exist, such as ``abs`` (in any other use), ``sqrt`` or ``log`` at 0,
+        or where the value or a derivative is not finite (an overflow).
         """
         z = np.asarray(z, dtype=complex)
-        env = {"__builtins__": {}, **_JET_FUNCTIONS, **_CONSTANTS, **_Jet.variables(z)}
+        eye, zero = _seeds(2 * len(z))
+        jets = {name: _Jet(x, row, zero) for name, x, row in zip(self._names, z.tolist(), eye)}
         try:
             # non-finite entries are caught below, so numpy need not warn
             with np.errstate(all="ignore"):
-                out = eval(self._code, env)
+                out = eval(self._code, _JET_ENV, jets)
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"derivatives of {self.source!r} fail at {z}: {exc}") from exc
         if not isinstance(out, _Jet):       # an expression free of z1..zn
-            m = 2 * self.n
-            out = _Jet(complex(out), np.zeros(m, complex), np.zeros((m, m), complex))
+            out = _Jet(complex(out), zero[0], zero)
         if not (cmath.isfinite(out.v) and np.isfinite(out.d).all() and np.isfinite(out.h).all()):
             raise DomainError(f"derivatives of {self.source!r} are not finite at {z}")
         return out.v, out.d, out.h
@@ -126,13 +129,6 @@ class _Jet:
 
     def __init__(self, v, d, h):
         self.v, self.d, self.h = v, d, h
-
-    @staticmethod
-    def variables(z) -> dict:
-        m = 2 * len(z)
-        eye = np.eye(m, dtype=complex)
-        zero = np.zeros((m, m), complex)
-        return {f"z{j + 1}": _Jet(complex(z[j]), eye[j], zero) for j in range(len(z))}
 
     def chain(self, f0, f1, f2) -> "_Jet":
         """The jet of g(self) from g's value ``f0`` and derivatives ``f1``, ``f2`` at ``v``."""
@@ -212,6 +208,12 @@ class _Jet:
 
 
 @functools.lru_cache(maxsize=None)
+def _seeds(m: int) -> tuple:
+    """The jets' seeds in m variables: identity rows and a zero Hessian, read-only, as shared."""
+    return read_only(np.eye(m, dtype=complex), np.zeros((m, m), complex))
+
+
+@functools.lru_cache(maxsize=None)
 def _swap(m: int) -> np.ndarray:
     """Index that exchanges the z and conj z halves of a length-m derivative vector.
 
@@ -267,7 +269,9 @@ def _abs(u: _Jet) -> _Jet:
     return _sqrt(s) if u.v != 0 else _AbsOfZero(s)
 
 
-_JET_FUNCTIONS = {
+#: The names a jet call sees besides z1..zn, bound as in a field call
+_JET_ENV = {
+    "__builtins__": {}, **_CONSTANTS,
     "re": _lifted("re", lambda u: (u + u.conj()) * 0.5),
     "im": _lifted("im", lambda u: (u - u.conj()) * -0.5j),
     "conj": _lifted("conj", _Jet.conj),

@@ -161,6 +161,9 @@ def mobius_ball(z0, w) -> np.ndarray:
     """
     z0 = as_rows(z0, np.shape(z0)[1]) if np.ndim(z0) == 2 else as_vector(z0)
     w = as_points(w, z0.shape[-1])
+    if max(z0.shape[:-1] + w.shape[:-1], default=0) == 1:
+        # one row: numpy rounds a product of 1 x 1 arrays unlike a point's, so take the point path
+        return mobius_ball(z0.reshape(-1), w.reshape(-1))[None]
     a2 = (z0 * z0.conj()).sum(axis=-1, keepdims=True).real
     if (a2 >= 1.0).any():
         raise ValidationError("automorphism anchor must be inside the open ball")

@@ -104,6 +104,21 @@ def _bytes(rows):
     return np.asarray(rows).tobytes()
 
 
+@pytest.mark.parametrize("dom", [DomainSpec.disc(), BALLS[0]], ids=["disc", "B(c, r) in C"])
+def test_one_row_mobius_and_green_are_one_point_calls(dom):
+    # numpy multiplies 1 x 1 arrays in another loop than a point's; in C a
+    # one-row anchor or point must still give the one-point call's bits
+    rng = np.random.default_rng(20240825)
+    c, r = dom.center, dom.radius
+    for _ in range(500):
+        a, u = sample_ball(rng, 1, 0.999), sample_ball(rng, 1, 0.999)
+        want = _bytes(mobius_ball(a, u)[None])
+        for args in ((a, u[None]), (a[None], u), (a[None], u[None])):
+            assert _bytes(mobius_ball(*args)) == want
+        z, w = c + r * a, c + r * u
+        assert _bytes(green_function(dom, z, w[None])) == _bytes([green_function(dom, z, w)])
+
+
 @pytest.mark.parametrize("dom", [DomainSpec.disc(), DomainSpec.unit_ball(2)] + BALLS,
                          ids=lambda d: d.label or f"B(c, r) in C^{d.n}")
 def test_kobayashi_and_mobius_on_rows_equal_one_call_per_row(dom, rng):

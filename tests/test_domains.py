@@ -300,17 +300,45 @@ def test_footpoint_sweep_on_a_perturbed_ball(monkeypatch):
 def test_footpoint_starts_on_the_boundary(monkeypatch):
     # the points of the benchmark's custom-ball distances: the start, the end
     # of the ray bracket with the smaller |psi|, already meets the stop test;
-    # one field call gives the sign, one or two the bracket, one its two ends
+    # the bracket's first field call also gives psi(z), for the sign, and
+    # each doubling of the bracket takes one more
     dom = DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2)
     fixed = np.random.default_rng(0)
     points = [sample_ball(fixed, 2, 0.9) for _ in range(100)]
     jets, fields = _counted(monkeypatch, "jet"), _counted(monkeypatch, "__call__")
+    doubled = 0
     for z in points:
+        v = z / np.linalg.norm(z)
+        doublings = next(k for k in range(3) if dom.psi(2.0 ** k * v) >= 0)
+        doubled += doublings > 0
         jets.clear()
         fields.clear()
         assert signed_boundary_distance(dom, z) == pytest.approx(np.linalg.norm(z) - 1, abs=1e-15)
         assert len(jets) == 1
-        assert len(fields) in (2, 4)
+        assert len(fields) == 1 + doublings
+    assert 0 < doubled < len(points)
+
+
+def test_footpoint_on_an_unbounded_ray_raises():
+    # psi = re(z1) - 1 stays -1 - t along the ray from 0 towards -0.5
+    dom = DomainSpec.custom("re(z1) - 1", n=1)
+    with pytest.raises(ConvergenceError, match="unbounded along the ray"):
+        signed_boundary_distance(dom, [-0.5])
+    with pytest.raises(ConvergenceError, match="unbounded along the ray"):
+        nearest_boundary_point(dom, [0.5j])
+
+
+@pytest.mark.parametrize("domain, p", [
+    (DomainSpec.disc(), [1.0]),
+    (DomainSpec.unit_ball(2), E1),
+    (DomainSpec.ellipsoid([1.0, 4.0]), [0.6, 0.4]),
+    (DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2), E1),
+    (DomainSpec.custom("z1*conj(z1)+4*z2*conj(z2)-1", n=2), [0.0, 0.5]),
+], ids=["disc", "unit_ball:2", "ellipsoid", "custom ball", "custom ellipsoid"])
+def test_distance_on_the_boundary_is_positive_zero(domain, p):
+    # where psi(p) <= 0 and the foot point is p itself, as a ball gives
+    d = signed_boundary_distance(domain, p)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
 
 def test_footpoint_at_the_centre_of_the_ball(monkeypatch):

@@ -158,3 +158,27 @@ def test_jet_smooth_powers_at_zero():
     for source in ("abs(z1)**3", "abs(z1)**2.5", "abs(z1-1j)**4"):
         value, d, h = ScalarField(source, n=1).jet([1j if "1j" in source else 0.0])
         assert value == 0 and not d.any() and not h.any()
+
+
+def test_field_calls_bind_only_their_own_coordinates():
+    # every call binds z1..zn afresh: a point without z2 finds no z2 left over
+    # from the last call, of the same field or of another
+    f, g = ScalarField("z1 + z2", n=2), ScalarField("z1 * z2", n=2)
+    assert f([[1.0, 2.0]])[0] == 3.0 and g.jet([1.0, 2.0])[0] == 2.0
+    for field in (f, g):
+        with pytest.raises(NameError, match="z2"):
+            field([[5.0]])
+        with pytest.raises(NameError, match="z2"):
+            field.jet([5.0])
+    assert f([[5.0, 1.0]])[0] == 6.0 and g.jet([5.0, 1.0])[0] == 5.0
+
+
+def test_jet_seeds_are_read_only():
+    # the jets of z1..zn start from identity rows and a zero Hessian cached per
+    # dimension; a jet that hands them out cannot be used to change them
+    for _ in range(2):
+        value, d, h = ScalarField("z2", n=2).jet([0.5, 0.25])
+        assert value == 0.25 and np.array_equal(d, [0, 1, 0, 0]) and not h.any()
+        for seed in (d, h):
+            with pytest.raises(ValueError, match="read-only"):
+                seed[0] = 7.0

@@ -1,6 +1,7 @@
 """Time one benchmark workload's operations, kind by kind, in one process.
 
     python tools/op_times.py WORKLOAD [--seed N] [--by kind|case] [--against REV [--pairs N]]
+    python tools/op_times.py WORKLOAD [--seed N] [--by kind|case] --calls
 
 Builds the workload's cases from ``bench/workloads.py``'s plan and build
 functions (as ``tools/same_outputs.py`` does), with the package imported
@@ -20,6 +21,12 @@ as ``tools/same_outputs.py`` unpacks it) and one from the working tree's,
 that a drift of the host's speed falls on both trees alike.  It prints, per
 group, the median microseconds per call over every round of both trees and
 their ratio, and then the median round of each tree and their ratio.
+
+With ``--calls`` nothing is timed: after the warm-up round, one round runs
+with ``ScalarField.__call__`` and ``ScalarField.jet`` counted, and it prints,
+per group, the operations per round and the calls of each per operation.
+The benchmark's tracer counts only ``__call__`` (as
+``expressions.field_evals_per_op``); the jets are counted here.
 
 Timings are wall-clock times on an unloaded process, not the benchmark's
 scaled figures; use them to see where a round's time goes, and
@@ -46,8 +53,8 @@ from checks import median, run_op  # noqa: E402
 from run import THREAD_VARS, WORKLOADS, worker_env  # noqa: E402
 
 
-def op_times(workload: str, seed: int, by: str = "kind") -> tuple[dict, list]:
-    """({group: [µs per call, ...]}, [ms per round, ...]) over ``ROUNDS`` timed rounds.
+def warm_ops(workload: str, seed: int, by: str) -> list:
+    """[(group, operation), ...] of one round, after running each once as a warm-up.
 
     A group is an operation's kind, or with ``by="case"`` its (case label, kind).
     The package is imported from the first ``src/`` on ``sys.path``.
@@ -62,6 +69,12 @@ def op_times(workload: str, seed: int, by: str = "kind") -> tuple[dict, list]:
            for case in build_fn(P, plan_fn(np.random.default_rng(seed))) for kind, fn in case.ops]
     for _, fn in ops:
         run_op(fn)
+    return ops
+
+
+def op_times(workload: str, seed: int, by: str = "kind") -> tuple[dict, list]:
+    """({group: [µs per call, ...]}, [ms per round, ...]) over ``ROUNDS`` timed rounds."""
+    ops = warm_ops(workload, seed, by)
     times = defaultdict(list)
     rounds = []
     for _ in range(ROUNDS):
@@ -72,6 +85,37 @@ def op_times(workload: str, seed: int, by: str = "kind") -> tuple[dict, list]:
             times[group].append((time.perf_counter() - t0) * 1e6)
         rounds.append((time.perf_counter() - t_round) * 1e3)
     return times, rounds
+
+
+def field_calls(workload: str, seed: int, by: str = "kind") -> dict:
+    """{group: [operations, ScalarField.__call__ calls, ScalarField.jet calls]} of one round."""
+    from plurikernel.expressions import ScalarField
+
+    ops = warm_ops(workload, seed, by)
+    counts = {"__call__": 0, "jet": 0}
+    originals = {name: getattr(ScalarField, name) for name in counts}
+
+    def counted(name):
+        def method(self, z):
+            counts[name] += 1
+            return originals[name](self, z)
+        return method
+
+    table = defaultdict(lambda: [0, 0, 0])
+    for name in counts:
+        setattr(ScalarField, name, counted(name))
+    try:
+        for group, fn in ops:
+            before = dict(counts)
+            run_op(fn)
+            row = table[group]
+            row[0] += 1
+            row[1] += counts["__call__"] - before["__call__"]
+            row[2] += counts["jet"] - before["jet"]
+    finally:
+        for name, original in originals.items():
+            setattr(ScalarField, name, original)
+    return table
 
 
 def fresh_op_times(src: Path, args) -> tuple[dict, list]:
@@ -133,10 +177,14 @@ def main(argv=None) -> int:
                     help="git revision whose src/ is timed against the working tree's")
     ap.add_argument("--pairs", type=int, default=6,
                     help="fresh processes per tree with --against (default 6)")
+    ap.add_argument("--calls", action="store_true",
+                    help="count ScalarField calls and jets per operation instead of timing")
     ap.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.calls and args.against:
+        ap.error("--calls counts the working tree only; it takes no --against")
     os.environ.update({k: "1" for k in THREAD_VARS})    # before numpy is imported
     if args.against:
         against(args)
@@ -146,11 +194,19 @@ def main(argv=None) -> int:
         print(json.dumps([list(times.items()), rounds]))
         return 0
     sys.path.insert(0, str(ROOT / "src"))
+    case = f"{'case':<36} " if args.by == "case" else ""
+    if args.calls:
+        table = field_calls(args.workload, args.seed, args.by)
+        print(f"{args.workload}, seed {args.seed}: ScalarField calls per operation, "
+              f"one round after a warm-up round")
+        print(f"  {case}{'kind':<28} {'ops/round':>9} {'__call__/op':>11} {'jet/op':>8}")
+        for group, (ops, calls, jets) in table.items():
+            print(f"  {label(group, args.by)} {ops:>9} {calls / ops:>11.2f} {jets / ops:>8.2f}")
+        return 0
     times, rounds = op_times(args.workload, args.seed, args.by)
     total = sum(map(sum, times.values()))
     print(f"{args.workload}, seed {args.seed}: {ROUNDS} rounds, "
           f"median round {median(rounds):.1f} ms")
-    case = f"{'case':<36} " if args.by == "case" else ""
     print(f"  {case}{'kind':<28} {'calls/round':>11} {'median µs':>10} {'share':>7}")
     for group, ts in sorted(times.items(), key=lambda kv: -sum(kv[1])):
         print(f"  {label(group, args.by)} {len(ts) // ROUNDS:>11} {median(ts):>10.1f} "
