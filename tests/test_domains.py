@@ -320,7 +320,7 @@ def test_footpoint_starts_on_the_boundary(monkeypatch):
 
 
 def test_footpoint_on_an_unbounded_ray_raises():
-    # psi = re(z1) - 1 stays -1 - t along the ray from 0 towards -0.5
+    # psi = re(z1) - 1 stays below 0 along the rays from 0 towards -0.5 and 0.5i
     dom = DomainSpec.custom("re(z1) - 1", n=1)
     with pytest.raises(ConvergenceError, match="unbounded along the ray"):
         signed_boundary_distance(dom, [-0.5])
@@ -336,7 +336,8 @@ def test_footpoint_on_an_unbounded_ray_raises():
     (DomainSpec.custom("z1*conj(z1)+4*z2*conj(z2)-1", n=2), [0.0, 0.5]),
 ], ids=["disc", "unit_ball:2", "ellipsoid", "custom ball", "custom ellipsoid"])
 def test_distance_on_the_boundary_is_positive_zero(domain, p):
-    # where psi(p) <= 0 and the foot point is p itself, as a ball gives
+    # at a boundary point that is its own foot point the distance is +0.0 on
+    # every kind, as a ball's norm(z - c) - r gives it
     d = signed_boundary_distance(domain, p)
     assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
