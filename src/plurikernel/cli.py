@@ -18,28 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    ball_restriction_candidate,
-    kernel_value,
-    kernel_values,
-    lower_envelope,
-    peak_candidate,
-    sandwich_bounds,
-)
-from .domains import domain_from_json
 from .errors import NumericalError, PluriKernelError, ValidationError
-from .expressions import ScalarField
-from .geodesics import default_disc_grid, geodesic_through, restriction_identity_check
-from .green import demailly_density, normal_derivative_green
-from .julia import (
-    SamplingPlan,
-    condition_equivalence_check,
-    horoball_inclusion_check,
-    jwc_derivative_probes,
-    lambda_estimate,
-    map_from_json,
-)
-from .reproducing import riesz_correction_1d, reproduce, rule_to_csv, sphere_quadrature
 
 
 def parse_point(text: str, n: int) -> np.ndarray:
@@ -130,6 +109,9 @@ def _emit_points(args, n: int, texts, evaluate, header=None) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    from .bounds import kernel_value
+    from .domains import domain_from_json
+
     domain = domain_from_json(args.domain)
     pole = parse_point(args.pole, domain.n)
 
@@ -141,6 +123,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import ball_restriction_candidate, lower_envelope, peak_candidate, sandwich_bounds
+    from .domains import domain_from_json
+
     domain = domain_from_json(args.domain)
     pole = parse_point(args.pole, domain.n)
     candidates = [peak_candidate(domain, pole)]
@@ -158,6 +143,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from .bounds import kernel_values
+    from .domains import domain_from_json
+    from .geodesics import default_disc_grid, geodesic_through, restriction_identity_check
+
     domain = domain_from_json(args.domain)
     if not domain.is_ball_like:
         raise ValidationError("geodesics are available for disc/ball domains")
@@ -184,6 +173,10 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_green(args) -> int:
+    from .bounds import kernel_value
+    from .domains import domain_from_json
+    from .green import demailly_density, normal_derivative_green
+
     domain = domain_from_json(args.domain)
     pole = parse_point(args.pole, domain.n)
 
@@ -202,6 +195,10 @@ def _cmd_green(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .domains import domain_from_json
+    from .expressions import ScalarField
+    from .reproducing import riesz_correction_1d, reproduce, rule_to_csv, sphere_quadrature
+
     domain = domain_from_json(args.domain)
     unit = domain.is_ball_like and domain.radius == 1.0 and not domain.center.any()
     if not unit or domain.n not in (1, 2):
@@ -229,6 +226,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_julia(args) -> int:
+    from .julia import (SamplingPlan, condition_equivalence_check, horoball_inclusion_check,
+                        jwc_derivative_probes, lambda_estimate, map_from_json)
+
     mapspec = map_from_json(args.map)
     p = parse_point(args.p, mapspec.source.n)
     q = parse_point(args.q, mapspec.target.n)

@@ -410,10 +410,8 @@ def signed_boundary_distance(domain: DomainSpec, z) -> float:
     z = as_vector(z, domain.n)
     if domain.is_ball_like:
         return norm(z - domain.center) - domain.radius
-    if domain.kind is DomainKind.ELLIPSOID:
-        dist, value = _ellipsoid_nearest_point(domain.coeffs, z)[1], domain.psi(z)
-    else:
-        _, dist, value = _footpoint_nearest(domain, z)
+    nearest = _ellipsoid_nearest if domain.kind is DomainKind.ELLIPSOID else _footpoint_nearest
+    _, dist, value = nearest(domain, z)
     return dist if value > 0 else 0.0 - dist      # +0.0 on the boundary, as a ball's
 
 
@@ -427,8 +425,19 @@ def nearest_boundary_point(domain: DomainSpec, z) -> np.ndarray:
             d, nd = np.eye(1, domain.n, dtype=complex)[0], 1.0
         return domain.center + domain.radius * d / nd
     if domain.kind is DomainKind.ELLIPSOID:
-        return _ellipsoid_nearest_point(domain.coeffs, z)[0]
+        return _ellipsoid_nearest(domain, z)[0]
     return _footpoint_nearest(domain, z)[0]
+
+
+def _ellipsoid_nearest(domain: DomainSpec, z: np.ndarray):
+    """x, |z - x| and psi(z) for the nearest point x of an ellipsoid's boundary to z.
+
+    Where psi(z) is exactly 0, x is z itself, at distance 0.0."""
+    value = domain.psi(z)
+    if value == 0:
+        return z.copy(), 0.0, value
+    x, dist = _ellipsoid_nearest_point(domain.coeffs, z)
+    return x, dist, value
 
 
 def _ellipsoid_nearest_point(a: np.ndarray, z: np.ndarray):

@@ -75,7 +75,7 @@ class ScalarField:
 
     def __call__(self, z):
         """One value per point of z (..., n); a constant expression gives a complex array too."""
-        z = np.asarray(z, dtype=complex)
+        z = self._point(z)
         columns = z.transpose(-1, *range(z.ndim - 1))       # columns[j] is z[..., j]
         # the AST was whitelisted at compile time, so eval only sees arithmetic
         values = eval(self._code, _ENV, dict(zip(self._names, columns)))
@@ -92,7 +92,7 @@ class ScalarField:
         exist, such as ``abs`` (in any other use), ``sqrt`` or ``log`` at 0,
         or where the value or a derivative is not finite (an overflow).
         """
-        z = np.asarray(z, dtype=complex)
+        z = self._point(z)
         eye, zero = _seeds(2 * len(z))
         jets = {name: _Jet(x, row, zero) for name, x, row in zip(self._names, z.tolist(), eye)}
         try:
@@ -106,6 +106,14 @@ class ScalarField:
         if not (cmath.isfinite(out.v) and np.isfinite(out.d).all() and np.isfinite(out.h).all()):
             raise DomainError(f"derivatives of {self.source!r} are not finite at {z}")
         return out.v, out.d, out.h
+
+    def _point(self, z) -> np.ndarray:
+        """z as a complex array whose last axis holds z1..zn; any other length is refused."""
+        z = np.asarray(z, dtype=complex)
+        if z.shape[-1:] != (self.n,):
+            raise ValidationError(f"{self!r} takes points of {self.n} coordinates, "
+                                  f"not of shape {z.shape}")
+        return z
 
     def real_part(self, z) -> float:
         """Evaluate and return the real part (fields used as data are real)."""

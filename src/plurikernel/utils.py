@@ -18,7 +18,7 @@ def as_vector(z, n: int | None = None) -> np.ndarray:
     if type(z) is np.ndarray and z.dtype == np.complex128 and z.ndim == 1:
         v = z
     else:
-        v = np.atleast_1d(np.asarray(z, dtype=complex))
+        v = np.atleast_1d(_complex_array(z))
         if v.ndim != 1:
             raise ValidationError(f"expected a point (1-d vector), got shape {v.shape}")
     if n is not None and len(v) != n:
@@ -30,12 +30,22 @@ def as_vector(z, n: int | None = None) -> np.ndarray:
 
 def as_rows(Z, n: int) -> np.ndarray:
     """Coerce to an (M, n) complex array of points, each passing ``as_vector``'s tests."""
-    A = np.asarray(Z, dtype=complex)
+    A = _complex_array(Z)
     if A.ndim != 2 or A.shape[1] != n:
         raise ValidationError(f"expected an (M, {n}) array of points in C^{n}, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValidationError("point has non-finite components")
     return A
+
+
+def _complex_array(z) -> np.ndarray:
+    """``np.asarray(z, dtype=complex)``, with text, and values numpy cannot read, refused."""
+    if isinstance(z, (str, bytes)):
+        raise ValidationError(f"expected numbers for a point, got {type(z).__name__} {z!r}")
+    try:
+        return np.asarray(z, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read a point from a {type(z).__name__}: {exc}") from exc
 
 
 def as_points(z, n: int) -> np.ndarray:

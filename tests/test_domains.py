@@ -334,12 +334,22 @@ def test_footpoint_on_an_unbounded_ray_raises():
     (DomainSpec.ellipsoid([1.0, 4.0]), [0.6, 0.4]),
     (DomainSpec.custom("z1*conj(z1)+z2*conj(z2)-1", n=2), E1),
     (DomainSpec.custom("z1*conj(z1)+4*z2*conj(z2)-1", n=2), [0.0, 0.5]),
-], ids=["disc", "unit_ball:2", "ellipsoid", "custom ball", "custom ellipsoid"])
+    (DomainSpec.ellipsoid([1.0, 2.0]), E1),
+    (DomainSpec.ellipsoid([1.0, 4.0]), [0.0, 0.5]),
+    (DomainSpec.ellipsoid([1.0, 2.0, 3.0]), [1.0, 0.0, 0.0]),
+    (DomainSpec.ellipsoid([1.0, 2.0, 3.0]), [0.0, 2 ** -0.5, 0.0]),
+    (DomainSpec.ellipsoid([1.0, 2.0, 3.0]), [0.0, 0.0, 3 ** -0.5]),
+], ids=["disc", "unit_ball:2", "ellipsoid", "custom ball", "custom ellipsoid",
+        "ellipsoid:1,2 e1", "ellipsoid:1,4 axis 2", "ellipsoid:1,2,3 axis 1",
+        "ellipsoid:1,2,3 axis 2", "ellipsoid:1,2,3 axis 3"])
 def test_distance_on_the_boundary_is_positive_zero(domain, p):
     # at a boundary point that is its own foot point the distance is +0.0 on
-    # every kind, as a ball's norm(z - c) - r gives it
+    # every kind, as a ball's norm(z - c) - r gives it, and the point is its
+    # own nearest boundary point (on the ellipsoids' axes too, where the
+    # multiplier iteration lands a few ulps away)
     d = signed_boundary_distance(domain, p)
     assert d == 0.0 and math.copysign(1.0, d) == 1.0
+    assert np.array_equal(nearest_boundary_point(domain, p), p)
 
 
 def test_footpoint_at_the_centre_of_the_ball(monkeypatch):

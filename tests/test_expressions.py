@@ -162,14 +162,18 @@ def test_jet_smooth_powers_at_zero():
 
 def test_field_calls_bind_only_their_own_coordinates():
     # every call binds z1..zn afresh: a point without z2 finds no z2 left over
-    # from the last call, of the same field or of another
+    # from the last call, of the same field or of another; it is refused
     f, g = ScalarField("z1 + z2", n=2), ScalarField("z1 * z2", n=2)
     assert f([[1.0, 2.0]])[0] == 3.0 and g.jet([1.0, 2.0])[0] == 2.0
     for field in (f, g):
-        with pytest.raises(NameError, match="z2"):
+        with pytest.raises(ValidationError, match="z2"):
             field([[5.0]])
-        with pytest.raises(NameError, match="z2"):
+        with pytest.raises(ValidationError, match="z2"):
             field.jet([5.0])
+        with pytest.raises(ValidationError, match="2 coordinates"):
+            field([[5.0, 1.0, 2.0]])
+        with pytest.raises(ValidationError, match="2 coordinates"):
+            field.jet([5.0, 1.0, 2.0])
     assert f([[5.0, 1.0]])[0] == 6.0 and g.jet([5.0, 1.0])[0] == 5.0
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from plurikernel import DomainSpec, kernel_value, kernel_values, signed_boundary_distance
 from plurikernel.errors import ValidationError
-from plurikernel.kernels import KernelValue, Provenance
+from plurikernel.kernels import KernelValue, Provenance, mobius_ball
 from plurikernel.utils import as_vector, herm, norm
 
 
@@ -50,6 +51,25 @@ def test_as_vector_refuses_wrong_shapes():
     with pytest.raises(ValidationError,
                        match=r"^expected a point \(1-d vector\), got shape \(2, 2\)$"):
         as_vector(np.zeros((2, 2)), 2)
+
+
+#: Points that are not numbers: text, and values numpy's complex conversion refuses
+NOT_NUMBERS = ["a,b", "1", b"1", np.array([object(), 1], dtype=object), [1, "a"], {1: 2}]
+
+
+@pytest.mark.parametrize("call", [
+    lambda z: kernel_value(DomainSpec.unit_ball(2), [1, 0], z),
+    lambda z: kernel_values(DomainSpec.ellipsoid([1.0, 2.0]), [1, 0], z),
+    lambda z: DomainSpec.ellipsoid([1.0, 2.0]).psi_rows(z),
+    lambda z: signed_boundary_distance(DomainSpec.ellipsoid([1.0, 2.0]), z),
+    lambda z: mobius_ball([0.5, 0], z),
+], ids=["kernel_value", "kernel_values", "psi_rows", "signed_boundary_distance", "mobius_ball"])
+def test_points_that_are_not_numbers_raise_validation_error(call):
+    # the text "1" would be read as 1+0j; malformed text and objects would
+    # raise numpy's bare ValueError or TypeError
+    for z in NOT_NUMBERS:
+        with pytest.raises(ValidationError, match="^(expected numbers|cannot read) "):
+            call(z)
 
 
 def test_as_vector_does_not_copy_a_complex_vector():
