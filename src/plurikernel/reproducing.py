@@ -26,12 +26,16 @@ integral uses the plain Laplacian against Lebesgue measure; the worked cases
 f = |w|^2 and |w|^4 at z = 0 then reproduce f(0) = 0 exactly.
 
 A rule is held as its factors, O(resolution^2) numbers.  ``reproduce`` works
-a few eta slabs at a time in one workspace per call (one block plus 8 bytes
-per slab); f gets a read-only, coordinate-major (M, n) view of the block's
-nodes, valid only during that call.  <xi, z> is built from the factors: the
-res values slab_coords[j] * conj(z_j) per slab, broadcast-added over j in
-order into Re and Im, and |1 - <xi, z>|^2 = (1 - Re)^2 + Im^2.  The weighted
-slab sums are added in slab order, so results do not depend on the block size.
+a few eta slabs at a time in one workspace per call (one block, two factor
+arrays of 8 floats per slab and factor value, and 8 bytes per slab); f gets
+a read-only, coordinate-major (M, n) view of the block's nodes, valid only
+during that call.  <xi, z> is built from the factors p_j = slab_coords[j] *
+conj(z_j), res values per slab.  For n >= 2, Re and Im of p_0 + p_1 are one
+rank-2 product per block, rows [x, 1] times columns [1, y]: x*1 + 1*y is
+two exact products and one rounding, so it equals x + y in any summation
+order (up to the sign of a zero); p_j for j >= 2 are added after it in
+order.  Then |1 - <xi, z>|^2 = (1 - Re)^2 + Im^2.  The weighted slab sums
+are added in slab order, so results have the same bits for every block size.
 """
 
 from __future__ import annotations
@@ -159,6 +163,9 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
     work = np.empty((rule.n + 2, slabs * rule._slab_size), complex)
     products = work[rule.n, :rule.n * rule.slab_coords[0][:slabs].size].reshape(rule.n, slabs, -1)
     re_im = work[-1].view(float).reshape((2, slabs) + rule.slab_coords[0].shape[1:] * rule.n)
+    if rule.n > 1:    # Re and Im of p0 + p1 are one product [x, 1] @ [1, y]: x*1 + 1*y rounds as x + y
+        width = rule.slab_coords[0].shape[1]
+        left, right = np.ones((2, slabs, width, 2)), np.ones((2, slabs, 2, width))
     slab_sums = np.empty(len(rule.slab_weights))
     for block in (slice(start, start + step) for start in range(0, len(slab_sums), step)):
         nodes = rule._nodes(block, work[:rule.n])
@@ -171,14 +178,21 @@ def reproduce(f: Callable, z, rule: QuadratureRule) -> float:
             raise ValidationError(f"f gave shape {vals.shape}, not one value per node row")
         if not np.isfinite(vals).all():
             raise DomainError(f"f is not finite at the node {nodes[~np.isfinite(vals)][0]}")
-        re, im = re_im[:, :len(nodes) // rule._slab_size]    # on the slabs' node grid
-        for j, p in enumerate(products[:, :len(re)]):     # <xi, z> in coordinate order
-            p = rule._grid(j, np.multiply(rule.slab_coords[j][block], np.conj(z[j]), out=p))
-            if j == 0:
-                re[...], im[...] = p.real, p.imag
-            else:
-                re += p.real
-                im += p.imag
+        k = len(nodes) // rule._slab_size
+        re, im = re_im[:, :k]                         # on the slabs' node grid
+        p = [np.multiply(c[block], np.conj(zj), out=out)
+             for c, zj, out in zip(rule.slab_coords, z, products[:, :k])]
+        if rule.n == 1:
+            re[...], im[...] = p[0].real, p[0].imag
+        else:                                         # <xi, z> in coordinate order
+            left[:, :k, :, 0] = p[0].real, p[0].imag      # rows [Re p0, 1] and [Im p0, 1]
+            right[:, :k, 1] = p[1].real, p[1].imag        # columns [1, Re p1] and [1, Im p1]
+            np.matmul(left[:, :k], right[:, :k], out=re_im[:, :k][(...,) + (0,) * (rule.n - 2)])
+            if rule.n > 2:
+                re_im[:, :k] = re_im[:, :k][(...,) + (slice(1),) * (rule.n - 2)]
+            for j in range(2, rule.n):
+                re += rule._grid(j, p[j]).real
+                im += rule._grid(j, p[j]).imag
         np.square(np.subtract(1.0, re, out=re), out=re)
         re += np.square(im, out=im)                   # |1 - <xi, z>|^2
         np.divide(num, re, out=re)

@@ -40,10 +40,11 @@ def as_rows(Z, n: int) -> np.ndarray:
 
 def _complex_array(z) -> np.ndarray:
     """``np.asarray(z, dtype=complex)``, with text, and values numpy cannot read, refused."""
-    if isinstance(z, (str, bytes)):
-        raise ValidationError(f"expected numbers for a point, got {type(z).__name__} {z!r}")
     try:
-        return np.asarray(z, dtype=complex)
+        a = np.asarray(z)
+        if a.dtype.kind in "SU" or a.dtype == object and any(isinstance(x, (str, bytes)) for x in a.flat):
+            raise ValidationError(f"expected numbers for a point, got {type(z).__name__} {z!r}")
+        return a.astype(complex, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read a point from a {type(z).__name__}: {exc}") from exc
 

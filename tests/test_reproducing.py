@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from plurikernel import (
+    DomainError,
     DomainSpec,
     QuadratureRule,
     ValidationError,
@@ -184,6 +186,62 @@ def test_circle_in_blocks_equals_whole_array_formula(rng, monkeypatch):
         for f in fields:
             assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule)
             _assert_block_size_free(f, z, small, monkeypatch)
+
+
+def test_rank_two_product_rounds_as_a_sum(rng):
+    # reproduce forms Re and Im of p0 + p1 per block as [x, 1] @ [1, y]: x*1 and 1*y are
+    # exact and the sum rounds once, in whatever order the BLAS adds, so only a zero's
+    # sign may differ from x + y; another rounding fails here, not as an ulp drift
+    k, w = 3, 64
+
+    def spread():
+        v = rng.choice([-1.0, 1.0], (2, k, w)) * 10.0 ** rng.uniform(-300, 300, (2, k, w))
+        v[:, 0, :8] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e-300]
+        return v
+
+    x, y = spread(), spread()
+    left, right = np.ones((2, k, w, 2)), np.ones((2, k, 2, w))
+    left[..., 0], right[:, :, 1] = x, y
+    re_im = np.matmul(left, right)
+    sums = x[:, :, :, None] + y[:, :, None, :]
+    assert np.array_equal(re_im, sums)
+    with np.errstate(over="ignore"):
+        den, den_sums = ((1.0 - a[0]) ** 2 + a[1] ** 2 for a in (re_im, sums))
+    assert den.tobytes() == den_sums.tobytes()
+
+
+def test_coordinates_past_the_second_in_blocks_equal_whole_array_formula(rng, monkeypatch):
+    # a hand-built rule in C^3: three circle-type coordinates over four slabs, the
+    # third coordinate added after the product that forms the first two
+    e = np.exp(1j * TWO_PI * np.arange(5) / 5)
+    radii = rng.dirichlet(np.ones(3), 4) ** 0.5
+    rule = QuadratureRule(slab_coords=tuple(r[:, None] * e for r in radii.T),
+                          slab_weights=rng.uniform(0.5, 1.5, 4), n=3, resolution=5)
+    fields = (lambda N: np.real(N[:, 0] * N[:, 1] * N[:, 2]),
+              lambda N: np.imag(N[:, 2] ** 2) + np.abs(N[:, 0]) ** 2)
+    for z in (np.zeros(3), [0.3, -0.2j, 0.1 + 0.4j], sample_ball(rng, 3, 0.9)):
+        z = np.asarray(z, dtype=complex)
+        for f in fields:
+            for size in (1, len(rule)):
+                with monkeypatch.context() as m:
+                    m.setattr(reproducing, "_BLOCK", size)
+                    assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule), size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n, res, index", [(1, 10_007, 9_000), (2, 64, 40 * 4096 + 777)],
+                         ids=["circle", "sphere_slab_40"])
+def test_non_finite_value_in_a_later_block(bad, n, res, index):
+    rule = sphere_quadrature(n, res)
+    node = rule.nodes[index]
+
+    def f(N):
+        return np.where((N == node).all(axis=1), bad, np.real(N[:, 0]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^f is not finite at the node {re.escape(str(node))}$"):
+            reproduce(f, [0.2] * n, rule)
 
 
 def test_rule_length_read_from_its_factors():

@@ -54,7 +54,8 @@ def test_as_vector_refuses_wrong_shapes():
 
 
 #: Points that are not numbers: text, and values numpy's complex conversion refuses
-NOT_NUMBERS = ["a,b", "1", b"1", np.array([object(), 1], dtype=object), [1, "a"], {1: 2}]
+NOT_NUMBERS = ["a,b", "1", b"1", np.array([object(), 1], dtype=object), [1, "a"], {1: 2},
+               ["0.5", "0"], np.array(["1", "0"]), np.array([1, "0.5"], dtype=object)]
 
 
 @pytest.mark.parametrize("call", [
