@@ -157,17 +157,23 @@ def test_factor_built_rule_equals_meshgrid_rule():
         assert np.array_equal(rule.weights, weights), res
 
 
+def _block_sizes(rule):
+    """One slab per block, three (a short last block unless 3 divides the slab count),
+    the default, and the whole rule in one block."""
+    return 1, 3 * rule._slab_size, reproducing._BLOCK, len(rule)
+
+
 def _assert_block_size_free(f, z, rule, monkeypatch):
-    """reproduce gives the same bits with one slab per block and with the whole rule in one."""
+    """reproduce gives the same bits for every block size of ``_block_sizes``."""
     value = reproduce(f, z, rule)
-    for size in (1, len(rule)):
+    for size in _block_sizes(rule):
         with monkeypatch.context() as m:
             m.setattr(reproducing, "_BLOCK", size)
             assert reproduce(f, z, rule) == value, size
 
 
 def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
-    rule = sphere_quadrature(2, 64)          # 262,144 nodes: 64 blocks of one slab
+    rule = sphere_quadrature(2, 64)          # 262,144 nodes: 16 blocks of four slabs
     fields = (lambda N: np.real(N[:, 0] * N[:, 1]),
               lambda N: np.imag(N[:, 1] ** 2) + 3 * np.real(N[:, 0]))
     for _ in range(4):
@@ -178,7 +184,7 @@ def test_reproduce_in_blocks_equals_whole_array_formula(rng, monkeypatch):
 
 
 def test_circle_in_blocks_equals_whole_array_formula(rng, monkeypatch):
-    rule = sphere_quadrature(1, 100_003)     # 25 blocks, the last one short
+    rule = sphere_quadrature(1, 100_003)     # 7 blocks, the last one short
     small = sphere_quadrature(1, 1_009)      # one-node blocks of the large rule take seconds
     fields = (lambda N: np.real(N[:, 0] ** 3), lambda N: np.imag(np.exp(N[:, 0])))
     for _ in range(4):
@@ -222,14 +228,14 @@ def test_coordinates_past_the_second_in_blocks_equal_whole_array_formula(rng, mo
     for z in (np.zeros(3), [0.3, -0.2j, 0.1 + 0.4j], sample_ball(rng, 3, 0.9)):
         z = np.asarray(z, dtype=complex)
         for f in fields:
-            for size in (1, len(rule)):
+            for size in _block_sizes(rule):
                 with monkeypatch.context() as m:
                     m.setattr(reproducing, "_BLOCK", size)
                     assert reproduce(f, z, rule) == _whole_array_reproduce(f, z, rule), size
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("n, res, index", [(1, 10_007, 9_000), (2, 64, 40 * 4096 + 777)],
+@pytest.mark.parametrize("n, res, index", [(1, 40_009, 36_000), (2, 64, 40 * 4096 + 777)],
                          ids=["circle", "sphere_slab_40"])
 def test_non_finite_value_in_a_later_block(bad, n, res, index):
     rule = sphere_quadrature(n, res)
@@ -242,6 +248,48 @@ def test_non_finite_value_in_a_later_block(bad, n, res, index):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"^f is not finite at the node {re.escape(str(node))}$"):
             reproduce(f, [0.2] * n, rule)
+
+
+def test_opposite_infinities_in_one_slab_name_the_first():
+    # the slab's sum is inf - inf = nan; the error names the first node that is not finite
+    rule = sphere_quadrature(2, 64)
+    first, second = rule.nodes[40 * 4096 + 777], rule.nodes[40 * 4096 + 1234]
+
+    def f(N):
+        return np.where((N == first).all(axis=1), -math.inf,
+                        np.where((N == second).all(axis=1), math.inf, np.real(N[:, 0])))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^f is not finite at the node {re.escape(str(first))}$"):
+            reproduce(f, [0.2, 0.1j], rule)
+
+
+def test_finite_values_whose_sum_overflows_raise_domain_error():
+    # the kernel reaches ((1 + 0.9) / (1 - 0.9))^2 = 361 at z = (0.9, 0), so 1e308 times it
+    # overflows in a slab's sum; large weights make the weighted sum overflow instead
+    sphere, circle = sphere_quadrature(2, 32), sphere_quadrature(1, 64)
+    heavy = QuadratureRule(slab_coords=circle.slab_coords, slab_weights=np.full(64, 1e308),
+                           n=1, resolution=64)
+    cases = ((sphere, lambda N: np.full(len(N), 1e308), [0.9, 0], "on slab"),
+             (heavy, lambda N: np.full(len(N), 10.0), [0.5], "in the weighted sum"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rule, f, z, where in cases:
+            with pytest.raises(DomainError, match=f"^f times the kernel overflows {where}"):
+                reproduce(f, z, rule)
+
+
+def test_rule_refuses_factors_of_the_wrong_shape():
+    e5, e3 = (np.exp(1j * TWO_PI * np.arange(m) / m) for m in (5, 3))
+    bad = [((0.6 * e5[None, :], 0.8 * e3[None, :]), np.ones(1), 2),   # widths 5 and 3
+           ((0.6 * e5[None, :],), np.ones(1), 2),                      # one array for n = 2
+           ((0.6 * e5[None, :], 0.8 * e5[None, :]), np.ones(2), 2),    # 1 row for 2 slabs
+           ((0.6 * e5, 0.8 * e5), np.ones(5), 2),                      # 1-d coordinates
+           ((e5[:, None],), np.ones((5, 1)), 1)]                       # 2-d weights
+    for coords, weights, n in bad:
+        with pytest.raises(ValidationError):
+            QuadratureRule(slab_coords=coords, slab_weights=weights, n=n, resolution=5)
 
 
 def test_rule_length_read_from_its_factors():
@@ -273,7 +321,7 @@ def test_reproduce_leaves_node_arrays_unbuilt():
 
 
 def test_field_warning_on_one_block_changes_nothing():
-    rule = sphere_quadrature(2, 64)          # 64 blocks
+    rule = sphere_quadrature(2, 64)          # 16 blocks
     z = np.array([0.3, 0.2j])
     blocks = []
 
@@ -289,7 +337,7 @@ def test_field_warning_on_one_block_changes_nothing():
     with pytest.warns(UserWarning, match="third block"):
         value = reproduce(f, z, rule)
     assert value == reproduce(field, z, rule)
-    assert blocks == [4096] * 64         # one call per block of one 4,096-node slab
+    assert blocks == [16384] * 16        # one call per block of four 4,096-node slabs
 
 
 def _matrix_product_reproduce(f, z, rule):
@@ -325,7 +373,7 @@ def test_field_returning_a_view_of_its_argument(monkeypatch):
         return w[:, 0].real
 
     field = ScalarField("re(z1)", 2)       # its value is a view of the argument too
-    for size in (1, len(rule)):
+    for size in _block_sizes(rule):
         with monkeypatch.context() as m:
             m.setattr(reproducing, "_BLOCK", size)
             for z in ([0.3, 0.2j], [-0.1 + 0.5j, 0.4]):
