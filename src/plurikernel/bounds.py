@@ -28,7 +28,7 @@ import numpy as np
 from .domains import DomainKind, DomainSpec, boundary_frame, osculating_radii
 from .errors import ContainmentError, ValidationError
 from .kernels import (BoundaryCurve, BoundaryLimitResult, KernelValue, _ball_kernel_at,
-                      _ball_kernels, _cabs, _disc_at, _poisson_discs, _unit_pole, boundary_limit)
+                      _ball_kernels, _disc_at, _poisson_discs, _unit_pole, boundary_limit)
 from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, row_norms
 
 
@@ -176,7 +176,8 @@ def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points) ->
 
     Since each peak candidate lies below the kernel, which is negative, the
     returned max dominates sup_p |kernel_p(z)| over the compact grid K, whose
-    points must lie deeper than the boundary tolerance.
+    points must lie deeper than the boundary tolerance.  Within 3 eps max |u|/(1 - |h|^2)
+    of the evaluators' max, over values u at peak values |h| < 1 (the disc kernel's bound).
     """
     Z = np.array([as_vector(z, domain.n) for z in interior_points]).reshape(-1, domain.n)
     if np.any(domain.psi_rows(Z) >= -BOUNDARY_TOL):
@@ -184,10 +185,10 @@ def uniform_bound_check(domain: DomainSpec, interior_points, boundary_points) ->
     frames = [_peak_frame(domain, p) for p in boundary_points]
     poles = np.array([f.p for f in frames]).reshape(-1, 1, domain.n)
     nus = np.array([f.nu for f in frames]).reshape(-1, 1, domain.n)
-    # every candidate's evaluator at every grid point, rounded as one call rounds it
+    # every candidate's evaluator at every grid point
     h = np.exp(np.add.reduce((Z - poles) * nus.conj(), axis=2))
-    outside = _cabs(h) >= 1.0
-    if np.any(_cabs(h[outside] - 1.0) < 1e-12):
+    outside = np.abs(h) >= 1.0
+    if np.any(np.abs(h[outside] - 1.0) < 1e-12):
         raise ValidationError("peak candidate evaluated at its pole")
     return float(np.max(np.abs(_poisson_discs(1.0, h[~outside])), initial=0.0))
 
@@ -208,7 +209,9 @@ def kernel_values(domain: DomainSpec, p, Z):
 
     Closed forms on balls (``lo == hi``), the tangent-ball sandwich on
     ellipsoids.  The pole is checked once; every row gets the
-    scalar path's tests, and fails with the same error types.
+    scalar path's tests, and fails with the same error types.  Each end is within
+    3 eps/(1 - ||w||^2) relative of ``kernel_value``'s, w = (z - c)/r for the ball
+    B(c, r) whose kernel gives it.  Identical inputs give identical bytes.
     """
     if domain.kind is DomainKind.CUSTOM:
         raise ContainmentError("custom domains have no kernel bound yet")

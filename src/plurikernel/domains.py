@@ -137,7 +137,9 @@ class DomainSpec:
         return float(self._expression_rows(z[None])[0])
 
     def psi_rows(self, Z) -> np.ndarray:
-        """``psi`` at every row of an (M, n) array, rounded as ``psi`` rounds one point."""
+        """``psi`` at every row of an (M, n) array, within (n + 2) eps S of ``psi``, S the
+        sum of its terms' moduli: the bound of summation in any order (Higham, *Accuracy
+        and Stability of Numerical Algorithms*, ch. 3).  Identical inputs, identical bytes."""
         Z = as_rows(Z, self.n)
         if self.kind is DomainKind.BALL:
             D = Z - self.center

@@ -72,7 +72,11 @@ class DiscAutomorphism:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicDisc:
-    """A parametrized complex geodesic of a ball, with projection and left inverse."""
+    """A parametrized complex geodesic of a ball, with projection and left inverse.
+
+    ``phi`` of a 1-D array of zeta gives (M, n) rows, each within 18 eps (||center||
+    + radius) of phi at its zeta.  Identical inputs give identical bytes.
+    """
 
     phi: Callable[[complex], np.ndarray]             # or a 1-D array of zeta to (M, n) rows
     phi_prime: Callable[[complex], np.ndarray]
@@ -126,9 +130,6 @@ def geodesic_through(z, p, normalize_chl: bool = True,
         c = herm(pp, z)
     u = c * z - L_pp                    # constant numerator of phi'
 
-    def phi_raw(zeta: complex) -> np.ndarray:
-        return (z - zeta * L_pp) / (1.0 - zeta * c)
-
     def phi_raw_prime(zeta: complex) -> np.ndarray:
         return u / (1.0 - zeta * c) ** 2
 
@@ -158,13 +159,8 @@ def geodesic_through(z, p, normalize_chl: bool = True,
     h_inv = h.inverse()
 
     def phi(zeta) -> np.ndarray:
-        if np.ndim(zeta) == 0:
-            return c0 + radius * phi_raw(h(zeta))
-        if len(zeta) == 1:      # numpy rounds a 1 x 1 product unlike a scalar times a vector
-            return phi(zeta[0])[None, :]
-        w = [h(x) for x in zeta]                # the scalar steps of phi_raw, per element
-        d = np.array([1.0 - x * c for x in w])
-        return c0 + radius * ((z - np.array(w)[:, None] * L_pp) / d[:, None])
+        w = h(zeta) if np.ndim(zeta) == 0 else h(np.asarray(zeta))[:, None]
+        return c0 + radius * ((z - w * L_pp) / (1.0 - w * c))
 
     def phi_prime(zeta: complex) -> np.ndarray:
         return radius * phi_raw_prime(h(zeta)) * h.derivative(zeta)
@@ -196,7 +192,11 @@ def default_disc_grid(count: int = 200, rmax: float = 0.95) -> np.ndarray:
 
 
 def restriction_identity_check(p, g: GeodesicDisc, grid=None) -> float:
-    """Max deviation of Omega(phi(zeta)) from Re[theta(phi'(1))^{-1}] P(zeta) on a grid."""
+    """Max deviation of Omega(phi(zeta)) from Re[theta(phi'(1))^{-1}] P(zeta) on a grid.
+
+    One kernel call on the rows of one phi call: within the kernels' row bound of the
+    per-point maximum at those rows, 3 eps max(|Omega|/(1 - ||w||^2) + |P|/(1 - |zeta|^2)).
+    """
     p = as_vector(p)
     if norm(p - g.boundary_point) > 1e-8:
         raise ValidationError("geodesic is not anchored at the requested pole")

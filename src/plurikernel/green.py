@@ -48,8 +48,8 @@ def green_function(domain: DomainSpec, z, w):
     negative inside, zero on the boundary, logarithmic pole at w = z, where
     it raises ValidationError, as a kernel does at its boundary pole.  w is
     a point (n,) or an (M, n) array of points; with rows the values come as
-    an array, each as one call would give it, and a row that one call would
-    refuse makes the whole call raise the same error type.
+    an array, and a row that one call would refuse makes the whole call raise
+    the same error type; each is within 6 eps / (|phi_z(w)| |1 - <w, z>|) of one call.
     """
     _require_symmetric_green(domain)
     c, r = domain.center, domain.radius

@@ -47,7 +47,7 @@ from .domains import (
 )
 from .errors import NumericalError, ValidationError, malformed_spec, positive, spec_count
 from .extrapolate import Extrapolation, refine_until, richardson
-from .kernels import (KernelValue, _cabs, _to_unit_ball, kobayashi, mobius_ball,
+from .kernels import (KernelValue, _to_unit_ball, kobayashi, mobius_ball,
                       mobius_ball_jacobian)
 from .utils import as_points, as_vector, herm, norm, row_norms, sample_ball_rows
 
@@ -72,7 +72,8 @@ class MapSpec:
     ``fn`` returns the image point (m,) and ``jacobian`` the complex Jacobian
     matrix J (m, n) with (df_z(v))_i = sum_j J_ij v_j; given an (M, n) array
     of points they return the (M, m) images and the (M, m, n) Jacobians, row
-    for row.  A constant (m, n) Jacobian broadcasts to either shape.  Calling
+    for row, each within the bound its functions state (``mobius_ball``'s for
+    ``ball_auto``).  A constant (m, n) Jacobian broadcasts to either shape.  Calling
     the map and ``derivative`` accept both shapes and raise
     ``ValidationError`` on any other result shape; ``jwc_derivative_probes``
     takes every Jacobian it needs in one ``derivative`` call on rows.
@@ -633,11 +634,11 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
     along = (JV * q1.conj()).sum(axis=-1)
     across = row_norms((JV - along[..., None] * q1).reshape(-1, tgt.n)).reshape(along.shape)
     p1, Z1 = (_to_unit_ball(src.center, src.radius, x) for x in (p, Z))
-    root_s = np.sqrt(_cabs(1.0 - (Z1 * p1.conj()).sum(axis=-1)))     # sqrt |1 - <z, p>|
+    root_s = np.sqrt(np.abs(1.0 - (Z1 * p1.conj()).sum(axis=-1)))     # sqrt |1 - <z, p>|
     probes = [along[:, 0], root_s * across[:, 0],
-              np.max(_cabs(along[:, 1:]), axis=1, initial=0.0) / root_s,
+              np.max(np.abs(along[:, 1:]), axis=1, initial=0.0) / root_s,
               np.max(across[:, 1:], axis=1, initial=0.0)]
-    probe_max = {i: float(np.max(_cabs(v), initial=0.0)) for i, v in enumerate(probes, 1)}
+    probe_max = {i: float(np.max(np.abs(v), initial=0.0)) for i, v in enumerate(probes, 1)}
 
     r1, r2, r3 = (v[central] for v in probes[:3])
     ext1 = richardson(r1)

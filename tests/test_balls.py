@@ -1,6 +1,8 @@
 """One ball kind: the disc and the unit ball are B(0, 1), and every ball goes
 through the transport w = (z - c)/r onto it."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from plurikernel import (
     DomainSpec,
     MapSpec,
     boundary_frame,
+    domain_from_json,
     green_function,
     kernel_value,
     kernel_values,
@@ -17,8 +20,11 @@ from plurikernel import (
     pullback_kernel,
     signed_boundary_distance,
 )
+from plurikernel.cli import main, parse_point
 from plurikernel.errors import ValidationError
-from plurikernel.utils import sample_ball, sample_ball_rows, sample_sphere
+from plurikernel.utils import herm, sample_ball, sample_ball_rows, sample_sphere
+
+import oracle
 
 
 def test_one_ball_kind():
@@ -89,6 +95,26 @@ BALLS = [DomainSpec.ball([0.3 - 0.2j], 0.7),
          DomainSpec.ball([1.0, 0.5j, -2.0], 2.0)]
 
 
+@pytest.mark.parametrize("domain, pole", [
+    ("unit_ball:2", "e1"),
+    ('{"kind":"ball","center":[[0.5,0],[0,0]],"radius":2}', "2.5,0"),
+])
+def test_kernel_on_the_sphere_is_positive_zero(capsys, domain, pole):
+    # (0.6, 0.8i) on the unit sphere, exactly carried from B((0.5, 0), 2), and
+    # 5e-10 outside it: +0.0 through kernel_value, kernel_values and the CLI
+    dom = domain_from_json(domain)
+    p = parse_point(pole, 2)
+    for scale in (1.0, 1.0 + 5e-10):
+        z = dom.center + dom.radius * scale * np.array([0.6, 0.8j])
+        kv = kernel_value(dom, p, z)
+        values = [kv.lo, kv.hi, *(ends[0] for ends in kernel_values(dom, p, z[None]))]
+        assert [(v, np.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * 4
+        point = ",".join(repr(complex(x)).strip("()").replace("j", "i") for x in z)
+        assert main(["kernel", "--domain", domain, "--pole", pole, "--point", point]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert (value, np.copysign(1.0, value)) == (0.0, 1.0)
+
+
 @pytest.mark.parametrize("dom", BALLS, ids=lambda d: f"C^{d.n}")
 def test_kobayashi_on_ball_is_unit_ball_distance_of_transport(dom, rng):
     c, r = dom.center, dom.radius
@@ -102,21 +128,6 @@ def test_kobayashi_on_ball_is_unit_ball_distance_of_transport(dom, rng):
 
 def _bytes(rows):
     return np.asarray(rows).tobytes()
-
-
-@pytest.mark.parametrize("dom", [DomainSpec.disc(), BALLS[0]], ids=["disc", "B(c, r) in C"])
-def test_one_row_mobius_and_green_are_one_point_calls(dom):
-    # numpy multiplies 1 x 1 arrays in another loop than a point's; in C a
-    # one-row anchor or point must still give the one-point call's bits
-    rng = np.random.default_rng(20240825)
-    c, r = dom.center, dom.radius
-    for _ in range(500):
-        a, u = sample_ball(rng, 1, 0.999), sample_ball(rng, 1, 0.999)
-        want = _bytes(mobius_ball(a, u)[None])
-        for args in ((a, u[None]), (a[None], u), (a[None], u[None])):
-            assert _bytes(mobius_ball(*args)) == want
-        z, w = c + r * a, c + r * u
-        assert _bytes(green_function(dom, z, w[None])) == _bytes([green_function(dom, z, w)])
 
 
 @pytest.mark.parametrize("dom", [DomainSpec.disc(), DomainSpec.unit_ball(2)] + BALLS,
@@ -139,6 +150,22 @@ def test_kobayashi_and_mobius_on_rows_equal_one_call_per_row(dom, rng):
     assert _bytes(mobius_ball(A, U[0])) == _bytes([mobius_ball(a, U[0]) for a in A])
     assert _bytes(mobius_ball(A[1], U)) == _bytes([mobius_ball(A[1], u) for u in U])
     assert _bytes(mobius_ball(A[7], U[0])) == _bytes(-U[0])
+
+    # one anchor row, one point row or both (in C numpy rounds a 1 x 1 product
+    # unlike a point's): mobius_ball is within 6 eps / |1 - <u, a>| of the point
+    # call and of the exact map, and green_function and kobayashi within that
+    # bound carried through log and arctanh
+    for _ in range(200):
+        a, u = sample_ball(rng, n, 0.999), sample_ball(rng, n, 0.999)
+        bound = 6 * oracle.EPS / abs(1.0 - herm(u, a))
+        point, exact = mobius_ball(a, u), np.array(oracle.ball_mobius(a, u), dtype=complex)
+        for args in ((a, u), (a, u[None]), (a[None], u), (a[None], u[None])):
+            image = mobius_ball(*args).reshape(n)
+            assert np.max(np.abs(image - point)) <= bound and np.max(np.abs(image - exact)) <= bound
+        m = np.linalg.norm(point)
+        z, w = c + r * a, c + r * u
+        assert abs(green_function(dom, z, w[None])[0] - green_function(dom, z, w)) <= bound / m
+        assert abs(kobayashi(dom, z[None], w)[0] - kobayashi(dom, z, w)) <= bound / (1.0 - m * m)
 
     # a row on the sphere (exactly, on B(0, 1)) or outside it is refused, as
     # one call refuses that point

@@ -18,7 +18,9 @@ from plurikernel import (
 )
 from plurikernel.julia import ball_auto_map, blaschke_map, identity_map, unitary_map
 from plurikernel.kernels import mobius_ball_jacobian
-from plurikernel.utils import herm, sample_ball, sample_sphere
+from plurikernel.utils import herm, sample_ball, sample_ball_rows, sample_sphere
+
+import oracle
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 BALL2 = DomainSpec.unit_ball(2)
@@ -92,6 +94,30 @@ def test_mobius_jacobian_matches_finite_differences(rng):
         e[j] = 1.0
         col = (mobius_ball(z0, w + h * e) - mobius_ball(z0, w - h * e)) / (2 * h)
         assert np.allclose(J[:, j], col, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mobius_jacobian_rows_within_the_stated_bound(n):
+    # 300 seeded (z0, W) with 1-4 rows: each row's matrix is within 3 eps kappa of
+    # the point call's, relative to its largest entry, kappa = 1/(1 - |z0|^2) +
+    # 1/|1 - <w, z0>|; in C, where numpy's 1 x 1 products round unlike a point's,
+    # both are within 4 eps kappa of phi'(w) = -(1 - |a|^2)/(1 - w conj(a))^2
+    rng = np.random.default_rng(20240825)
+    for _ in range(300):
+        z0 = sample_ball(rng, n, 0.999)
+        for count in range(1, 5):
+            W = sample_ball_rows(rng, count, n, 0.999)
+            J = mobius_ball_jacobian(z0, W)
+            points = np.array([mobius_ball_jacobian(z0, w) for w in W])
+            kappa = 1.0 / (1.0 - np.vdot(z0, z0).real) + 1.0 / np.abs(1.0 - W @ z0.conj())
+            scale = oracle.EPS * kappa * np.abs(points).max(axis=(1, 2))
+            assert np.all(np.abs(J - points).max(axis=(1, 2)) <= 3 * scale)
+            assert J.tobytes() == mobius_ball_jacobian(z0, W.copy()).tobytes()
+            if n == 1:
+                exact = [oracle.disc_mobius_derivative(z0[0], w) for w in W[:, 0]]
+                for rows in (J[:, 0, 0], points[:, 0, 0]):
+                    errors = np.array([oracle.rel_error(x, y) for x, y in zip(rows, exact)])
+                    assert np.all(errors <= 4 * oracle.EPS * kappa)
 
 
 # -- ball kernel ----------------------------------------------------------------

@@ -25,6 +25,8 @@ from plurikernel.domains import (
 from plurikernel.expressions import ScalarField
 from plurikernel.kernels import _unit_pole as unit_pole
 
+import oracle
+
 DOMAINS = [
     DomainSpec.ellipsoid([1.0, 2.0]),
     DomainSpec.ellipsoid([1.0, 2.0, 3.0]),
@@ -159,16 +161,24 @@ def test_pole_side_runs_once_per_pole(dom, entry, monkeypatch):
 
 @pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
 def test_memoised_kernel_values_equal_fresh(dom):
+    # memoised and fresh calls are identical inputs, so they give identical bytes;
+    # the rows of kernel_values are within 3 eps / (1 - |w|^2) relative of the
+    # point calls and within 8 of those units of the mpmath kernel
     rng = np.random.default_rng(9)
     for p in boundary_samples(dom, 4, rng):
         Z = _interior_points(dom, rng, 10)
         memoised = [_kernel_ends(dom, p, z) for z in Z]
-        rows = [tuple(map(float.hex, map(float, ends))) for ends in zip(*kernel_values(dom, p, Z))]
+        rows = kernel_values(dom, p, Z)
         fresh = []
         for z in Z:
             dom._poles.clear()
             fresh.append(_kernel_ends(dom, p, z))
-        assert memoised == fresh == rows
+        dom._poles.clear()
+        assert memoised == fresh
+        assert [a.tobytes() for a in kernel_values(dom, p, Z)] == [a.tobytes() for a in rows]
+        points = np.array([[float.fromhex(x) for x in ends] for ends in memoised]).T
+        between, truth = oracle.kernel_row_errors(dom, p, Z, rows, points, tangent_balls, every=1)
+        assert between <= 3 and truth <= 8
 
 
 @pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)

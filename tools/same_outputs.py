@@ -1,6 +1,6 @@
 """Check that the working tree's program gives the same outputs as a git revision's.
 
-    python tools/same_outputs.py REV [--seeds 1 2] [--workloads NAME ...]
+    python tools/same_outputs.py REV [--seeds 1 2] [--workloads NAME ...] [--rtol R]
 
 For each seed, one round of every benchmark workload's operations (or of
 the ``--workloads`` named, all four by default)
@@ -21,6 +21,12 @@ every line of ``CLI_MATRIX``, runs as ``python -m plurikernel`` under both
 for byte.  Last, the lines of each ``src/plurikernel/*.py`` in
 both trees are counted as ``wc -l`` counts them (source size is tracked).
 Exits 1 if any output differs.
+
+With ``--rtol R``, two outputs, or two command lines' stdout, that differ
+only in numbers (``NUMBER``) count as equal when each pair of numbers differs
+by at most R relative; stderr and exit status still compare byte for byte.
+Differences are printed as without it, the counts add how many outputs
+moved by more than R, and the exit status is 1 only if some did.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ _PER_POINT = [
 ]
 
 #: Command lines compared besides the README's: each of ``_PER_POINT`` in every format with
-#: one point and with two, every --help, and a usage error (a missing --pole).
+#: one point and with two, every --help, a usage error (a missing --pole), and the
+#: geodesic table, whose kernel values come from one array call on phi's rows.
 CLI_MATRIX = (
     [f"plurikernel {command} {' '.join(points[:k])} --format {fmt}"
      for command, points in _PER_POINT for k in (1, 2) for fmt in ("json", "csv", "plotdata")]
@@ -62,6 +69,7 @@ CLI_MATRIX = (
     + [f"plurikernel {sub} --help"
        for sub in ("kernel", "bounds", "geodesic", "green", "reproduce", "julia")]
     + ["plurikernel kernel --domain unit_ball:2 --point 0"]
+    + ["plurikernel geodesic --domain unit_ball:2 --pole e1 --through 0.4,0.2 --format csv"]
 )
 
 sys.path.insert(0, str(BENCH))
@@ -113,14 +121,32 @@ def cli_run(src: Path, line: str, cwd: str) -> tuple:
     return proc.stdout, proc.stderr, proc.returncode
 
 
-def compare_cli(rev_src: Path, cwd: str, what: str, lines: list) -> int:
-    """Print one command-line comparison; returns the number of lines whose results differ."""
-    differ = [line for line in lines
-              if cli_run(rev_src, line, cwd) != cli_run(ROOT / "src", line, cwd)]
-    print(f"  {what}: {len(lines)} run, {len(differ)} differ")
-    for line in differ[:SHOWN]:
-        print(f"    {line}")
-    return len(differ)
+def within(x: str, y: str, rtol: float) -> bool:
+    """Whether x equals y, or (rtol > 0) differs from it only in numbers that differ
+    by at most rtol relative."""
+    if x == y:
+        return True
+    if not rtol or NUMBER.split(x) != NUMBER.split(y):
+        return False
+    pairs = zip(NUMBER.findall(x), NUMBER.findall(y))
+    return all(a == b or abs(float(a) - float(b)) <= rtol * max(abs(float(a)), abs(float(b)))
+               for a, b in pairs)
+
+
+def compare_cli(rev_src: Path, cwd: str, what: str, lines: list, rtol: float) -> int:
+    """Print one command-line comparison; returns the number of lines whose results
+    differ by more than rtol (stdout) or at all (stderr, exit status)."""
+    differ = []     # (line, whether it moved by more than rtol)
+    for line in lines:
+        (out_a, *rest_a), (out_b, *rest_b) = cli_run(rev_src, line, cwd), cli_run(ROOT / "src", line, cwd)
+        if (out_a, rest_a) != (out_b, rest_b):
+            differ.append((line, rest_a != rest_b or not within(out_a.decode(), out_b.decode(), rtol)))
+    beyond = sum(moved for _, moved in differ)
+    print(f"  {what}: {len(lines)} run, {len(differ)} differ"
+          + (f", {beyond} by more than rtol {rtol:g}" if rtol else ""))
+    for line, moved in differ[:SHOWN]:
+        print(f"    {line}" + (" (by more than rtol)" if rtol and moved else ""))
+    return beyond
 
 
 def unpack_src(rev: str, into: Path) -> Path:
@@ -163,15 +189,18 @@ def largest_move(diffs) -> tuple:
     return best
 
 
-def compare(old: dict, new: dict) -> int:
-    """Print the per-workload comparison; returns the number of differing outputs."""
+def compare(old: dict, new: dict, rtol: float) -> int:
+    """Print the per-workload comparison; returns the number of outputs that differ
+    by more than rtol."""
     total = 0
     for name in sorted(set(old) | set(new)):
         a, b = old.get(name, []), new.get(name, [])
         diffs = [(i, x, y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
         differ = len(diffs) + abs(len(a) - len(b))
-        total += differ
+        beyond = differ - sum(within(x[1], y[1], rtol) for _, x, y in diffs)
+        total += beyond
         print(f"  {name}: {len(b)} outputs, {differ} differ"
+              + (f", {beyond} by more than rtol {rtol:g}" if rtol else "")
               + (f" (the revision has {len(a)})" if len(a) != len(b) else ""))
         rel, i, what = largest_move(diffs)
         if i is not None:
@@ -187,6 +216,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
                     metavar="NAME", help="the workloads to run (default: all four)")
+    ap.add_argument("--rtol", type=float, default=0.0, metavar="R",
+                    help="count numbers that differ by at most R relative as equal (default 0)")
     ap.add_argument("--emit", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit is not None:
@@ -194,19 +225,21 @@ def main(argv=None) -> int:
         return 0
     if args.rev is None:
         ap.error("a revision is required")
+    if not (math.isfinite(args.rtol) and args.rtol >= 0.0):
+        ap.error(f"--rtol must be a finite number >= 0, got {args.rtol}")
     differ = 0
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         rev_src = unpack_src(args.rev, Path(tmp))
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
             differ += compare(outputs(rev_src, seed, args.workloads),
-                              outputs(ROOT / "src", seed, args.workloads))
+                              outputs(ROOT / "src", seed, args.workloads), args.rtol)
         print(f"Command lines: {args.rev} against the working tree")
-        differ += compare_cli(rev_src, tmp, "README commands", readme_commands())
-        differ += compare_cli(rev_src, tmp, "CLI matrix", CLI_MATRIX)
+        differ += compare_cli(rev_src, tmp, "README commands", readme_commands(), args.rtol)
+        differ += compare_cli(rev_src, tmp, "CLI matrix", CLI_MATRIX, args.rtol)
         print(f"Source lines (wc -l src/plurikernel/*.py): {args.rev} -> the working tree")
         compare_lines(rev_src)
-    print(f"{differ} outputs differ")
+    print(f"{differ} outputs differ" + (f" by more than rtol {args.rtol:g}" if args.rtol else ""))
     return 1 if differ else 0
 
 
