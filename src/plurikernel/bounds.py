@@ -29,7 +29,7 @@ from .domains import DomainKind, DomainSpec, boundary_frame, osculating_radii
 from .errors import ContainmentError, ValidationError
 from .kernels import (BoundaryCurve, BoundaryLimitResult, KernelValue, _ball_kernel_at,
                       _ball_kernels, _disc_at, _poisson_discs, _unit_pole, boundary_limit)
-from .utils import BOUNDARY_TOL, as_rows, as_vector, herm, norm, read_only, row_norms
+from .utils import BOUNDARY_TOL, as_rows, as_vector, norm, read_only, row_norms
 
 
 #: candidate_normal_limit: last level of the normal-ray ladder, h = 2^-level.
@@ -60,11 +60,11 @@ def peak_candidate(domain: DomainSpec, p) -> CandidateMember:
     yields a family member with the exact transversal rate.
     """
     frame = _peak_frame(domain, p)
-    nu, pole = frame.nu, frame.p
+    nu, nuc, pole = frame.nu, frame.theta_coeffs, frame.p     # theta_coeffs is conj(nu)
 
     def evaluator(z) -> float:
         z = as_vector(z, domain.n)
-        h = np.exp(herm(z - pole, nu))
+        h = np.exp(complex(np.add.reduce((z - pole) * nuc, axis=None)))   # <z - p, nu>
         if abs(h) >= 1.0:
             if abs(h - 1.0) < 1e-12:
                 raise ValidationError("peak candidate evaluated at its pole")
@@ -86,10 +86,10 @@ def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
     """Kernel of the circumscribed tangent ball, restricted to the domain."""
     _, (center, radius) = tangent_balls(domain, p)
     pole = boundary_frame(domain, p).p
-    q = _unit_pole(center, radius, pole)
+    unit_pole = _unit_pole(center, radius, pole)
 
     def evaluator(z) -> float:
-        return _ball_kernel_at(center, radius, q, as_vector(z, domain.n))
+        return _ball_kernel_at(center, radius, unit_pole, as_vector(z, domain.n))
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.BALL_RESTRICTION,
                            pole=pole, metadata={"center": center, "radius": radius})
@@ -108,7 +108,10 @@ def lower_envelope(domain: DomainSpec, p, z, candidates: Sequence[CandidateMembe
         # a pole with p's bytes is at distance 0; any other takes the norm test
         if cand.pole.tobytes() != key and norm(cand.pole - p) > 1e-8:
             raise ValidationError("candidate pole does not match the requested pole")
-    return max(c.evaluator(z) for c in candidates)
+    best = candidates[0].evaluator(z)
+    for cand in candidates[1:]:     # max() of a generator took 0.15 us more for two
+        best = max(best, cand.evaluator(z))
+    return best
 
 
 def candidate_normal_limit(domain: DomainSpec, member: CandidateMember) -> BoundaryLimitResult:
@@ -146,7 +149,7 @@ def _tangent_balls(domain: DomainSpec, p: np.ndarray):
 def _kernel_pole(domain: DomainSpec, p: np.ndarray):
     """The kernel's pole side at a coerced p, kept in the pole memo as "kernel".
 
-    A ball's pole on B(0, 1), or an ellipsoid's tangent balls as (center, radius, carried pole).
+    A ball's ``_unit_pole``, or an ellipsoid's tangent balls as (center, radius, ``_unit_pole``).
     """
     if domain.kind is DomainKind.BALL:
         return _unit_pole(domain.center, domain.radius, p)

@@ -99,6 +99,8 @@ class DomainSpec:
     @staticmethod
     def ellipsoid(coeffs) -> "DomainSpec":
         a = positive(coeffs, "ellipsoid coefficients", vector=True)
+        if a.max() > (most := np.finfo(float).max / 2):     # else the Hessian diag(2a) overflows
+            raise ValidationError(f"ellipsoid coefficients must be at most {most}, got {coeffs!r}")
         return DomainSpec(kind=DomainKind.ELLIPSOID, n=len(a), coeffs=a,
                           interior=np.zeros(len(a), complex),
                           label="ellipsoid(" + ",".join(f"{x:g}" for x in a) + ")")
@@ -133,7 +135,7 @@ class DomainSpec:
             d = z - self.center
             return herm(d, d).real - self.radius ** 2
         if self.kind is DomainKind.ELLIPSOID:
-            return float((self.coeffs * np.abs(z) ** 2).sum()) - 1.0
+            return float(np.add.reduce(self.coeffs * np.abs(z) ** 2)) - 1.0
         return float(self._expression_rows(z[None])[0])
 
     def psi_rows(self, Z) -> np.ndarray:

@@ -14,6 +14,7 @@ improving once round-off noise dominates, in the spirit of Ridders' method.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -176,8 +177,8 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     if np.shape(values) != hs.shape:
         raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
     table = RichardsonTableau()
-    for k, v in enumerate(values):
-        if not np.isfinite(v) or abs(v) > divergence_threshold:
+    for k, v in enumerate(np.asarray(values).tolist()):     # Python numbers, rounded as numpy's
+        if not cmath.isfinite(v) or abs(v) > divergence_threshold:
             return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
         table.append(v)
         if k >= 2 and table.exact():

@@ -111,7 +111,7 @@ def geodesic_through(z, p, normalize_chl: bool = True,
     c0 = as_vector(center)
     n = len(c0)
     z = _to_unit_ball(c0, radius, as_vector(z, n))
-    p = _unit_pole(c0, radius, as_vector(p, n))
+    p = _unit_pole(c0, radius, as_vector(p, n))[0]
     if norm(z) >= 1.0 - 1e-12:
         raise ValidationError("z must be strictly inside the ball")
     if norm(z - p) < 1e-12:

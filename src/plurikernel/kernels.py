@@ -44,7 +44,7 @@ class Provenance(str, Enum):
     SANDWICH_INTERVAL = "sandwich_interval"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelValue:
     """A kernel evaluation: exact value or certified enclosure, always finite and <= 0."""
 
@@ -221,26 +221,27 @@ def _to_unit_ball(c: np.ndarray, radius: float, z: np.ndarray) -> np.ndarray:
     return w if radius == 1.0 else w / radius
 
 
-def _unit_pole(c: np.ndarray, radius: float, p: np.ndarray) -> np.ndarray:
-    """Pole side of the kernel of B(c, r): q = (p - c)/r, checked to lie on the unit sphere.
+def _unit_pole(c: np.ndarray, radius: float, p: np.ndarray) -> tuple:
+    """Pole side of the kernel of B(c, r): (q, conj(q)), q = (p - c)/r checked on the unit sphere.
 
-    Read-only, as the pole memo keeps it; in C the test is the disc's.
+    Read-only, as the pole memo keeps them; in C the test is the disc's.
     """
     q = read_only(_to_unit_ball(c, radius, p))[0]
     if len(q) == 1:
         _disc_pole(q[0])
     elif abs(norm(q) - 1.0) > _SPHERE_TOL:
         raise ValidationError("pole must lie on the unit sphere")
-    return q
+    return q, read_only(q.conj())[0]
 
 
-def _ball_kernel_at(c: np.ndarray, radius: float, q: np.ndarray, z: np.ndarray) -> float:
-    """Point side: the kernel (1/r) Omega((z-c)/r) of B(c, r) at q = _unit_pole(c, r, p).
+def _ball_kernel_at(c: np.ndarray, radius: float, pole: tuple, z: np.ndarray) -> float:
+    """Point side: the kernel (1/r) Omega((z-c)/r) of B(c, r) at pole = _unit_pole(c, r, p).
 
     Omega(w) = -(1 - ||w||^2)/|1 - <w, q>|^2, +0.0 on the sphere and up to 1e-9 outside;
     in C the core is the disc's, with denominator |q - w|^2, so every 1-D ball
     gives the disc's value.
     """
+    q, qc = pole
     w = _to_unit_ball(c, radius, z)
     if len(w) == 1:
         value = _disc_at(q[0], w[0])
@@ -248,19 +249,20 @@ def _ball_kernel_at(c: np.ndarray, radius: float, q: np.ndarray, z: np.ndarray) 
         nz = norm(w)
         if nz > 1.0 + _SPHERE_TOL:
             raise ValidationError("point must lie in the closed ball")
-        denom = abs(1.0 - herm(w, q)) ** 2
+        denom = abs(1.0 - complex(np.add.reduce(w * qc, axis=None))) ** 2     # <w, q>
         if denom < 1e-300:
             raise ValidationError("kernel evaluated at its pole")
         value = min(nz ** 2 - 1.0, 0.0) / denom
     return value if radius == 1.0 else value / radius
 
 
-def _ball_kernels(c: np.ndarray, radius: float, q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _ball_kernels(c: np.ndarray, radius: float, pole: tuple, Z: np.ndarray) -> np.ndarray:
     """_ball_kernel_at at every row of an (M, n) array, with the same tests.
 
     A row is within 3 eps/(1 - ||w||^2) relative of _ball_kernel_at and 8 eps/(1 - ||w||^2)
     of the exact kernel, w = (z - c)/r.
     """
+    q, qc = pole
     W = _to_unit_ball(c, radius, Z)
     if len(c) == 1:
         value = _poisson_discs(q[0], W[:, 0])
@@ -268,7 +270,7 @@ def _ball_kernels(c: np.ndarray, radius: float, q: np.ndarray, Z: np.ndarray) ->
         nz = row_norms(W)
         if np.any(nz > 1.0 + _SPHERE_TOL):
             raise ValidationError("point must lie in the closed ball")
-        denom = np.square(np.abs(1.0 - np.sum(W * np.conj(q), axis=1)))
+        denom = np.square(np.abs(1.0 - np.sum(W * qc, axis=1)))
         if np.any(denom < 1e-300):
             raise ValidationError("kernel evaluated at its pole")
         value = np.minimum(np.square(nz) - 1.0, 0.0) / denom

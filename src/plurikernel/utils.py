@@ -1,4 +1,8 @@
-"""Small shared helpers: Hermitian products, point coercion, seeded sampling."""
+"""Small shared helpers: Hermitian products, point coercion, seeded sampling.
+
+Fast paths: ``as_vector``, ``herm`` and ``norm`` use a complex128 ndarray (``norm``: contiguous
+1-d) as it is, skipping coercions that would return it unchanged, so both paths give the same bits.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +15,12 @@ from .errors import ValidationError
 
 #: Points with |psi| below this count as boundary points by default.
 BOUNDARY_TOL = 1e-9
+_COMPLEX128 = np.dtype(complex)     # ``v.dtype is _COMPLEX128`` picks the fast paths
 
 
 def as_vector(z, n: int | None = None) -> np.ndarray:
     """Coerce to a complex vector, optionally of length n; a complex128 vector is not copied."""
-    if type(z) is np.ndarray and z.dtype == np.complex128 and z.ndim == 1:
+    if type(z) is np.ndarray and z.dtype is _COMPLEX128 and z.ndim == 1:
         v = z
     else:
         v = np.atleast_1d(_complex_array(z))
@@ -56,8 +61,9 @@ def as_points(z, n: int) -> np.ndarray:
 
 def herm(v, w) -> complex:
     """<v, w> = sum v_j * conj(w_j), rounded as ``np.sum(v * np.conj(w))`` (no wrapper)."""
-    return complex(np.add.reduce(np.asarray(v, dtype=complex) * np.asarray(w, dtype=complex).conj(),
-                                 axis=None))
+    if not (type(v) is type(w) is np.ndarray and v.dtype is w.dtype is _COMPLEX128):
+        v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
+    return complex(np.add.reduce(v * w.conj(), axis=None))
 
 
 def read_only(*arrays) -> tuple:
@@ -69,7 +75,8 @@ def read_only(*arrays) -> tuple:
 
 def norm(v) -> float:
     """Euclidean norm, rounded as ``np.linalg.norm``: sqrt(re.re + im.im), BLAS dots, no wrapper."""
-    x = np.asarray(v, dtype=complex).ravel(order="K")
+    x = (v if type(v) is np.ndarray and v.dtype is _COMPLEX128 and v.ndim == 1
+         and v.flags.c_contiguous else np.asarray(v, dtype=complex).ravel(order="K"))
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 

@@ -326,6 +326,9 @@ _NONFINITE_BALL = '{"kind":"ball","center":[[0,0],[0,0]],"radius":%s}'
       for command, option in (("kernel", "--point"), ("geodesic", "--through"),
                               ("green", "--point"))
       for r in ("NaN", "Infinity")],
+    # the real Hessian diag(2a) of these coefficients overflows
+    *[([command, "--domain", "ellipsoid:1e308,1", "--pole", "0,1", "--point", "0.6,0.8j"],
+       "ellipsoid coefficients must be at most") for command in ("kernel", "bounds")],
 ], ids=["grid_negative", "grid_zero", "radius_zero", "radius_negative_fraction",
         "radius_minus_one", "radius_inf", "samples_zero", "samples_negative",
         "grid_count_zero", "radial_grid_zero", "angular_grid_negative", "h0_nan", "h0_zero", "seed_negative",
@@ -333,7 +336,8 @@ _NONFINITE_BALL = '{"kind":"ball","center":[[0,0],[0,0]],"radius":%s}'
         "kernel_ellipsoid_nan", "kernel_ellipsoid_inf",
         "bounds_ellipsoid_nan", "bounds_ellipsoid_inf",
         "kernel_ball_nan", "kernel_ball_inf", "geodesic_ball_nan", "geodesic_ball_inf",
-        "green_ball_nan", "green_ball_inf"])
+        "green_ball_nan", "green_ball_inf",
+        "kernel_ellipsoid_hessian_overflow", "bounds_ellipsoid_hessian_overflow"])
 def test_out_of_range_sizes_are_json(capsys, argv, subject):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")

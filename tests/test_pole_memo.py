@@ -192,3 +192,22 @@ def test_rejected_kernel_pole_is_not_stored(dom):
             with pytest.raises(ValidationError):
                 call(dom, q, z)
     assert all(key[1] != q.tobytes() for key in dom._poles)
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
+def test_memo_keeps_the_conjugated_pole_read_only(dom):
+    p = boundary_samples(dom, 1, np.random.default_rng(11))[0]
+    dom._poles.clear()
+    kernel_value(dom, p, dom.interior)
+    record = dom._poles[("kernel", p.tobytes())]
+    # a ball's (q, conj q), or one per tangent ball of an ellipsoid
+    poles = [record] if dom.kind is DomainKind.BALL else [pole for _, _, pole in record]
+    assert len(poles) == (1 if dom.kind is DomainKind.BALL else 2)
+    for q, qc in poles:
+        assert qc.tobytes() == np.conj(q).tobytes()
+        for a in (q, qc):
+            with pytest.raises(ValueError):
+                a[...] = 0
+    # the peak candidate's conjugated normal is the frame's theta_coeffs
+    frame = boundary_frame(dom, p)
+    assert frame.theta_coeffs.tobytes() == np.conj(frame.nu).tobytes()

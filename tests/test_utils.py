@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -87,3 +89,60 @@ def test_kernel_value_refuses_non_finite_ends(bad):
             KernelValue(lo=lo, hi=hi, provenance=Provenance.SANDWICH_INTERVAL)
     kv = KernelValue(lo=np.float64(-2.0), hi=-1.0, provenance=Provenance.SANDWICH_INTERVAL)
     assert (kv.lo, kv.hi) == (-2.0, -1.0)
+
+
+def _fast_and_generic(rng):
+    """Seeded complex128 values as a C-contiguous ndarray, and the same numbers in forms
+    that take the generic paths: a list, a big-endian array and a strided view; and real
+    values as complex128 and as real arrays.  Up to 1001 long, so that a sum taken in
+    another order would round otherwise.
+    """
+    out = []
+    for shape in [(1,), (2,), (3,), (17,), (64,), (1001,), (3, 2), (4, 5)]:
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a *= 10.0 ** rng.uniform(-8, 8)
+        wide = np.repeat(a, 2, axis=-1)
+        out.append((a, [a.tolist(), a.astype(">c16"), wide[..., ::2]]))
+        real = a.real.copy()
+        out.append((real.astype(complex), [real, real.tolist(), real.astype(">f8")]))
+    return out
+
+
+def _bits(x) -> tuple:
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def test_fast_paths_give_the_generic_paths_bytes(rng):
+    cases = _fast_and_generic(rng)
+    for i, (fast, generic) in enumerate(cases):
+        assert fast.dtype is np.dtype(complex) and fast.flags.c_contiguous
+        if fast.ndim == 1:
+            assert as_vector(fast) is fast
+            # the same numbers with negative strides, which np.linalg.norm sums in memory order
+            rev = fast[::-1].copy()[::-1]
+            assert norm(rev).hex() == float(np.linalg.norm(rev)).hex()
+        for g in generic:
+            if fast.ndim == 1:
+                v = as_vector(g)
+                assert (v.dtype.str, v.tobytes()) == (fast.dtype.str, fast.tobytes())
+            assert norm(g).hex() == norm(fast).hex()
+        fast2, generic2 = cases[i ^ 1]      # the other case of the same shape
+        want = _bits(herm(fast, fast2))
+        for g, g2 in zip(generic, generic2):
+            assert _bits(herm(g, g2)) == _bits(herm(fast, g2)) == _bits(herm(g, fast2)) == want
+
+
+def test_kernel_value_is_a_frozen_slotted_record():
+    kv = KernelValue.interval(-2.0, -1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kv.lo = -3.0
+    assert not hasattr(kv, "__dict__")
+    again = pickle.loads(pickle.dumps(kv))
+    assert again == kv and (again.lo, again.hi, again.provenance) == (-2.0, -1.0, kv.provenance)
+    # replace builds a new record, through the same tests and clamps
+    with pytest.raises(ValidationError, match="^kernel enclosure must be finite$"):
+        dataclasses.replace(kv, lo=math.nan)
+    with pytest.raises(ValidationError, match=r"^invalid enclosure \[-0.5, -1.0\]$"):
+        dataclasses.replace(kv, lo=-0.5)
+    assert dataclasses.replace(kv, hi=5e-10).hi == 0.0

@@ -21,11 +21,17 @@ A one-point command spends most of its time starting Python and importing
 numpy, so a difference between the trees smaller than the spread of their
 runs (compare the ``import numpy`` row, which both trees run alike) is not
 resolved by these figures.
+
+Each tree's ``src/`` is byte-compiled with ``compileall`` before anything is
+timed, as ``bench/run.py`` does, so that the children import bytecode and do
+not time the compiler; the report says how many modules had bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
+import importlib.util
 import resource
 import shlex
 import subprocess
@@ -68,6 +74,14 @@ def run_once(src: Path, line: str, cwd: str) -> tuple:
     return wall * 1e3, cpu * 1e3
 
 
+def compile_tree(src: Path) -> str:
+    """Byte-compile ``src`` as ``bench/run.py`` does; says how many modules have bytecode."""
+    compiled = compileall.compile_dir(str(src), quiet=1)
+    sources = sorted((src / "plurikernel").glob("*.py"))
+    cached = sum(Path(importlib.util.cache_from_source(str(f))).is_file() for f in sources)
+    return f"{cached} of {len(sources)} modules" + ("" if compiled else " (compileall failed)")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--against", metavar="REV",
@@ -82,6 +96,7 @@ def main(argv=None) -> int:
         srcs = {"tree": ROOT / "src"}
         if args.against:
             srcs = {"rev": unpack_src(args.against, Path(tmp)), **srcs}
+        bytecode = {side: compile_tree(src) for side, src in srcs.items()}
         runs = {side: {line: [] for line in lines} for side in srcs}
         for pair in range(args.pairs):
             for line in lines:
@@ -90,6 +105,7 @@ def main(argv=None) -> int:
     what = f"{args.against} against the working tree" if args.against else "the working tree"
     print(f"README commands: {what}, {args.pairs} fresh processes per command and tree; "
           f"median wall ms, best child CPU ms")
+    print("bytecode: " + ", ".join(f"{side} {n}" for side, n in bytecode.items()))
     print("  " + "".join(f"{side + ' wall':>11} {side + ' cpu':>10}" for side in srcs)
           + (f" {'tree/rev':>9}" if args.against else "") + "  command")
     for line in lines:
