@@ -53,6 +53,8 @@ _FOOTPOINT_MAX_ITER = 200
 _RAY_LIMIT = 1e9
 #: Entries a domain's pole memo holds before it is emptied.
 _POLE_MEMO_SIZE = 128
+#: Largest n of boundary frames and radii: n x n arrays, and an O(n^4) Levi form (1.3 s at 128).
+_FRAME_MAX_N = 128
 
 
 class DomainKind(str, Enum):
@@ -306,6 +308,7 @@ def boundary_frame(domain: DomainSpec, p) -> BoundaryFrame:
 
 
 def _boundary_frame(domain: DomainSpec, p: np.ndarray) -> BoundaryFrame:
+    _require_frame_dimension(domain)
     nu = outward_normal(domain, p)    # checks that p is on the boundary
     basis = _complex_tangent_basis(nu)
     H = domain.hess_psi(p)
@@ -320,6 +323,12 @@ def _boundary_frame(domain: DomainSpec, p: np.ndarray) -> BoundaryFrame:
             raise PseudoconvexityError(
                 f"restricted Levi form not positive definite at p (min eig {np.min(eigs):.3e})")
     return BoundaryFrame(*read_only(p.copy(), nu, basis, levi, np.conj(nu)))
+
+
+def _require_frame_dimension(domain: DomainSpec) -> None:
+    if domain.n > _FRAME_MAX_N:
+        raise ValidationError(f"boundary frames and osculating radii are computed up to "
+                              f"dimension n = {_FRAME_MAX_N} (O(n^4) work), got n = {domain.n}")
 
 
 def _complex_tangent_basis(nu: np.ndarray) -> np.ndarray:
@@ -385,6 +394,7 @@ def osculating_radii(domain: DomainSpec, p) -> OsculatingRadii:
 
 
 def _osculating_radii(domain: DomainSpec, p: np.ndarray) -> OsculatingRadii:
+    _require_frame_dimension(domain)
     p = require_on_boundary(domain, p)
     g = domain.grad_psi(p)
     if norm(g) < 1e-14:

@@ -1,15 +1,10 @@
-"""Sequence extrapolation for limits sampled on geometric step schedules.
+"""Richardson extrapolation of limits sampled on geometric step schedules.
 
-Two workhorses:
-
-* ``richardson`` for sequences f(h_k) with h_k = h_0 / ratio**k and an error
-  expansion in known powers of h (the powers need not be integers; half-power
-  expansions arise along square-root boundary rates).
-* ``aitken`` (repeated delta-squared) when only geometric error decay is
-  known, e.g. first-order one-sided difference quotients.
-
-Both track an error estimate by comparing neighboring table entries and stop
-improving once round-off noise dominates, in the spirit of Ridders' method.
+``richardson`` extrapolates a whole sequence f(h0 / ratio**k) whose error
+expands in known powers of h (half-integer ones arise along square-root
+boundary rates).  ``refine_until`` is the one ladder: it grows the tableau
+level by level and keeps the estimate with the least error until round-off
+noise dominates, in the spirit of Ridders' method.
 """
 
 from __future__ import annotations
@@ -31,6 +26,7 @@ class Extrapolation:
     limit: complex
     error: float          # heuristic error estimate (neighbor-difference)
     diverged: bool = False
+    levels: int = 0       # values read
 
     @property
     def real(self) -> float:
@@ -44,9 +40,10 @@ class RichardsonTableau:
     (fac - 1)`` on the last two entries of the column before, with
     fac = ratio**p_j.  ``estimate`` gives the last entry of the column whose
     last two entries differ least (later columns win ties), with that
-    difference as its error; ``exact``, whether some column's last two
-    entries agree (for finite values, an error of 0).  ``orders`` as in
-    ``richardson``; ``ratio`` is a finite real > 0 other than 1.
+    difference as its error (``least`` gives the two alone); ``exact``,
+    whether some column's last two entries agree (for finite values, an
+    error of 0).  ``orders`` as in ``richardson``; ``ratio`` is a finite
+    real > 0 other than 1.
 
     The entries round as on numpy complex128 scalars: numpy divides a complex
     by a real scalar by multiplying by its reciprocal, so each column keeps
@@ -96,15 +93,17 @@ class RichardsonTableau:
 
     def estimate(self) -> Extrapolation:
         """The estimate from the values so far (error inf after one value)."""
-        ends, older = self.ends, self._below
-        if not older:
-            return Extrapolation(limit=complex(ends[0]), error=float("inf"))
-        best, best_err = ends[0], abs(ends[0] - older[0])
-        for below, top in zip(older[1:], ends[1:]):   # a column's first entry has no error
-            err = abs(top - below)
-            if err <= best_err:
-                best, best_err = top, err
-        return Extrapolation(limit=complex(best), error=best_err)
+        limit, error = self.least()
+        return Extrapolation(limit=complex(limit), error=error, levels=len(self.ends))
+
+    def least(self) -> tuple:
+        """(limit, error) of ``estimate``: the entry and a float (inf after one value)."""
+        ends = self.ends
+        errors = list(map(abs, map(operator.sub, ends, self._below))) or [math.inf]
+        # the last column with the least error; a nan errors[0] is the least (nothing
+        # compares below it), and index finds it by identity
+        least = min(errors)
+        return ends[len(errors) - 1 - errors[::-1].index(least)], least
 
     def exact(self) -> bool:
         """Whether some column's last two entries x, y have x - y == 0 (inf - inf is not)."""
@@ -140,35 +139,18 @@ def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
     return table.estimate()
 
 
-def aitken(values) -> Extrapolation:
-    """Repeated Aitken delta-squared acceleration of a scalar sequence."""
-    s = np.asarray(values, dtype=complex)
-    if len(s) == 0:
-        raise ValueError("empty sequence")
-    best = complex(s[-1])
-    best_err = abs(s[-1] - s[-2]) if len(s) >= 2 else float("inf")
-    while len(s) >= 3:
-        d1 = np.diff(s)
-        d2 = np.diff(s, 2)
-        safe = np.abs(d2) > 1e-300
-        s = np.where(safe, s[:-2] - d1[:-1] ** 2 / np.where(safe, d2, 1.0), s[2:])
-        err = abs(s[-1] - s[-2]) if len(s) >= 2 else best_err
-        if err <= best_err:
-            best, best_err = complex(s[-1]), err
-    return Extrapolation(limit=best, error=float(best_err))
-
-
 def refine_until(f, *, start_level: int = 3, max_level: int = 26,
                  divergence_threshold: float = 1e9) -> Extrapolation:
     """Sample f at h_k = 2**-k for k = start_level..max_level and Richardson-extrapolate.
 
     ``f`` takes the array of every level's h and returns the array of its
-    values, so the whole ladder is one call, and an error it raises
-    propagates.  The tableau is then grown one level at a time, and stops
-    early once it is ``exact`` (an error of 0, which no later level can
-    improve) or when a raw value blows past ``divergence_threshold``
-    (divergence, with the last raw value as the limit).  The estimate is
-    taken once, at the stop; the values past it are never read.
+    values (one call; an error it raises propagates).  From the third level
+    on (or the last, if fewer) the ladder keeps the estimate with the least
+    error, until a level's error exceeds 16 max(best error, 1e-15): the
+    round-off floor.  An ``exact`` level (an error of 0) ends the ladder with
+    its estimate, past the floor only if that lies within the same bound of
+    the best.  A raw value that is not finite or exceeds
+    ``divergence_threshold`` ends it as divergence, with that value as the limit.
     """
     start_level = spec_count(start_level, "start_level", least=0)
     max_level = spec_count(max_level, "max_level", least=start_level)
@@ -177,10 +159,24 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     if np.shape(values) != hs.shape:
         raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
     table = RichardsonTableau()
-    for k, v in enumerate(np.asarray(values).tolist()):     # Python numbers, rounded as numpy's
+    best, floor = None, False       # (limit, error) kept; whether the floor is passed
+    for levels, v in enumerate(np.asarray(values).tolist(), 1):    # Python numbers, rounded as numpy's
         if not cmath.isfinite(v) or abs(v) > divergence_threshold:
-            return Extrapolation(limit=complex(v), error=float("inf"), diverged=True)
+            return Extrapolation(limit=complex(v), error=math.inf, diverged=True, levels=levels)
         table.append(v)
-        if k >= 2 and table.exact():
-            break
-    return table.estimate()
+        if levels < min(3, len(hs)):
+            continue
+        if not floor:
+            limit, err = table.least()
+            if best is None or err <= best[1]:
+                best = limit, err
+                if err == 0.0:
+                    break
+            else:
+                floor = err > 16.0 * max(best[1], 1e-15)
+        elif table.exact():
+            limit, err = table.least()
+            if abs(limit - best[0]) <= 16.0 * max(best[1], 1e-15):
+                best = limit, err
+                break
+    return Extrapolation(limit=complex(best[0]), error=best[1], levels=levels)

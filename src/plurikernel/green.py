@@ -7,11 +7,11 @@ the pluricomplex Poisson kernel:
     - dG(z, p)/d nu_p = Omega_p(z),
 
 computed here as the limit of one-sided difference quotients
-G(z, p - h nu_p)/h on a halving schedule with Aitken acceleration.  The
-quotients converge at first order (the Green function is C^{1,1} up to the
-boundary but no better in general), so the raw sequence is also checked for
-the |q(h) - q(h/2)| <= C h Cauchy pattern and the empirical constant C is
-reported.
+G(z, p - h nu_p)/h on a halving schedule, on the Richardson ladder
+``refine_until``.  The quotients converge at first order (the Green function
+is C^{1,1} up to the boundary but no better in general), so the raw sequence
+is also checked for the |q(h) - q(h/2)| <= C h Cauchy pattern and the
+empirical constant C is reported.
 
 The induced boundary measure has density  (dG(z,.)/d nu_p)^n  against the
 Levi boundary form, i.e.  |Omega_p(z)|^n * levi_density(p)  against surface
@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import kernel_value
 from .domains import DomainSpec, levi_density, outward_normal, require_on_boundary
 from .errors import ConvergenceError, ValidationError, positive
-from .extrapolate import aitken
+from .extrapolate import refine_until
 from .kernels import _SPHERE_TOL, _to_unit_ball, mobius_ball
 from .utils import as_points, as_vector, norm, point_norms
 
@@ -91,7 +91,7 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
     h0 = positive(h0, "initial step h0")
     nu = outward_normal(domain, p)
 
-    hs = h0 * np.ldexp(1.0, -np.arange(_HALVINGS + 1))
+    hs = h0 * np.ldexp(1.0, -np.arange(_HALVINGS + 1))      # h0 times the ladder's steps
     quotients = green_function(domain, z, p - hs[:, None] * nu) / hs
     steps = list(zip(hs.tolist(), quotients.tolist()))
 
@@ -103,7 +103,8 @@ def normal_derivative_green(domain: DomainSpec, z, p, h0: float = 1e-3) -> Norma
         raise ConvergenceError(
             "difference quotients are not Cauchy at first order (regularity failure)",
             trace=steps)
-    ext = aitken(quotients)
+    ext = refine_until(lambda _: quotients, start_level=0, max_level=_HALVINGS,
+                       divergence_threshold=float("inf"))
     return NormalDerivativeResult(value=ext.real, step_sequence=steps,
                                   lipschitz_estimate=lipschitz, error=ext.error)
 

@@ -685,8 +685,8 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
 
     Source and target must be balls.  The Kobayashi defect is measured from
     their reference interior points.  The target boundary point q is
-    detected from the ray image; when the image stays away from the target
-    boundary all three conditions are reported infinite.
+    detected from the ray images, to O(h^2) at h = 2^-24; when they stay away
+    from the target boundary all three conditions are reported infinite.
     """
     src, tgt = mapspec.source, mapspec.target
     if not (src.is_ball_like and tgt.is_ball_like):
@@ -694,10 +694,11 @@ def condition_equivalence_check(mapspec: MapSpec, p) -> EquivalenceReport:
     p = as_vector(p, src.n)
     nu = outward_normal(src, p)
 
-    # candidate target boundary point from the deep ray image
-    w_deep = mapspec(p - 2.0 ** (-_EQUIV_MAX_LEVEL) * nu)
-    dist_deep = abs(signed_boundary_distance(tgt, w_deep))
-    q = nearest_boundary_point(tgt, w_deep) if dist_deep < 1e-4 else None
+    # target boundary point: the deep ray images' nearest boundary points at 2h and h
+    # are O(h) from f(p), one Richardson step on them O(h^2)
+    far, near = mapspec(_ray(p, nu, np.ldexp(1.0, [1 - _EQUIV_MAX_LEVEL, -_EQUIV_MAX_LEVEL])))
+    q = None if abs(signed_boundary_distance(tgt, near)) >= 1e-4 else nearest_boundary_point(
+        tgt, 2.0 * nearest_boundary_point(tgt, near) - nearest_boundary_point(tgt, far))
 
     def distance_ratios(h):     # condition 3; balls' signed distances |z - c| - r
         Z = _ray(p, nu, h)

@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, positive, spec_count
-from .extrapolate import Extrapolation, RichardsonTableau
+from .errors import ValidationError, positive
+from .extrapolate import refine_until
 from .utils import as_points, as_rows, as_vector, herm, norm, point_norms, read_only, row_norms
 
 #: |  ||p|| - 1 | below this counts as a boundary pole.
@@ -315,10 +315,10 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
                    start_level: int = 3, max_level: int = 26) -> BoundaryLimitResult:
     """Extrapolate lim_{t->1} f(gamma(t)) * (1 - t) on the schedule t_k = 1 - 2^-k.
 
-    Also returns the predicted transversal limit -2 Re [<gamma'(1), nu_p>]^{-1}.
+    The ladder is ``refine_until`` on h -> h f(gamma(1 - h)), with no
+    divergence threshold; ``levels`` counts the levels it read.  Also returns
+    the predicted transversal limit -2 Re [<gamma'(1), nu_p>]^{-1}.
     """
-    start_level = spec_count(start_level, "start_level", least=0)
-    max_level = spec_count(max_level, "max_level", least=start_level)
     nu_p = as_vector(nu_p)
     gp = as_vector(curve.gamma_prime_at_1, len(nu_p))
     theta = herm(gp, nu_p)
@@ -327,20 +327,11 @@ def boundary_limit(evaluator, curve: BoundaryCurve, nu_p, *,
             f"curve is tangential: Re <gamma'(1), nu> = {theta.real:.3e} must be positive")
     predicted = -2.0 * (1.0 / theta).real
 
-    table = RichardsonTableau()
-    best: Optional[Extrapolation] = None
-    for levels, k in enumerate(range(start_level, max_level + 1), 1):
-        h = 2.0 ** (-k)
-        v = evaluator(curve.gamma(1.0 - h))
-        if isinstance(v, KernelValue):
-            v = v.value
-        table.append(v * h)
-        if levels >= 3 or k == max_level:   # a shorter ladder has its last estimate
-            ext = table.estimate()
-            if best is None or ext.error <= best.error:
-                best = ext
-            elif ext.error > 16.0 * max(best.error, 1e-15):
-                break  # refinement has hit the round-off floor
-    return BoundaryLimitResult(estimate=best.real, predicted=predicted,
-                               error=best.error, levels=levels)
+    def scaled(hs):
+        values = [evaluator(curve.gamma(1.0 - h)) for h in hs.tolist()]
+        return hs * [v.value if isinstance(v, KernelValue) else v for v in values]
 
+    ext = refine_until(scaled, start_level=start_level, max_level=max_level,
+                       divergence_threshold=math.inf)
+    return BoundaryLimitResult(estimate=ext.real, predicted=predicted,
+                               error=ext.error, levels=ext.levels)

@@ -23,6 +23,8 @@ EPS = float(np.finfo(float).eps)
 
 ball_kernel = R.ball_kernel          # (center, radius, p, z): the kernel of B(c, r)
 disc_poisson = R.disc_poisson        # (p, zeta): the disc's negative Poisson kernel
+dilation_blaschke = R.dilation_blaschke      # (a): (1 - a)/(1 + a), the Blaschke factor's at 1
+dilation_ball_auto = R.dilation_ball_auto    # (a, p): (1 - |a|^2)/|1 - <p, a>|^2, phi_a's at p
 
 
 def ball_conditions(center, radius, Z) -> np.ndarray:

@@ -425,3 +425,15 @@ def test_readme_python_examples():
             assert got == float(shown.group(1)), lines[stmt.end_lineno - 1]
             compared += 1
     assert compared >= 3
+
+
+def test_bounds_refused_above_the_frame_dimension_cap(capsys):
+    # refused before any n x n array is built; the ball's kernel needs no frame
+    argv = ["--domain", "unit_ball:100000", "--pole", "e1", "--point", "0"]
+    code, out, err = run_cli(capsys, ["bounds", *argv])
+    assert (code, out) == (2, "")
+    blob = json.loads(err)
+    assert blob["code"] == "validation"
+    assert "up to dimension n = 128" in blob["message"]
+    code, out, _ = run_cli(capsys, ["kernel", *argv])
+    assert code == 0 and json.loads(out)["value"] == -1.0

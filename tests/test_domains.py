@@ -574,3 +574,14 @@ def test_domain_from_json_rejects_unknown_fields():
                  '{"kind": "custom", "psi": "z1*conj(z1)-1", "n": 1.5}', "unit_ball:2.7"):
         with pytest.raises(ValidationError):
             domain_from_json(spec)
+
+
+@pytest.mark.parametrize("n", [129, 100000])
+def test_frames_and_radii_refused_above_their_dimension_cap(n):
+    # the frame's Levi form is O(n^4) and both build n x n arrays: refused first
+    ball = DomainSpec.unit_ball(n)
+    p = np.zeros(n, dtype=complex)
+    p[0] = 1.0
+    for call in (boundary_frame, osculating_radii, levi_density):
+        with pytest.raises(ValidationError, match=r"up to dimension n = 128 .*, got n = %d" % n):
+            call(ball, p)

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from plurikernel import BoundaryCurve, boundary_limit, extrapolate
+from plurikernel import BoundaryCurve, DomainSpec, boundary_limit, extrapolate, kernel_value
 from plurikernel.errors import ValidationError
-from plurikernel.extrapolate import RichardsonTableau, aitken, refine_until, richardson
+from plurikernel.extrapolate import RichardsonTableau, refine_until, richardson
+
+import oracle
 
 
 def test_richardson_polynomial_sequence():
@@ -34,14 +36,6 @@ def test_richardson_does_not_claim_convergence_for_linear_growth():
     assert ext.error > 0.1
 
 
-def test_aitken_geometric_sequence():
-    # s_k = L + c r^k
-    ks = np.arange(12)
-    vals = 2.0 + 3.0 * 0.5 ** ks
-    ext = aitken(vals)
-    assert ext.real == pytest.approx(2.0, abs=1e-10)
-
-
 def test_refine_until_divergence_flag():
     ext = refine_until(lambda h: 1.0 / h, start_level=3, max_level=24,
                        divergence_threshold=1e6)
@@ -52,6 +46,38 @@ def test_refine_until_convergence():
     ext = refine_until(lambda h: -2.0 + 0.7 * h + h * h, start_level=3, max_level=20)
     assert not ext.diverged
     assert ext.real == pytest.approx(-2.0, abs=1e-10)
+
+
+def test_late_exact_match_off_the_best_is_not_taken():
+    # converging values with an alternating 1e-12 that no column cancels, then two
+    # equal values 3e-9 off the limit: the ladder's last level is exact, past the
+    # floor, and its match is refused for the best estimate
+    hs = 2.0 ** -np.arange(3, 27.0)
+    vals = 2.0 + 0.5 * hs + 1e-12 * (-1.0) ** np.arange(24)
+    vals[-2:] = 2.0 + 3e-9
+    table = RichardsonTableau()
+    for v in vals:
+        table.append(v)
+    assert table.exact() and table.estimate().limit == 2.0 + 3e-9
+    ext = refine_until(lambda h: vals)
+    assert ext.levels == 24 and 0.0 < ext.error < 1e-10
+    assert abs(ext.limit - 2.0) < 1e-11
+
+
+def test_boundary_limit_refuses_a_late_false_match():
+    # a benchmark curve (seed 3) whose 24th level is exact on a limit 1.6e-8
+    # relative off the transversal limit; the ladder keeps its best estimate
+    p = np.array([-0.8004256017097539 + 0.5101115654460571j, 0.31476147745020444 + 0.005500839855510779j])
+    d = np.array([-0.7086584370843689 + 0.529069880482922j, 0.4197186527071599 + 0.2042658407189337j])
+    ball = DomainSpec.unit_ball(2)
+    curve = BoundaryCurve(gamma=lambda t: p - (1.0 - t) * d, gamma_prime_at_1=d)
+    table = RichardsonTableau()
+    for h in 2.0 ** -np.arange(3, 27.0):
+        table.append(kernel_value(ball, p, curve.gamma(1.0 - h)).value * h)
+    exact = oracle.R.transversal_limit(d, p)
+    assert table.exact() and oracle.rel_error(table.estimate().limit, exact) > 1e-8
+    res = boundary_limit(lambda z: kernel_value(ball, p, z), curve, p)
+    assert res.levels == 24 and oracle.rel_error(res.estimate, exact) < 1e-14
 
 
 def _full_tableau(values, ratio=2.0, orders=None):
@@ -79,18 +105,27 @@ def _full_tableau(values, ratio=2.0, orders=None):
 
 
 def _rebuilt_every_level(f, start_level, max_level):
-    """refine_until's loop (no divergence) with the full tableau rebuilt at every level.
+    """refine_until's stop rule (no divergence) with the full tableau rebuilt at every level.
 
     Returns (limit, error, levels read).
     """
-    vals, best = [], None
-    for v in f(2.0 ** -np.arange(start_level, max_level + 1.0)):
+    vals, best, floor = [], None, False
+    hs = 2.0 ** -np.arange(start_level, max_level + 1.0)
+    for v in f(hs):
         vals.append(v)
-        if len(vals) >= 3:
-            best = _full_tableau(vals)
-            if best[1] == 0.0:
-                break
-    return (*(best if best is not None else _full_tableau(vals)), len(vals))
+        if len(vals) < min(3, len(hs)):
+            continue
+        ext = _full_tableau(vals)
+        slack = 16.0 * max(best[1], 1e-15) if best else None
+        if not floor and (best is None or ext[1] <= best[1]):
+            best = ext
+            if ext[1] == 0.0:
+                return (*best, len(vals))
+        elif not floor:
+            floor = ext[1] > slack
+        elif ext[1] == 0.0 and abs(ext[0] - best[0]) <= slack:
+            return (*ext, len(vals))
+    return (*best, len(vals))
 
 
 def _fields(rng):
@@ -166,19 +201,11 @@ def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):
         def evaluator(z, f=f):
             return f(1.0 - z[0].real) / (1.0 - z[0].real)
 
-        # boundary_limit's loop, with the full tableau rebuilt at every level
-        vals, best = [], None
-        for k in range(3, 27):
-            h = 2.0 ** (-k)
-            vals.append(evaluator(curve.gamma(1.0 - h)) * h)
-            if len(vals) >= 3:
-                ext = _full_tableau(vals)
-                if best is None or ext[1] <= best[1]:
-                    best = ext
-                elif ext[1] > 16.0 * max(best[1], 1e-15):
-                    break
+        # refine_until's stop rule on h f(gamma(1 - h)), with the full tableau rebuilt at every level
+        best = _rebuilt_every_level(
+            lambda hs: [evaluator(curve.gamma(1.0 - h)) * h for h in hs], 3, 26)
         res = boundary_limit(evaluator, curve, e1)
-        assert (res.estimate, res.error, res.levels) == (best[0].real, best[1], len(vals))
+        assert (res.estimate, res.error, res.levels) == (best[0].real, best[1], best[2])
 
 
 class _Complex128Tableau:
@@ -259,5 +286,3 @@ def test_orders_whose_factor_rounds_to_one_are_refused():
 def test_empty_sequences_rejected():
     with pytest.raises(ValueError):
         richardson([])
-    with pytest.raises(ValueError):
-        aitken([])

@@ -18,6 +18,7 @@ from plurikernel import (
     map_from_json,
 )
 from plurikernel.julia import (
+    _kernel_ratio_ray,
     ball_auto_map,
     blaschke_map,
     compose_maps,
@@ -30,6 +31,8 @@ from plurikernel.julia import (
 )
 from plurikernel.kernels import mobius_ball
 from plurikernel.utils import sample_ball, sample_ball_rows
+
+import oracle
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 P1 = np.array([1.0 + 0j])
@@ -413,24 +416,39 @@ def _bench_maps():
             ("compose", compose_maps(blaschke_map(0.3), power_map(2)), one, one, 2 * 0.7 / 1.3)]
 
 
-# Recorded from the per-point estimators that the array evaluation replaced:
 # lambda_estimate's (estimate, ray limit, diverged) and horoball_inclusion_check's
-# (checked, violations, undetermined, ray tightness), seeds 11 and 2024.  With
-# the ball draws in one batch only ball_auto's estimate moved: it is a grid sup
-# of a ratio that equals the dilation everywhere, so a max over round-off,
-# 3.6e-15 relative above the closed form (the per-row draws gave 3.2e-15 and 2.6e-15).
+# (checked, violations, undetermined, ray tightness), seeds 11 and 2024, on the one
+# ladder with its round-off floor.  Relative errors against the closed forms
+# (``_exact_dilations``, and 1 for the tightness), as test_estimator_outputs_pinned
+# checks them: blaschke 5.6e-14 (13.25 digits) in all three; power and diag 0;
+# ball_auto 3.9e-15 (seed 11) and 3.8e-15 (seed 2024) for the grid sup,
+# 6.6e-16 for the ray limit, 1.2e-14 for the tightness; compose 5.4e-15, and
+# 4.6e-15 for the tightness.  The ladder that stopped only on an error of 0
+# read blaschke, ball_auto and compose past their floor, to 8.6, 8.3 and 8.2 digits.
 ESTIMATOR_PINS = {
-    ("blaschke", 11): ((0.4285714296357972, 0.4285714296357972, False), (300, 0, 0, 1.000000001862644)),
+    ("blaschke", 11): ((0.42857142857145264, 0.42857142857145264, False), (300, 0, 0, 1.0000000000000562)),
     ("power", 11): ((3.0, 3.0, False), (300, 0, 0, 1.0)),
-    ("ball_auto", 11): ((1.55553491827638, 1.555534909583108, False), (300, 0, 0, 0.999999996872982)),
+    ("ball_auto", 11): ((1.5555349182763805, 1.5555349182763734, False), (300, 0, 0, 0.9999999999999883)),
     ("diag", 11): ((1.0, 1.0, False), (300, 0, 0, 1.0)),
-    ("compose", 11): ((1.0769230700216388, 1.0769230700216388, False), (300, 0, 0, 0.9999999979377859)),
-    ("blaschke", 2024): ((0.4285714296357972, 0.4285714296357972, False), (300, 0, 0, 1.000000001862644)),
+    ("compose", 11): ((1.076923076923071, 1.076923076923071, False), (300, 0, 0, 0.9999999999999954)),
+    ("blaschke", 2024): ((0.42857142857145264, 0.42857142857145264, False), (300, 0, 0, 1.0000000000000562)),
     ("power", 2024): ((3.0, 3.0, False), (300, 0, 0, 1.0)),
-    ("ball_auto", 2024): ((1.55553491827638, 1.555534909583108, False), (300, 0, 0, 0.999999996872982)),
+    ("ball_auto", 2024): ((1.5555349182763802, 1.5555349182763734, False), (300, 0, 0, 0.9999999999999883)),
     ("diag", 2024): ((1.0, 1.0, False), (300, 0, 0, 1.0)),
-    ("compose", 2024): ((1.0769230700216388, 1.0769230700216388, False), (300, 0, 0, 0.9999999979377859)),
+    ("compose", 2024): ((1.076923076923071, 1.076923076923071, False), (300, 0, 0, 0.9999999999999954)),
 }
+
+#: Relative distance of every normal-ray limit of the five maps (and of the pinned
+#: estimates above) from its closed form; the largest is blaschke's 5.6e-14.
+RAY_BOUND = 1e-12
+
+
+def _exact_dilations():
+    """The five maps' dilations from the oracle, at 40 digits."""
+    a, p = np.array([0.3 + 0.1j, -0.2 + 0.15j]), np.array([0.6, 0.8j])
+    return {"blaschke": oracle.dilation_blaschke(0.4), "power": oracle.mp.mpf(3),
+            "ball_auto": oracle.dilation_ball_auto(a, p), "diag": oracle.mp.mpf(1),
+            "compose": 2 * oracle.dilation_blaschke(0.3)}
 
 
 def _within_2_ulp(got, want):
@@ -459,8 +477,12 @@ def test_lambda_estimate_reads_its_sup_from_the_ray():
 
 @pytest.mark.parametrize("seed", [11, 2024])
 def test_estimator_outputs_pinned(seed):
+    exact = _exact_dilations()
     for label, m, p, q, lam in _bench_maps():
         (est, ray, diverged), (checked, violations, undetermined, tight) = ESTIMATOR_PINS[label, seed]
+        # each pin lies within RAY_BOUND of its closed form
+        assert max(oracle.rel_error(est, exact[label]), oracle.rel_error(ray, exact[label]),
+                   oracle.rel_error(tight, oracle.mp.mpf(1))) <= RAY_BOUND, label
         rep = lambda_estimate(m, p, q, SamplingPlan(seed=seed))
         assert rep.diverged is diverged, label
         assert _within_2_ulp(rep.lambda_estimate, est), label
@@ -468,6 +490,44 @@ def test_estimator_outputs_pinned(seed):
         inc = horoball_inclusion_check(m, p, q, lam, samples_per_radius=100, seed=seed)
         assert (inc.checked, len(inc.violations), inc.undetermined) == (checked, violations, undetermined)
         assert _within_2_ulp(inc.ray_tightness.real, tight), label
+
+
+def test_normal_ray_limits_near_closed_form_dilation():
+    # lambda_estimate's ray, the equivalence check's kernel-ratio ray and the
+    # horoball tightness ray of the five benchmark maps
+    exact = _exact_dilations()
+    for label, m, p, q, lam in _bench_maps():
+        ray = lambda_estimate(m, p, q, SamplingPlan(seed=11)).normal_ray_limit
+        eq = condition_equivalence_check(m, p).lambda_value
+        tight = horoball_inclusion_check(m, p, q, lam, samples_per_radius=10).ray_tightness
+        assert oracle.rel_error(ray, exact[label]) <= RAY_BOUND, label
+        assert oracle.rel_error(eq, exact[label]) <= RAY_BOUND, label
+        assert oracle.rel_error(tight.limit, oracle.mp.mpf(1)) <= RAY_BOUND, label
+
+
+def test_power_ray_takes_its_consistent_match_past_the_floor():
+    # power's ratios pass their round-off floor with the best estimate 3 + 1.2e-14;
+    # at the 21st level (h = 2^-23) a column's last two entries agree on a limit
+    # that lies within 16 x the best error of it, and the ladder takes that match
+    label, m, p, q, _ = _bench_maps()[1]
+    nu = np.array([1.0 + 0j])
+    ratios = partial(_kernel_ratio_ray, m, p, q, nu, 3)
+    before = ratios(22)
+    assert before.limit != 3.0 and before.error > 0.0 and before.levels == 20
+    ext = ratios(26)
+    assert (ext.limit, ext.error, ext.levels) == (3.0, 0.0, 21)
+    assert abs(ext.limit - before.limit) <= 16.0 * before.error
+
+
+def test_equivalence_target_to_round_off():
+    # q from one Richardson step on the ray images' nearest boundary points at 2h, h
+    for label, m, p, q, _ in _bench_maps():
+        target = condition_equivalence_check(m, p).target
+        if label == "ball_auto":
+            exact = oracle.ball_mobius([0.3 + 0.1j, -0.2 + 0.15j], p)
+            assert max(abs(oracle.mp.mpc(complex(t)) - e) for t, e in zip(target, exact)) <= 1e-13
+        else:
+            assert np.array_equal(target, q), label
 
 
 # Recorded from the per-point probes that the array evaluation replaced:

@@ -1,6 +1,6 @@
 """Check that the working tree's program gives the same outputs as a git revision's.
 
-    python tools/same_outputs.py REV [--seeds 1 2] [--workloads NAME ...] [--rtol R]
+    python tools/same_outputs.py REV [--seeds 1 2] [--workloads NAME ...] [--rtol R] [--digits]
 
 For each seed, one round of every benchmark workload's operations (or of
 the ``--workloads`` named, all four by default)
@@ -22,6 +22,12 @@ for byte.  Last, the lines of each ``src/plurikernel/*.py`` in
 both trees are counted as ``wc -l`` counts them (source size is tracked).
 Exits 1 if any output differs.
 
+With ``--digits``, both trees' outputs of each seed also go through the
+benchmark's own checks (``bench/checks.judge``, as ``bench/worker.py``
+judges its first round).  Per workload it prints each tree's
+``digits_p50``, ``digits_min`` and least accurate output, and every check
+label whose digits moved by more than 0.05, with both values.
+
 With ``--rtol R``, two outputs, or two command lines' stdout, that differ
 only in numbers (``NUMBER``) count as equal when each pair of numbers differs
 by at most R relative; stderr and exit status still compare byte for byte.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -47,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 SHOWN = 3       # differences printed per workload
+DIGITS_MOVED = 0.05     # --digits: a check's digits moved by more than this are printed
 NUMBER = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 #: (command line without its points, two points) of the subcommands that evaluate at points
@@ -73,31 +81,57 @@ CLI_MATRIX = (
 )
 
 sys.path.insert(0, str(BENCH))
+import checks  # noqa: E402
 from run import WORKLOADS, worker_env  # noqa: E402  (the benchmark worker's environment)
 
 
-def emit(seed: int, names: list) -> None:
-    """Child process: one round of each named workload, as {workload: [repr, ...]} on stdout."""
+def emit(seed: int, names: list, digits: bool) -> None:
+    """Child process: one round of each named workload, as {"outputs": {workload: [[what,
+    repr], ...]}, "digits": {workload: checked_digits(...)}} on stdout ("digits" with --digits)."""
     import numpy as np
 
     import plurikernel as P
     import workloads as W
-    from checks import run_op
 
-    result = {}
+    result = {"outputs": {}, "digits": {}}
     for name in names:
         plan_fn, build_fn = W.WORKLOADS[name]
         cases = build_fn(P, plan_fn(np.random.default_rng(seed)))
-        result[name] = [[f"{case.label} / {kind}", repr(run_op(fn))]
-                        for case in cases for kind, fn in case.ops]
+        ops = [(f"{case.label} / {kind}", fn) for case in cases for kind, fn in case.ops]
+        outs = [checks.run_op(fn) for _, fn in ops]
+        result["outputs"][name] = [[what, repr(out)] for (what, _), out in zip(ops, outs)]
+        if digits:
+            result["digits"][name] = checked_digits(cases, outs)
     print(json.dumps(result))
 
 
-def outputs(src: Path, seed: int, names: list) -> dict:
+class LabelledChecker(checks.Checker):
+    """The benchmark's checker, also keeping each output's [check label, digits]."""
+
+    def __init__(self):
+        super().__init__()
+        self.labelled = []
+
+    def _digits(self, what, rel):
+        super()._digits(what, rel)
+        self.labelled.append([what, self.digits[-1]])
+
+
+def checked_digits(cases, outs) -> dict:
+    """The benchmark's checks on one round's outputs: each check's [label, digits] in
+    order, and the round's digits_p50, digits_min and least accurate output."""
+    checks.Checker = LabelledChecker        # the checker judge makes, in this child process
+    ck, _ = checks.judge(cases, outs)
+    return {"labelled": ck.labelled, "p50": checks.median(ck.digits),
+            "min": min(ck.digits, default=math.nan), "worst": ck.worst[1]}
+
+
+def outputs(src: Path, seed: int, names: list, digits: bool) -> dict:
     """One round of each named workload in a fresh process importing the package from ``src``."""
     env = worker_env()
     env["PYTHONPATH"] = os.pathsep.join([str(src), str(BENCH)])
-    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed), "--workloads", *names],
+    proc = subprocess.run([sys.executable, __file__, "--emit", str(seed), "--workloads", *names]
+                          + ["--digits"] * digits,
                           env=env, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -210,6 +244,27 @@ def compare(old: dict, new: dict, rtol: float) -> int:
     return total
 
 
+def compare_digits(old: dict, new: dict) -> None:
+    """Print, per workload, both trees' digits_p50, digits_min and least accurate output,
+    and every check whose digits moved by more than DIGITS_MOVED (the k-th check of a
+    label in one tree paired with the k-th of that label in the other)."""
+    for name in sorted(set(old) | set(new)):
+        a, b = old[name], new[name]
+        print(f"  {name} digits: digits_p50 {a['p50']:.3f} -> {b['p50']:.3f}, "
+              f"digits_min {a['min']:.2f} -> {b['min']:.2f}")
+        print(f"    least accurate, rev:  {a['worst']}\n    least accurate, tree: {b['worst']}")
+        by_label = {}
+        for side, checked in enumerate((a, b)):
+            for what, d in checked["labelled"]:
+                by_label.setdefault(what, ([], []))[side].append(d)
+        moved = [(what, x, y) for what, (xs, ys) in by_label.items()
+                 for x, y in itertools.zip_longest(xs, ys, fillvalue=math.nan)
+                 if not abs(x - y) <= DIGITS_MOVED]
+        print(f"    {len(moved)} of {len(b['labelled'])} checks moved by more than {DIGITS_MOVED} digits")
+        for what, x, y in moved:
+            print(f"    {x:6.2f} -> {y:6.2f}  {what}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
@@ -218,10 +273,13 @@ def main(argv=None) -> int:
                     metavar="NAME", help="the workloads to run (default: all four)")
     ap.add_argument("--rtol", type=float, default=0.0, metavar="R",
                     help="count numbers that differ by at most R relative as equal (default 0)")
+    ap.add_argument("--digits", action="store_true",
+                    help="also run the benchmark's checks on both trees' outputs and print "
+                         "the digits that moved")
     ap.add_argument("--emit", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.emit is not None:
-        emit(args.emit, args.workloads)
+        emit(args.emit, args.workloads, args.digits)
         return 0
     if args.rev is None:
         ap.error("a revision is required")
@@ -232,8 +290,10 @@ def main(argv=None) -> int:
         rev_src = unpack_src(args.rev, Path(tmp))
         for seed in args.seeds:
             print(f"seed {seed}: {args.rev} against the working tree")
-            differ += compare(outputs(rev_src, seed, args.workloads),
-                              outputs(ROOT / "src", seed, args.workloads), args.rtol)
+            old, new = (outputs(src, seed, args.workloads, args.digits) for src in (rev_src, ROOT / "src"))
+            differ += compare(old["outputs"], new["outputs"], args.rtol)
+            if args.digits:
+                compare_digits(old["digits"], new["digits"])
         print(f"Command lines: {args.rev} against the working tree")
         differ += compare_cli(rev_src, tmp, "README commands", readme_commands(), args.rtol)
         differ += compare_cli(rev_src, tmp, "CLI matrix", CLI_MATRIX, args.rtol)
