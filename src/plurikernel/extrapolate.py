@@ -1,8 +1,8 @@
-"""Richardson extrapolation of limits sampled on geometric step schedules.
+"""Richardson extrapolation of limits sampled on halving step schedules.
 
-``richardson`` extrapolates a whole sequence f(h0 / ratio**k) whose error
+``richardson`` extrapolates a whole sequence f(h0 / 2**k) whose error
 expands in known powers of h (half-integer ones arise along square-root
-boundary rates).  ``refine_until`` is the one ladder: it grows the tableau
+boundary rates).  ``refine_until`` is the one ladder: it reads the tableau
 level by level and keeps the estimate with the least error until round-off
 noise dominates, in the spirit of Ridders' method.
 """
@@ -33,110 +33,57 @@ class Extrapolation:
         return float(np.real(self.limit))
 
 
-class RichardsonTableau:
-    """A Richardson tableau grown by one value f(h_k) at a time.
+def _tableau(values: list, orders=None):
+    """Yield, for each value in turn, the ends of the tableau's columns and the ends before them.
 
-    ``append`` adds one entry to every column, ``(fac * upper - lower) /
-    (fac - 1)`` on the last two entries of the column before, with
-    fac = ratio**p_j.  ``estimate`` gives the last entry of the column whose
-    last two entries differ least (later columns win ties), with that
-    difference as its error (``least`` gives the two alone); ``exact``,
-    whether some column's last two entries agree (for finite values, an
-    error of 0).  ``orders`` as in ``richardson``; ``ratio`` is a finite
-    real > 0 other than 1.
-
-    The entries round as on numpy complex128 scalars: numpy divides a complex
-    by a real scalar by multiplying by its reciprocal, so each column keeps
-    s = 1/(fac - 1), and ``abs`` of a Python complex is libm's ``hypot``, as
-    numpy's is.  Only the sign of a zero can differ, where a value has a -0.0
-    part, and a difference whose modulus overflows raises ``OverflowError``
-    where numpy gave inf.  While the values are real with imaginary part
-    +0.0, every fac > 1 and every entry is finite, the entries are those
-    entries' real parts as Python floats (their imaginary parts stay +0.0).
-    That path is kept for speed: a 24-level ladder calling ``exact()`` at every level
-    took 57 us on it, 77 us on complex entries (best of 9 x 2,000, Python 3.11.7, 2-core Xeon).
+    ends[0] is the value and ends[j + 1] = (fac * ends[j] - below[j]) * s, with
+    fac = 2**orders[j] and s = 1/(fac - 1), as numpy divides a complex by a real
+    scalar.  The entries keep the values' type, as ``tolist()`` gives it: Python
+    floats on real values, else Python complex numbers, which round as numpy
+    complex128 scalars do (``abs`` is libm's ``hypot``, as numpy's is) but for
+    the sign of a zero part.  ``orders`` defaults to 1, 2, 3, ...
     """
-
-    def __init__(self, ratio: float = 2.0, orders=None):
-        ratio = positive(ratio, "step ratio")
-        if ratio == 1.0:
-            raise ValidationError("step ratio must not be 1, got 1.0")
-        self._ratio = ratio
-        self._open = orders is None
-        orders = [] if self._open or not np.size(orders) else \
-            positive(orders, "Richardson orders", vector=True).tolist()
-        self._facs = [_column(ratio, p) for p in orders]     # (fac, 1/(fac - 1)) per column
-        self._real = ratio > 1.0 and all(fac > 1.0 for fac, _ in self._facs)
-        self.ends = []      # ends[j]: the last entry of column j
-        self._below = []    # the ends before the last append
-
-    def append(self, value) -> None:
-        older = self.ends
-        if self._open and len(self._facs) < len(older):
-            self._facs.append(_column(self._ratio, float(len(older))))
-        v = complex(value)
-        if self._real and v.imag == 0.0 and math.copysign(1.0, v.imag) > 0.0:
-            ends = self._entries(v.real, older)
-            if math.isfinite(ends[-1]):     # a non-finite entry spreads to the last one
-                self._below, self.ends = older, ends
-                return
-        if self._real:
-            self._real = False
-            older = [complex(x) for x in older]
-        self._below, self.ends = older, self._entries(v, older)
-
-    def _entries(self, top, older) -> list:
-        ends = [top]
-        for (fac, s), below in zip(self._facs, older):
-            ends.append((fac * ends[-1] - below) * s)
-        return ends
-
-    def estimate(self) -> Extrapolation:
-        """The estimate from the values so far (error inf after one value)."""
-        limit, error = self.least()
-        return Extrapolation(limit=complex(limit), error=error, levels=len(self.ends))
-
-    def least(self) -> tuple:
-        """(limit, error) of ``estimate``: the entry and a float (inf after one value)."""
-        ends = self.ends
-        errors = list(map(abs, map(operator.sub, ends, self._below))) or [math.inf]
-        # the last column with the least error; a nan errors[0] is the least (nothing
-        # compares below it), and index finds it by identity
-        least = min(errors)
-        return ends[len(errors) - 1 - errors[::-1].index(least)], least
-
-    def exact(self) -> bool:
-        """Whether some column's last two entries x, y have x - y == 0 (inf - inf is not)."""
-        return 0.0 in map(operator.sub, self.ends, self._below)
+    if orders is None:
+        orders = range(1, min(len(values), 1024))      # 2**p overflows from p = 1024 on
+    facs = [(2.0 ** p, 1.0 / (2.0 ** p - 1.0)) for p in orders]
+    ends = []
+    for v in values:
+        below, ends = ends, [v]
+        for (fac, s), lower in zip(facs, below):
+            ends.append((fac * ends[-1] - lower) * s)
+        yield ends, below
 
 
-def _column(ratio: float, p: float) -> tuple:
-    """(fac, 1/(fac - 1)) of the column of order p, fac = ratio**p (inf past the float range)."""
-    try:
-        fac = ratio ** p
-    except OverflowError:
-        # libm left errno at ERANGE, which CPython's abs of a complex with a nan
-        # part would report later as OverflowError; math.pow of inf clears it
-        fac = math.pow(math.inf, 1.0)
-    if fac == 1.0:
-        raise ValidationError(f"Richardson order {p!r} gives the column factor {ratio!r}**p = 1")
-    return fac, 1.0 / (fac - 1.0)
+def _least(ends: list, below: list) -> tuple:
+    """(limit, error): the last end of the column whose last two entries differ least
+    (later columns win ties), and that difference; (the value, inf) after one value."""
+    errors = list(map(abs, map(operator.sub, ends, below))) or [math.inf]
+    # a nan errors[0] is the least (nothing compares below it), and index finds it by identity
+    least = min(errors)
+    return ends[len(errors) - 1 - errors[::-1].index(least)], least
 
 
-def richardson(values, ratio: float = 2.0, orders=None) -> Extrapolation:
-    """Extrapolate values[k] = f(h0/ratio**k) assuming f(h) = L + sum c_i h^{p_i}.
+def richardson(values, orders=None) -> Extrapolation:
+    """Extrapolate values[k] = f(h0/2**k) assuming f(h) = L + sum c_i h^{p_i}.
 
     ``orders`` lists the exponents p_1 < p_2 < ... of the error expansion;
     defaults to 1, 2, 3, ...  Entries may be fractional; each is a finite
-    real > 0 with ratio**p not 1, else ValidationError.
+    real > 0 whose column factor 2**p is finite (p < 1024) and not 1, else
+    ValidationError.
     """
     seq = np.asarray(values)
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    table = RichardsonTableau(ratio, orders)
-    for v in seq.tolist():
-        table.append(v)
-    return table.estimate()
+    if orders is not None:
+        orders = positive(orders, "Richardson orders", vector=True).tolist() if np.size(orders) else []
+        for p in orders:
+            if p >= 1024.0 or 2.0 ** p == 1.0:
+                raise ValidationError(f"Richardson order {p!r} gives the column factor 2**p = "
+                                      f"{'inf' if p >= 1024.0 else 1}")
+    for ends, below in _tableau(seq.tolist(), orders):
+        pass
+    limit, error = _least(ends, below)
+    return Extrapolation(limit=complex(limit), error=float(error), levels=len(seq))
 
 
 def refine_until(f, *, start_level: int = 3, max_level: int = 26,
@@ -147,36 +94,36 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     values (one call; an error it raises propagates).  From the third level
     on (or the last, if fewer) the ladder keeps the estimate with the least
     error, until a level's error exceeds 16 max(best error, 1e-15): the
-    round-off floor.  An ``exact`` level (an error of 0) ends the ladder with
-    its estimate, past the floor only if that lies within the same bound of
-    the best.  A raw value that is not finite or exceeds
-    ``divergence_threshold`` ends it as divergence, with that value as the limit.
+    round-off floor.  A level with an error of 0 ends the ladder with its
+    estimate, past the floor only if that lies within the same bound of the
+    best.  A raw value that is not finite or exceeds ``divergence_threshold``
+    (a real > 0, or inf for none) ends it as divergence, with that value as
+    the limit.
     """
     start_level = spec_count(start_level, "start_level", least=0)
     max_level = spec_count(max_level, "max_level", least=start_level)
+    if divergence_threshold != math.inf:
+        positive(divergence_threshold, "divergence_threshold")
     hs = np.ldexp(1.0, -np.arange(start_level, max_level + 1))
     values = f(hs)
     if np.shape(values) != hs.shape:
         raise ValueError(f"f returned shape {np.shape(values)} for {len(hs)} levels")
-    table = RichardsonTableau()
+    values = np.asarray(values).tolist()       # Python numbers, rounded as numpy's
     best, floor = None, False       # (limit, error) kept; whether the floor is passed
-    for levels, v in enumerate(np.asarray(values).tolist(), 1):    # Python numbers, rounded as numpy's
-        if not cmath.isfinite(v) or abs(v) > divergence_threshold:
-            return Extrapolation(limit=complex(v), error=math.inf, diverged=True, levels=levels)
-        table.append(v)
+    for levels, (ends, below) in enumerate(_tableau(values), 1):
+        if not cmath.isfinite(ends[0]) or abs(ends[0]) > divergence_threshold:
+            return Extrapolation(limit=complex(ends[0]), error=math.inf, diverged=True, levels=levels)
         if levels < min(3, len(hs)):
             continue
+        limit, err = _least(ends, below)
         if not floor:
-            limit, err = table.least()
             if best is None or err <= best[1]:
                 best = limit, err
                 if err == 0.0:
                     break
             else:
                 floor = err > 16.0 * max(best[1], 1e-15)
-        elif table.exact():
-            limit, err = table.least()
-            if abs(limit - best[0]) <= 16.0 * max(best[1], 1e-15):
-                best = limit, err
-                break
-    return Extrapolation(limit=complex(best[0]), error=best[1], levels=levels)
+        elif err == 0.0 and abs(limit - best[0]) <= 16.0 * max(best[1], 1e-15):
+            best = limit, err
+            break
+    return Extrapolation(limit=complex(best[0]), error=float(best[1]), levels=levels)

@@ -52,6 +52,7 @@ from .kernels import (KernelValue, _to_unit_ball, kobayashi, mobius_ball,
 from .utils import as_points, as_vector, herm, norm, row_norms, sample_ball_rows
 
 _DIVERGENCE = 1e6
+_SETTLED = 1e-3             # _classify: largest error, relative to 1 + |value|, of a finite ray
 _RAY_START_LEVEL = 3        # lambda_estimate: normal-ray levels, h = 2^-level
 _RAY_MAX_LEVEL = 26
 _COMPACT_RADIUS = 0.9       # lambda_estimate: exhaustion radius for the grid
@@ -668,14 +669,14 @@ class EquivalenceReport:
         return self.all_finite or self.all_infinite
 
 
-def _classify(ext: Extrapolation, tol: float = 1e-3):
+def _classify(ext: Extrapolation):
     """Value and finiteness verdict from a ray extrapolation.
 
     A ray whose extrapolation error fails to settle (relative to the value)
     is classified as divergent; this catches the logarithmically growing
     Kobayashi defect, which never trips a magnitude threshold.
     """
-    if ext.diverged or not np.isfinite(ext.real) or ext.error > tol * (1.0 + abs(ext.real)):
+    if ext.diverged or not np.isfinite(ext.real) or ext.error > _SETTLED * (1.0 + abs(ext.real)):
         return float("inf"), False
     return ext.real, True
 

@@ -30,7 +30,7 @@ from plurikernel import (
     sphere_quadrature,
 )
 from plurikernel.domains import boundary_samples
-from plurikernel.extrapolate import RichardsonTableau, refine_until, richardson
+from plurikernel.extrapolate import refine_until, richardson
 from plurikernel.geodesics import DiscAutomorphism, default_disc_grid
 from plurikernel.julia import blaschke_map, constant_map, identity_map, power_map, product_map
 
@@ -88,10 +88,7 @@ REALS = [
     ("couple scale rho", lambda v: rescale_couple(-1.0, v)),
     ("dilation lam", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, v)),
     ("horoball radii", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=(v,))),
-    ("step ratio", lambda v: richardson([1.0, 1.1, 1.2], ratio=v)),
-    ("step ratio", lambda v: RichardsonTableau(ratio=v)),
     ("Richardson orders", lambda v: richardson([1.0, 1.5, 1.75], orders=[v])),
-    ("Richardson orders", lambda v: RichardsonTableau(ratio=3.0, orders=[v])),
 ]
 
 BAD_REALS = [True, 0, -1, math.nan, math.inf, "1"]
@@ -129,17 +126,23 @@ def test_scalars_and_vectors_are_not_mixed_up():
         horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=1.0)
 
 
-def test_level_counts_and_step_ratios_that_give_no_ladder():
-    # a ladder needs max_level >= start_level, and h_k = h0/ratio**k needs ratio != 1
+def test_level_counts_that_give_no_ladder():
+    # a ladder needs max_level >= start_level
     for call in (lambda: refine_until(lambda h: 1.0 + h, start_level=5, max_level=4),
                  lambda: _limit(start_level=5, max_level=4)):
         with pytest.raises(ValidationError, match=r"^max_level must be an integer >= 5"):
             call()
     assert refine_until(lambda h: 1.0 + h, start_level=0, max_level=0).limit == 2.0
-    for call in (lambda: richardson([1.0, 1.1, 1.2], ratio=1.0),
-                 lambda: RichardsonTableau(ratio=1)):
-        with pytest.raises(ValidationError, match=r"^step ratio must not be 1"):
-            call()
+
+
+def test_divergence_threshold_is_a_real_above_zero_or_inf():
+    # a nan threshold let 1/h through as a limit; -1 took the first value as divergence
+    for value in (math.nan, -1.0, 0.0, -math.inf, True, "1e9"):
+        with pytest.raises(ValidationError, match=r"^divergence_threshold must be a finite real > 0"):
+            refine_until(lambda h: 1.0 / h, divergence_threshold=value)
+    assert refine_until(lambda h: 1.0 / h, divergence_threshold=1e6).diverged
+    ext = refine_until(lambda h: 1.0 + h, divergence_threshold=math.inf)
+    assert not ext.diverged and ext.limit == 1.0
 
 
 def test_empty_ball_is_refused():
@@ -164,5 +167,5 @@ def test_numpy_scalars_give_the_results_of_python_numbers():
     assert sphere_quadrature(np.int64(1), 8).total_mass == sphere_quadrature(1, 8).total_mass
     f = lambda h: 2.0 + h + h * h       # noqa: E731
     assert refine_until(f, start_level=np.int64(3), max_level=np.int64(26)) == refine_until(f)
-    assert richardson([1.0, 1.1, 1.2], ratio=np.float64(3.0)) == \
-        richardson([1.0, 1.1, 1.2], ratio=3.0)
+    assert richardson([1.0, 1.1, 1.2], orders=[np.float64(0.5), np.int64(1)]) == \
+        richardson([1.0, 1.1, 1.2], orders=[0.5, 1])

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from plurikernel import BoundaryCurve, DomainSpec, boundary_limit, extrapolate, kernel_value
+from plurikernel import BoundaryCurve, DomainSpec, boundary_limit, kernel_value
 from plurikernel.errors import ValidationError
-from plurikernel.extrapolate import RichardsonTableau, refine_until, richardson
+from plurikernel.extrapolate import refine_until, richardson
 
 import oracle
 
@@ -55,10 +55,8 @@ def test_late_exact_match_off_the_best_is_not_taken():
     hs = 2.0 ** -np.arange(3, 27.0)
     vals = 2.0 + 0.5 * hs + 1e-12 * (-1.0) ** np.arange(24)
     vals[-2:] = 2.0 + 3e-9
-    table = RichardsonTableau()
-    for v in vals:
-        table.append(v)
-    assert table.exact() and table.estimate().limit == 2.0 + 3e-9
+    ext = richardson(vals)
+    assert ext.error == 0.0 and ext.limit == 2.0 + 3e-9
     ext = refine_until(lambda h: vals)
     assert ext.levels == 24 and 0.0 < ext.error < 1e-10
     assert abs(ext.limit - 2.0) < 1e-11
@@ -71,16 +69,15 @@ def test_boundary_limit_refuses_a_late_false_match():
     d = np.array([-0.7086584370843689 + 0.529069880482922j, 0.4197186527071599 + 0.2042658407189337j])
     ball = DomainSpec.unit_ball(2)
     curve = BoundaryCurve(gamma=lambda t: p - (1.0 - t) * d, gamma_prime_at_1=d)
-    table = RichardsonTableau()
-    for h in 2.0 ** -np.arange(3, 27.0):
-        table.append(kernel_value(ball, p, curve.gamma(1.0 - h)).value * h)
+    ext = richardson([kernel_value(ball, p, curve.gamma(1.0 - h)).value * h
+                      for h in 2.0 ** -np.arange(3, 27.0)])
     exact = oracle.R.transversal_limit(d, p)
-    assert table.exact() and oracle.rel_error(table.estimate().limit, exact) > 1e-8
+    assert ext.error == 0.0 and oracle.rel_error(ext.limit, exact) > 1e-8
     res = boundary_limit(lambda z: kernel_value(ball, p, z), curve, p)
     assert res.levels == 24 and oracle.rel_error(res.estimate, exact) < 1e-14
 
 
-def _full_tableau(values, ratio=2.0, orders=None):
+def _full_tableau(values, orders=None):
     """richardson with every column of the tableau built as a whole array."""
     seq = np.asarray(values)
     m = len(seq)
@@ -92,7 +89,7 @@ def _full_tableau(values, ratio=2.0, orders=None):
     for j in range(1, m):
         if j - 1 >= len(orders):
             break
-        fac = ratio ** orders[j - 1]
+        fac = 2.0 ** orders[j - 1]
         prev = table[-1]
         cur = (fac * prev[1:] - prev[:-1]) / (fac - 1.0)
         table.append(cur)
@@ -146,26 +143,17 @@ def test_richardson_equals_full_tableau_bit_for_bit(rng):
     for seq in seqs:
         for m in (1, 2, 3, 7, len(seq)):
             vals = seq[:m]
-            for ratio, orders in ((2.0, None), (2.0, np.arange(1, m) * 0.5),
-                                  (2.0, [1.0, 2.0]), (3.0, None), (2.0, [])):
-                ext = richardson(vals, ratio=ratio, orders=orders)
-                assert (ext.limit, ext.error) == _full_tableau(vals, ratio, orders)
+            for orders in (None, np.arange(1, m) * 0.5, [1.0, 2.0], []):
+                ext = richardson(vals, orders=orders)
+                assert (ext.limit, ext.error) == _full_tableau(vals, orders)
+                assert ext.levels == len(vals)
 
 
-def test_refine_until_equals_full_tableau_bit_for_bit(rng, monkeypatch):
-    read = []
-
-    class Counted(RichardsonTableau):
-        def append(self, value):
-            read.append(value)
-            super().append(value)
-
-    monkeypatch.setattr(extrapolate, "RichardsonTableau", Counted)
+def test_refine_until_equals_full_tableau_bit_for_bit(rng):
     for f in _fields(rng):
         for start, stop in ((3, 26), (4, 24), (3, 5), (3, 4)):
-            read.clear()
             ext = refine_until(f, start_level=start, max_level=stop)
-            assert (ext.limit, ext.error, len(read)) == _rebuilt_every_level(f, start, stop)
+            assert (ext.limit, ext.error, ext.levels) == _rebuilt_every_level(f, start, stop)
 
 
 @pytest.mark.parametrize("error", [ValidationError, FloatingPointError])
@@ -209,29 +197,34 @@ def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):
 
 
 class _Complex128Tableau:
-    """RichardsonTableau.append on numpy complex128 scalars, the arithmetic it must round as."""
+    """A tableau grown one value at a time on numpy complex128 scalars, the arithmetic
+    ``richardson`` must round as.
 
-    def __init__(self, ratio=2.0, orders=None):
-        self.ratio, self.open = ratio, orders is None
-        self.facs = [] if orders is None else [ratio ** p for p in np.asarray(orders, dtype=float)]
+    ``append`` returns the estimate of the values so far as (limit, error), and
+    whether some column's last two entries agree.
+    """
+
+    def __init__(self, orders=None):
+        self.open = orders is None
+        self.facs = [] if orders is None else [2.0 ** p for p in np.asarray(orders, dtype=float)]
         self.ends = []
 
     def append(self, value):
         older = self.ends
         if self.open and len(self.facs) < len(older):
-            self.facs.append(self.ratio ** np.float64(len(older)))
+            self.facs.append(2.0 ** np.float64(len(older)))
         ends = [np.complex128(value)]
         for fac, below in zip(self.facs, older):
             ends.append((fac * ends[-1] - below) / (fac - 1.0))
         self.ends = ends
         if not older:
-            return complex(ends[0]), float("inf")
+            return complex(ends[0]), float("inf"), False
         best, best_err = ends[0], abs(ends[0] - older[0])
         for below, top in zip(older[1:], ends[1:]):
             err = abs(top - below)
             if err <= best_err:
                 best, best_err = top, err
-        return complex(best), float(best_err)
+        return complex(best), float(best_err), any(x - y == 0 for x, y in zip(ends, older))
 
 
 def test_tableau_rounds_as_complex128_scalars(rng):
@@ -250,37 +243,45 @@ def test_tableau_rounds_as_complex128_scalars(rng):
         # open orders, as refine_until and boundary_limit grow them, and the
         # half-integer orders jwc_derivative_probes passes
         for orders in (None, np.arange(1, len(seq)) * 0.5):
-            table, ref = RichardsonTableau(orders=orders), _Complex128Tableau(orders=orders)
-            for v in seq:
-                assert table.append(v) is None
-                ext = table.estimate()
-                assert (ext.limit, ext.error) == ref.append(v)
+            ref = _Complex128Tableau(orders=orders)
+            for m in range(1, len(seq) + 1):
+                ext = richardson(seq[:m], orders=orders)
+                limit, error, exact = ref.append(seq[m - 1])
+                assert (ext.limit, ext.error) == (limit, error)
                 assert type(ext.limit) is complex and type(ext.error) is float
-                assert table.exact() == (ext.error == 0.0)
+                assert exact == (ext.error == 0.0)
 
 
 def test_overflowing_column_factor_gives_a_nan_error():
-    # ratio**k overflows from the third column on; a nan value then gives a
-    # nan error, as at ratio 2, with no warning and no OverflowError
+    # 2**k overflows from the 1024th column on, which the default orders of
+    # 1,099 values would reach; a nan value gives a nan error, as on 10
+    # values, with no warning and no OverflowError
     seq = [0.49, 1.83, 0.62, 0.13, 0.71, -0.92, -0.34, 0.79, 0.63, math.nan]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for ratio, orders in ((2.0, None), (1e200, None), (1e200, [1.0, 2.0, 3.0]), (1e-200, None)):
-            ext = richardson(seq, ratio=ratio, orders=orders)
+        for values in (seq, seq[:-1] * 122 + [math.nan]):
+            ext = richardson(values)
             assert cmath.isnan(ext.limit) and math.isnan(ext.error)
             # finite values keep the estimate of the columns whose factors are finite
-            ext = richardson(seq[:-1], ratio=ratio, orders=orders)
+            ext = richardson(values[:-1])
             assert math.isfinite(ext.error)
 
 
 def test_orders_whose_factor_rounds_to_one_are_refused():
-    for call in (lambda: richardson([1.0, 1.5, 1.75], orders=[1e-17]),
-                 lambda: richardson([1.0, 1.5, 1.75], orders=[1.0, 1e-17]),
-                 lambda: RichardsonTableau(ratio=1.0 + 2.0 ** -52, orders=[0.5])):
+    for orders in ([1e-17], [1.0, 1e-17]):
         with pytest.raises(ValidationError, match=r"^Richardson order .* gives the column factor"):
-            call()
+            richardson([1.0, 1.5, 1.75], orders=orders)
     # no orders at all: the raw sequence, as before
     assert richardson([1.0, 1.5, 1.75], orders=[]).limit == 1.75
+
+
+def test_orders_whose_factor_overflows_are_refused():
+    # 2**p is finite for every p below 1024 and overflows from 1024 on
+    for orders in ([1024.0], [1.0, 2000.0], [np.nextafter(1024.0, 2000.0)]):
+        with pytest.raises(ValidationError, match=r"^Richardson order .* column factor 2\*\*p = inf"):
+            richardson([1.0, 1.5, 1.75], orders=orders)
+    ext = richardson([1.0, 1.5, 1.75], orders=[np.nextafter(1024.0, 0.0)])
+    assert (ext.limit, ext.error) == (1.75, 0.25)
 
 
 def test_empty_sequences_rejected():
