@@ -85,14 +85,14 @@ def _peak_frame(domain: DomainSpec, p):
 def ball_restriction_candidate(domain: DomainSpec, p) -> CandidateMember:
     """Kernel of the circumscribed tangent ball, restricted to the domain."""
     _, (center, radius) = tangent_balls(domain, p)
-    frame = boundary_frame(domain, p)
-    unit_pole = frame.nu, frame.theta_coeffs        # (p - c)/r of a tangent ball, and conj
+    pole = boundary_frame(domain, p).p
+    unit_pole = _tangent_pole(domain, center, radius, pole)
 
     def evaluator(z) -> float:
         return _ball_kernel_at(center, radius, unit_pole, as_vector(z, domain.n))
 
     return CandidateMember(evaluator=evaluator, kind=CandidateKind.BALL_RESTRICTION,
-                           pole=frame.p, metadata={"center": center, "radius": radius})
+                           pole=pole, metadata={"center": center, "radius": radius})
 
 
 def lower_envelope(domain: DomainSpec, p, z, candidates: Sequence[CandidateMember]) -> float:
@@ -149,14 +149,21 @@ def _tangent_balls(domain: DomainSpec, p: np.ndarray):
 def _kernel_pole(domain: DomainSpec, p: np.ndarray):
     """The kernel's pole side at a coerced p, kept in the pole memo as "kernel".
 
-    A ball's ``_unit_pole``, or an ellipsoid's tangent balls as (center, radius, (nu, conj(nu))):
-    the unit pole (p - c)/r of a ball tangent at p is the outward normal nu itself.
+    A ball's ``_unit_pole``, or an ellipsoid's tangent balls as (center, radius, ``_tangent_pole``).
     """
     if domain.kind is DomainKind.BALL:
         return _unit_pole(domain.center, domain.radius, p)
-    balls = tangent_balls(domain, p)
-    frame = boundary_frame(domain, p)
-    return tuple((c, r, (frame.nu, frame.theta_coeffs)) for c, r in balls)
+    return tuple((c, r, _tangent_pole(domain, c, r, p)) for c, r in tangent_balls(domain, p))
+
+
+def _tangent_pole(domain: DomainSpec, c: np.ndarray, r: float, p: np.ndarray) -> tuple:
+    """``_unit_pole`` of a ball B(c, r) tangent at p, the float ball's own; where c's rounding
+    over r puts it off the sphere (r = 1e-8 on ellipsoid:1e8,1), the exact one, the normal nu."""
+    try:
+        return _unit_pole(c, r, p)
+    except ValidationError:
+        frame = boundary_frame(domain, p)
+        return frame.nu, frame.theta_coeffs
 
 
 def sandwich_bounds(domain: DomainSpec, p, z) -> KernelValue:

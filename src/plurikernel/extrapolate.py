@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ def _tableau(values: list, orders=None):
     the sign of a zero part.  ``orders`` defaults to 1, 2, 3, ...
     """
     if orders is None:
-        orders = range(1, min(len(values), 1024))      # 2**p overflows from p = 1024 on
+        orders = range(1, min(len(values), sys.float_info.max_exp))    # 2**p overflows from there
     facs = [(2.0 ** p, 1.0 / (2.0 ** p - 1.0)) for p in orders]
     ends = []
     for v in values:
@@ -77,9 +78,9 @@ def richardson(values, orders=None) -> Extrapolation:
     if orders is not None:
         orders = positive(orders, "Richardson orders", vector=True).tolist() if np.size(orders) else []
         for p in orders:
-            if p >= 1024.0 or 2.0 ** p == 1.0:
+            if p >= sys.float_info.max_exp or 2.0 ** p == 1.0:
                 raise ValidationError(f"Richardson order {p!r} gives the column factor 2**p = "
-                                      f"{'inf' if p >= 1024.0 else 1}")
+                                      f"{'inf' if p >= sys.float_info.max_exp else 1}")
     for ends, below in _tableau(seq.tolist(), orders):
         pass
     limit, error = _least(ends, below)

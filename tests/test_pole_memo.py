@@ -13,7 +13,7 @@ from plurikernel import (
     kernel_values,
     sandwich_bounds,
 )
-from plurikernel import bounds, domains
+from plurikernel import bounds
 from plurikernel.bounds import tangent_balls
 from plurikernel.domains import (
     _POLE_MEMO_SIZE,
@@ -138,19 +138,13 @@ def test_pole_side_runs_once_per_pole(dom, entry, monkeypatch):
     rng = np.random.default_rng(8)
     p = boundary_samples(dom, 1, rng)[0]
     Z = _interior_points(dom, rng, 50)
-    work = []
-    fresh_frame = domains._boundary_frame
+    balls = []
 
-    def counted_pole(c, r, q):
-        work.append("unit pole")
+    def counted(c, r, q):
+        balls.append((c.tobytes(), r))
         return unit_pole(c, r, q)
 
-    def counted_frame(domain, q):
-        work.append("frame")
-        return fresh_frame(domain, q)
-
-    monkeypatch.setattr(bounds, "_unit_pole", counted_pole)
-    monkeypatch.setattr(domains, "_boundary_frame", counted_frame)
+    monkeypatch.setattr(bounds, "_unit_pole", counted)
     dom._poles.clear()
     if entry == "ball_restriction_candidate":
         evaluate = ball_restriction_candidate(dom, p).evaluator
@@ -159,10 +153,10 @@ def test_pole_side_runs_once_per_pole(dom, entry, monkeypatch):
     else:
         for z in Z:
             ENTRIES[entry](dom, p, z)
-    # one carried pole on a ball's kernel; else one frame, whose normal is the unit pole
-    # of every tangent ball (an ellipsoid's two, or the candidate's circumscribed ball)
-    expected = "unit pole" if dom.kind is DomainKind.BALL and entry in ENTRIES else "frame"
-    assert work == [expected]
+    # one carried pole per ball: the domain's own, or an ellipsoid's two tangent balls,
+    # or the candidate's circumscribed ball
+    expected = 2 if dom.kind is DomainKind.ELLIPSOID and entry in ENTRIES else 1
+    assert len(balls) == len(set(balls)) == expected
 
 
 @pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=KERNEL_IDS)
