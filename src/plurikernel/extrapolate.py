@@ -1,10 +1,10 @@
 """Richardson extrapolation of limits sampled on halving step schedules.
 
-``richardson`` extrapolates a whole sequence f(h0 / 2**k) whose error
-expands in known powers of h (half-integer ones arise along square-root
-boundary rates).  ``refine_until`` is the one ladder: it reads the tableau
-level by level and keeps the estimate with the least error until round-off
-noise dominates, in the spirit of Ridders' method.
+``refine_until`` is the one ladder: it samples f(2**-k) on a range of levels,
+reads the Richardson tableau level by level, and keeps the estimate with the
+least error until round-off noise dominates, in the spirit of Ridders'
+method.  The column of order p cancels the error term h**p; an expansion in
+powers of s = sqrt(h) is read on every other level, where s halves.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, positive, spec_count
+from .errors import positive, spec_count
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,18 @@ class Extrapolation:
         return float(np.real(self.limit))
 
 
-def _tableau(values: list, orders=None):
+def _tableau(values: list):
     """Yield, for each value in turn, the ends of the tableau's columns and the ends before them.
 
     ends[0] is the value and ends[j + 1] = (fac * ends[j] - below[j]) * s, with
-    fac = 2**orders[j] and s = 1/(fac - 1), as numpy divides a complex by a real
+    fac = 2**(j + 1) and s = 1/(fac - 1), as numpy divides a complex by a real
     scalar.  The entries keep the values' type, as ``tolist()`` gives it: Python
     floats on real values, else Python complex numbers, which round as numpy
     complex128 scalars do (``abs`` is libm's ``hypot``, as numpy's is) but for
-    the sign of a zero part.  ``orders`` defaults to 1, 2, 3, ...
+    the sign of a zero part.
     """
-    if orders is None:
-        orders = range(1, min(len(values), sys.float_info.max_exp))    # 2**p overflows from there
-    facs = [(2.0 ** p, 1.0 / (2.0 ** p - 1.0)) for p in orders]
+    top = min(len(values), sys.float_info.max_exp)      # 2**p overflows from there
+    facs = [(2.0 ** p, 1.0 / (2.0 ** p - 1.0)) for p in range(1, top)]
     ends = []
     for v in values:
         below, ends = ends, [v]
@@ -64,29 +63,6 @@ def _least(ends: list, below: list) -> tuple:
     return ends[len(errors) - 1 - errors[::-1].index(least)], least
 
 
-def richardson(values, orders=None) -> Extrapolation:
-    """Extrapolate values[k] = f(h0/2**k) assuming f(h) = L + sum c_i h^{p_i}.
-
-    ``orders`` lists the exponents p_1 < p_2 < ... of the error expansion;
-    defaults to 1, 2, 3, ...  Entries may be fractional; each is a finite
-    real > 0 whose column factor 2**p is finite (p < 1024) and not 1, else
-    ValidationError.
-    """
-    seq = np.asarray(values)
-    if len(seq) == 0:
-        raise ValueError("empty sequence")
-    if orders is not None:
-        orders = positive(orders, "Richardson orders", vector=True).tolist() if np.size(orders) else []
-        for p in orders:
-            if p >= sys.float_info.max_exp or 2.0 ** p == 1.0:
-                raise ValidationError(f"Richardson order {p!r} gives the column factor 2**p = "
-                                      f"{'inf' if p >= sys.float_info.max_exp else 1}")
-    for ends, below in _tableau(seq.tolist(), orders):
-        pass
-    limit, error = _least(ends, below)
-    return Extrapolation(limit=complex(limit), error=float(error), levels=len(seq))
-
-
 def refine_until(f, *, start_level: int = 3, max_level: int = 26,
                  divergence_threshold: float = 1e9) -> Extrapolation:
     """Sample f at h_k = 2**-k for k = start_level..max_level and Richardson-extrapolate.
@@ -99,7 +75,9 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
     estimate, past the floor only if that lies within the same bound of the
     best.  A raw value that is not finite or exceeds ``divergence_threshold``
     (a real > 0, or inf for none) ends it as divergence, with that value as
-    the limit.
+    the limit; so does a best estimate that is not finite, or one whose error
+    is inf after more than one level (the tableau overflowed), with that
+    estimate as the limit.
     """
     start_level = spec_count(start_level, "start_level", least=0)
     max_level = spec_count(max_level, "max_level", least=start_level)
@@ -120,6 +98,9 @@ def refine_until(f, *, start_level: int = 3, max_level: int = 26,
         if not floor:
             if best is None or err <= best[1]:
                 best = limit, err
+                if levels > 1 and (err == math.inf or not cmath.isfinite(limit)):
+                    return Extrapolation(limit=complex(limit), error=math.inf, diverged=True,
+                                         levels=levels)
                 if err == 0.0:
                     break
             else:

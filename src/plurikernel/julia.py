@@ -18,7 +18,8 @@ is claimed to equal the global sup).
 Derivative probes along cones at p quantify the boundary behavior of df
 split by the geodesic projections at p and q: the normal-normal component
 tends to lambda, the mixed components decay at the square-root rate, and the
-tangent-tangent component stays bounded.  The three classical finiteness
+tangent-tangent component stays bounded; each probe limit is read with its
+error on the one ladder, ``refine_until``.  The three classical finiteness
 conditions (kernel ratio, Kobayashi distance defect, boundary distance
 ratio) are evaluated jointly by ``condition_equivalence_check``.
 
@@ -46,7 +47,7 @@ from .domains import (
     signed_boundary_distance,
 )
 from .errors import NumericalError, ValidationError, malformed_spec, positive, spec_count
-from .extrapolate import Extrapolation, refine_until, richardson
+from .extrapolate import Extrapolation, refine_until
 from .kernels import (KernelValue, _to_unit_ball, kobayashi, mobius_ball,
                       mobius_ball_jacobian)
 from .utils import as_points, as_vector, herm, norm, row_norms, sample_ball_rows
@@ -511,8 +512,9 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
 
     Membership on both sides goes through kernel values; interval kernels
     count indeterminate cases in ``undetermined`` instead of failing them.
-    Samples are drawn in batches of the count still missing (one
-    ``sample_ball_rows`` call each) and classified as arrays.
+    Each radius draws its ``samples_per_radius`` samples once (one
+    ``sample_ball_rows`` call), classified as arrays; a sample the source
+    kernel does not certify inside H(p, R) counts as undetermined.
     Also reports the tightness ratio along the normal ray:
     mu(h) = image radius / (lam * source radius), which tends to 1 exactly
     when the dilation is attained along the normal.
@@ -526,7 +528,6 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
     q = as_vector(q, tgt.n)
     violations: List[InclusionViolation] = []
     undetermined = 0
-    checked = 0
 
     if src.is_ball_like:
         inner_center, inner_radius = src.center, src.radius
@@ -536,31 +537,21 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
         (inner_center, inner_radius), _ = tangent_balls(src, p)
     Q = _unitary_from_e1(_to_unit_ball(inner_center, inner_radius, p))
 
-    budget = 100 * samples_per_radius
     for R in radii:
         required = -1.0 / (lam * R)
-        got = attempts = 0
-        while got < samples_per_radius and attempts < budget:
-            k = min(samples_per_radius - got, budget - attempts)
-            attempts += k
-            Z = inner_center + inner_radius * _horoball_draws(
-                rng, src.n, R / inner_radius, k, Q)
-            side = _side(*kernel_values(src, p, Z), -1.0 / R)
-            undetermined += int(np.count_nonzero(side == 0))
-            Z = Z[side > 0]
-            got += len(Z)
-            if not len(Z):
-                continue
-            lo, hi = kernel_values(tgt, q, mapspec(Z))
-            image_side = _side(lo, hi, required)
-            undetermined += int(np.count_nonzero(image_side == 0))
-            violations.extend(InclusionViolation(point=Z[i], radius=R, required=required,
-                                                 target_value_hi=float(hi[i]))
-                              for i in np.flatnonzero(image_side < 0))
-        checked += got
-        if got < samples_per_radius:
-            raise NumericalError(f"could not draw {samples_per_radius} horoball samples "
-                                 f"at R={R} (got {got})")
+        Z = inner_center + inner_radius * _horoball_draws(
+            rng, src.n, R / inner_radius, samples_per_radius, Q)
+        side = _side(*kernel_values(src, p, Z), -1.0 / R)
+        undetermined += int(np.count_nonzero(side <= 0))
+        Z = Z[side > 0]
+        if not len(Z):
+            continue
+        lo, hi = kernel_values(tgt, q, mapspec(Z))
+        image_side = _side(lo, hi, required)
+        undetermined += int(np.count_nonzero(image_side == 0))
+        violations.extend(InclusionViolation(point=Z[i], radius=R, required=required,
+                                             target_value_hi=float(hi[i]))
+                          for i in np.flatnonzero(image_side < 0))
 
     nu = outward_normal(src, p)
 
@@ -570,8 +561,8 @@ def horoball_inclusion_check(mapspec: MapSpec, p, q, lam: float,
         return _divide(-1.0, kernel_values(tgt, q, mapspec(Z))[1]) / (lam * Rz)
 
     ray = refine_until(tightness, start_level=4, max_level=24)
-    return InclusionReport(radii=tuple(radii), checked=checked, violations=violations,
-                           undetermined=undetermined, ray_tightness=ray)
+    return InclusionReport(radii=tuple(radii), checked=len(radii) * samples_per_radius,
+                           violations=violations, undetermined=undetermined, ray_tightness=ray)
 
 
 # -- derivative probes ------------------------------------------------------------
@@ -584,13 +575,16 @@ class ProbeReport:
     probe 2: sqrt-weighted normal-to-tangential defect (limit 0),
     probe 3: inverse-sqrt-weighted tangential-to-normal derivative (limit 0),
     probe 4: tangential-to-tangential defect (bounded).
+    Each limit's error is its ladder's (``Extrapolation.error``).
     """
 
     probe_max: dict
     probe1_limit: complex
     probe1_error: float
     probe2_limit: float
+    probe2_error: float
     probe3_limit: float
+    probe3_error: float
     probe2_tail: float
     probe3_tail: float
     levels: int
@@ -641,13 +635,16 @@ def jwc_derivative_probes(mapspec: MapSpec, p, q) -> ProbeReport:
               np.max(across[:, 1:], axis=1, initial=0.0)]
     probe_max = {i: float(np.max(np.abs(v), initial=0.0)) for i, v in enumerate(probes, 1)}
 
+    # probe 1 expands in powers of h; probes 2 and 3 in powers of sqrt(h), which
+    # halves on every other level, read up to the deepest
     r1, r2, r3 = (v[central] for v in probes[:3])
-    ext1 = richardson(r1)
-    ext2 = richardson(r2, orders=np.arange(1, len(r2)) * 0.5)
-    ext3 = richardson(r3, orders=np.arange(1, len(r3)) * 0.5)
+    ext1, ext2, ext3 = (refine_until(lambda _, v=v: v, start_level=0, max_level=len(v) - 1,
+                                     divergence_threshold=math.inf)
+                        for v in (r1, r2[(len(r2) - 1) % 2::2], r3[(len(r3) - 1) % 2::2]))
     return ProbeReport(probe_max=probe_max,
                        probe1_limit=ext1.limit, probe1_error=ext1.error,
-                       probe2_limit=abs(ext2.limit), probe3_limit=abs(ext3.limit),
+                       probe2_limit=abs(ext2.limit), probe2_error=ext2.error,
+                       probe3_limit=abs(ext3.limit), probe3_error=ext3.error,
                        probe2_tail=float(r2[-1]), probe3_tail=float(r3[-1]), levels=len(r1))
 
 

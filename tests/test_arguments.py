@@ -30,7 +30,7 @@ from plurikernel import (
     sphere_quadrature,
 )
 from plurikernel.domains import boundary_samples
-from plurikernel.extrapolate import refine_until, richardson
+from plurikernel.extrapolate import refine_until
 from plurikernel.geodesics import DiscAutomorphism, default_disc_grid
 from plurikernel.julia import blaschke_map, constant_map, identity_map, power_map, product_map
 
@@ -88,7 +88,6 @@ REALS = [
     ("couple scale rho", lambda v: rescale_couple(-1.0, v)),
     ("dilation lam", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, v)),
     ("horoball radii", lambda v: horoball_inclusion_check(BLASCHKE, P1, P1, 1 / 3, radii=(v,))),
-    ("Richardson orders", lambda v: richardson([1.0, 1.5, 1.75], orders=[v])),
 ]
 
 BAD_REALS = [True, 0, -1, math.nan, math.inf, "1"]
@@ -167,5 +166,3 @@ def test_numpy_scalars_give_the_results_of_python_numbers():
     assert sphere_quadrature(np.int64(1), 8).total_mass == sphere_quadrature(1, 8).total_mass
     f = lambda h: 2.0 + h + h * h       # noqa: E731
     assert refine_until(f, start_level=np.int64(3), max_level=np.int64(26)) == refine_until(f)
-    assert richardson([1.0, 1.1, 1.2], orders=[np.float64(0.5), np.int64(1)]) == \
-        richardson([1.0, 1.1, 1.2], orders=[0.5, 1])

@@ -7,24 +7,37 @@ import pytest
 
 from plurikernel import BoundaryCurve, DomainSpec, boundary_limit, kernel_value
 from plurikernel.errors import ValidationError
-from plurikernel.extrapolate import refine_until, richardson
+from plurikernel.extrapolate import _least, _tableau, refine_until
 
 import oracle
 
 
+def _ladder(values):
+    """refine_until over values already computed, one level each, with no threshold."""
+    return refine_until(lambda _: values, start_level=0, max_level=len(values) - 1,
+                        divergence_threshold=math.inf)
+
+
+def _last_level(values):
+    """The tableau's (limit, error) after its last value, and the levels it yielded."""
+    for levels, (ends, below) in enumerate(_tableau(np.asarray(values).tolist()), 1):
+        pass
+    return (*_least(ends, below), levels)
+
+
 def test_richardson_polynomial_sequence():
     # f(h) = 3 + 2h + 5h^2 sampled on h = 2^-k: limit recovered exactly
-    hs = 2.0 ** -np.arange(2, 12)
-    vals = 3.0 + 2.0 * hs + 5.0 * hs ** 2
-    ext = richardson(vals)
+    ext = refine_until(lambda hs: 3.0 + 2.0 * hs + 5.0 * hs ** 2, start_level=2, max_level=11)
     assert ext.real == pytest.approx(3.0, abs=1e-12)
     assert ext.error < 1e-10
 
 
 def test_richardson_half_integer_orders():
+    # an expansion in powers of s = sqrt(h) is read on every other level, where
+    # s halves, up to the deepest (as jwc_derivative_probes reads probes 2 and 3)
     hs = 2.0 ** -np.arange(2, 16)
     vals = 1.0 + 4.0 * np.sqrt(hs) + 2.0 * hs
-    ext = richardson(vals, orders=np.arange(1, len(vals)) * 0.5)
+    ext = _ladder(vals[(len(vals) - 1) % 2::2])
     assert ext.real == pytest.approx(1.0, abs=1e-9)
 
 
@@ -32,7 +45,7 @@ def test_richardson_does_not_claim_convergence_for_linear_growth():
     # regression: sequences growing linearly in the level index must not
     # produce a tiny error estimate from a single-entry table column
     vals = 0.35 * np.arange(20) + 1.0
-    ext = richardson(vals)
+    ext = _ladder(vals)
     assert ext.error > 0.1
 
 
@@ -55,8 +68,8 @@ def test_late_exact_match_off_the_best_is_not_taken():
     hs = 2.0 ** -np.arange(3, 27.0)
     vals = 2.0 + 0.5 * hs + 1e-12 * (-1.0) ** np.arange(24)
     vals[-2:] = 2.0 + 3e-9
-    ext = richardson(vals)
-    assert ext.error == 0.0 and ext.limit == 2.0 + 3e-9
+    limit, error, _ = _last_level(vals)
+    assert error == 0.0 and limit == 2.0 + 3e-9
     ext = refine_until(lambda h: vals)
     assert ext.levels == 24 and 0.0 < ext.error < 1e-10
     assert abs(ext.limit - 2.0) < 1e-11
@@ -69,27 +82,24 @@ def test_boundary_limit_refuses_a_late_false_match():
     d = np.array([-0.7086584370843689 + 0.529069880482922j, 0.4197186527071599 + 0.2042658407189337j])
     ball = DomainSpec.unit_ball(2)
     curve = BoundaryCurve(gamma=lambda t: p - (1.0 - t) * d, gamma_prime_at_1=d)
-    ext = richardson([kernel_value(ball, p, curve.gamma(1.0 - h)).value * h
-                      for h in 2.0 ** -np.arange(3, 27.0)])
+    limit, error, _ = _last_level([kernel_value(ball, p, curve.gamma(1.0 - h)).value * h
+                                   for h in 2.0 ** -np.arange(3, 27.0)])
     exact = oracle.R.transversal_limit(d, p)
-    assert ext.error == 0.0 and oracle.rel_error(ext.limit, exact) > 1e-8
+    assert error == 0.0 and oracle.rel_error(limit, exact) > 1e-8
     res = boundary_limit(lambda z: kernel_value(ball, p, z), curve, p)
     assert res.levels == 24 and oracle.rel_error(res.estimate, exact) < 1e-14
 
 
-def _full_tableau(values, orders=None):
-    """richardson with every column of the tableau built as a whole array."""
+def _full_tableau(values):
+    """The tableau's last-level estimate with every column built as a whole array."""
     seq = np.asarray(values)
     m = len(seq)
     if m == 1:
         return seq[0], float("inf")
-    orders = np.asarray(np.arange(1, m) if orders is None else orders, dtype=float)
     table = [seq.astype(complex)]
     best, best_err = complex(seq[-1]), abs(seq[-1] - seq[-2])
     for j in range(1, m):
-        if j - 1 >= len(orders):
-            break
-        fac = 2.0 ** orders[j - 1]
+        fac = 2.0 ** j
         prev = table[-1]
         cur = (fac * prev[1:] - prev[:-1]) / (fac - 1.0)
         table.append(cur)
@@ -143,10 +153,9 @@ def test_richardson_equals_full_tableau_bit_for_bit(rng):
     for seq in seqs:
         for m in (1, 2, 3, 7, len(seq)):
             vals = seq[:m]
-            for orders in (None, np.arange(1, m) * 0.5, [1.0, 2.0], []):
-                ext = richardson(vals, orders=orders)
-                assert (ext.limit, ext.error) == _full_tableau(vals, orders)
-                assert ext.levels == len(vals)
+            limit, error, levels = _last_level(vals)
+            assert (limit, error) == _full_tableau(vals)
+            assert levels == len(vals)
 
 
 def test_refine_until_equals_full_tableau_bit_for_bit(rng):
@@ -198,20 +207,19 @@ def test_boundary_limit_equals_full_tableau_bit_for_bit(rng):
 
 class _Complex128Tableau:
     """A tableau grown one value at a time on numpy complex128 scalars, the arithmetic
-    ``richardson`` must round as.
+    ``_tableau`` must round as.
 
     ``append`` returns the estimate of the values so far as (limit, error), and
     whether some column's last two entries agree.
     """
 
-    def __init__(self, orders=None):
-        self.open = orders is None
-        self.facs = [] if orders is None else [2.0 ** p for p in np.asarray(orders, dtype=float)]
+    def __init__(self):
+        self.facs = []
         self.ends = []
 
     def append(self, value):
         older = self.ends
-        if self.open and len(self.facs) < len(older):
+        if len(self.facs) < len(older):
             self.facs.append(2.0 ** np.float64(len(older)))
         ends = [np.complex128(value)]
         for fac, below in zip(self.facs, older):
@@ -240,50 +248,50 @@ def test_tableau_rounds_as_complex128_scalars(rng):
              np.r_[2.0 - hs[:12], 2.0 - hs[12:] + 1e-9j],
              negative_zero]
     for seq in seqs:
-        # open orders, as refine_until and boundary_limit grow them, and the
-        # half-integer orders jwc_derivative_probes passes
-        for orders in (None, np.arange(1, len(seq)) * 0.5):
-            ref = _Complex128Tableau(orders=orders)
-            for m in range(1, len(seq) + 1):
-                ext = richardson(seq[:m], orders=orders)
-                limit, error, exact = ref.append(seq[m - 1])
-                assert (ext.limit, ext.error) == (limit, error)
-                assert type(ext.limit) is complex and type(ext.error) is float
-                assert exact == (ext.error == 0.0)
+        ref = _Complex128Tableau()
+        values = seq.tolist()
+        for value, (ends, below) in zip(values, _tableau(values)):
+            got = _least(ends, below)
+            limit, error, exact = ref.append(value)
+            assert got == (limit, error)
+            # the entries keep the values' type: Python floats or complex numbers
+            assert type(got[0]) is type(value) and type(got[1]) is float
+            assert exact == (got[1] == 0.0)
 
 
 def test_overflowing_column_factor_gives_a_nan_error():
-    # 2**k overflows from the 1024th column on, which the default orders of
+    # 2**k overflows from the 1024th column on, which the columns of
     # 1,099 values would reach; a nan value gives a nan error, as on 10
     # values, with no warning and no OverflowError
     seq = [0.49, 1.83, 0.62, 0.13, 0.71, -0.92, -0.34, 0.79, 0.63, math.nan]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for values in (seq, seq[:-1] * 122 + [math.nan]):
-            ext = richardson(values)
-            assert cmath.isnan(ext.limit) and math.isnan(ext.error)
+            limit, error, _ = _last_level(values)
+            assert cmath.isnan(limit) and math.isnan(error)
             # finite values keep the estimate of the columns whose factors are finite
-            ext = richardson(values[:-1])
-            assert math.isfinite(ext.error)
-
-
-def test_orders_whose_factor_rounds_to_one_are_refused():
-    for orders in ([1e-17], [1.0, 1e-17]):
-        with pytest.raises(ValidationError, match=r"^Richardson order .* gives the column factor"):
-            richardson([1.0, 1.5, 1.75], orders=orders)
-    # no orders at all: the raw sequence, as before
-    assert richardson([1.0, 1.5, 1.75], orders=[]).limit == 1.75
-
-
-def test_orders_whose_factor_overflows_are_refused():
-    # 2**p is finite for every p below 1024 and overflows from 1024 on
-    for orders in ([1024.0], [1.0, 2000.0], [np.nextafter(1024.0, 2000.0)]):
-        with pytest.raises(ValidationError, match=r"^Richardson order .* column factor 2\*\*p = inf"):
-            richardson([1.0, 1.5, 1.75], orders=orders)
-    ext = richardson([1.0, 1.5, 1.75], orders=[np.nextafter(1024.0, 0.0)])
-    assert (ext.limit, ext.error) == (1.75, 0.25)
+            _, error, _ = _last_level(values[:-1])
+            assert math.isfinite(error)
 
 
 def test_empty_sequences_rejected():
-    with pytest.raises(ValueError):
-        richardson([])
+    # f gives one value for each level, and the tableau has no level without one
+    with pytest.raises(ValueError, match="shape"):
+        refine_until(lambda h: np.array([]))
+    assert list(_tableau([])) == []
+
+
+def test_refine_until_overflow_is_divergence():
+    # values near the float range whose differences and tableau columns
+    # overflow: a best estimate that is not finite, or an error of inf after
+    # more than one level, ends the ladder as divergence (at its first estimate)
+    alternating = (-1.0) ** np.arange(24)
+    for scale in (1e308, 1e308 + 1e308j):
+        ext = refine_until(lambda h: scale * alternating, divergence_threshold=math.inf)
+        assert ext.diverged and ext.error == math.inf and ext.levels == 3
+        ext = refine_until(lambda h: scale * alternating[:2], start_level=0, max_level=1,
+                           divergence_threshold=math.inf)
+        assert ext.diverged and ext.error == math.inf and ext.levels == 2
+    # one level has no difference: its value, with error inf, is the estimate
+    ext = refine_until(lambda h: [1e308], start_level=0, max_level=0, divergence_threshold=math.inf)
+    assert (ext.limit, ext.error, ext.diverged, ext.levels) == (1e308, math.inf, False, 1)

@@ -10,7 +10,7 @@ from plurikernel import (
     poisson_disc,
     restriction_identity_check,
 )
-from plurikernel.extrapolate import richardson
+from plurikernel.extrapolate import refine_until
 from plurikernel.geodesics import default_disc_grid
 from plurikernel.utils import herm, norm, sample_ball, sample_sphere
 
@@ -252,5 +252,5 @@ def test_normal_rate_along_chl_geodesic(rng):
         r = 1.0 - 2.0 ** (-k)
         zk = g.phi(r)
         vals.append(kernel_value(DomainSpec.unit_ball(2), p, zk).value * abs(herm(p - zk, p)))
-    est = richardson(vals)
+    est = refine_until(lambda _: vals, start_level=3, max_level=21)
     assert est.real == pytest.approx(-2.0, abs=1e-4)

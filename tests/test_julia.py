@@ -17,6 +17,7 @@ from plurikernel import (
     lambda_estimate,
     map_from_json,
 )
+from plurikernel import julia
 from plurikernel.julia import (
     _kernel_ratio_ray,
     ball_auto_map,
@@ -139,6 +140,23 @@ def test_horoball_inclusion_negative_test():
                                    samples_per_radius=200, seed=5)
     assert not rep.ok
     assert all(v.margin >= 0 for v in rep.violations)
+
+
+def test_horoball_draw_outside_is_counted_not_redrawn(monkeypatch):
+    # each radius draws its samples once: a draw the source kernel certifies
+    # outside H(p, R) (here -0.99, at every radius) counts as undetermined
+    draws = julia._horoball_draws
+
+    def one_outside(rng, n, R, count, Q):
+        W = draws(rng, n, R, count, Q)
+        W[0] = -0.99 * P1
+        return W
+
+    monkeypatch.setattr(julia, "_horoball_draws", one_outside)
+    rep = horoball_inclusion_check(blaschke_map(0.5), P1, P1, 1.0 / 3.0,
+                                   radii=(0.1, 1.0, 10.0), samples_per_radius=100, seed=5)
+    assert rep.ok
+    assert (rep.checked, rep.undetermined) == (300, 3)
 
 
 def test_horoball_inclusion_requires_finite_lambda():
@@ -530,25 +548,44 @@ def test_equivalence_target_to_round_off():
             assert np.array_equal(target, q), label
 
 
-# Recorded from the per-point probes that the array evaluation replaced:
-# probe 1's limit, probe_max, levels, and the probe-2 and probe-3 limits and tails.
+# probe 1's limit, probe_max, levels, and the probe-2 and probe-3 limits and tails,
+# with each limit read on the one ladder: probe 1 on every level, probes 2 and 3 on
+# every other level.  Against the closed forms (``_exact_dilations`` for probe 1, 0
+# for probes 2 and 3) the limits meet PROBE_BOUNDS: probe 1 is 2.6e-16 (blaschke),
+# 3.7e-16 (ball_auto) and 1.3e-16 (compose) relative off, power and diag exact;
+# ball_auto's probes 2 and 3 are 2.9e-16 and 2.5e-13, the others' exactly 0.
 PROBE_PINS = {
-    "blaschke": (0.4285714285714288 + 0j, (0.4609053497942386, 0.0, 0.0, 0.0), 18,
+    "blaschke": (0.42857142857142866 + 0j, (0.4609053497942386, 0.0, 0.0, 0.0), 18,
                  (0.0, 0.0, 0.0, 0.0)),
     "power": (3 + 0j, (2.99999427795683, 0.0, 0.0, 0.0), 18, (0.0, 0.0, 0.0, 0.0)),
-    "ball_auto": (1.5555349182763734 + 1.364649134435088e-16j,
+    "ball_auto": (1.5555349182763738 - 7.46757153468111e-17j,
                   (1.5555341303890533, 0.09052264432001422, 0.10783201419171617, 1.2472105795308006),
-                  18, (1.7344507745915742e-13, 1.0815868329242106e-12,
+                  18, (2.9153957514055453e-16, 2.489741368425647e-13,
                        0.00025768887687360953, 0.0003213923645277808)),
     "diag": (1 + 0j, (1.0, 0.0, 0.0, 0.58309518948453), 18, (0.0, 0.0, 0.0, 0.0)),
     "compose": (1.076923076923077 + 0j, (1.0769229979197408, 0.0, 0.0, 0.0), 18,
                 (0.0, 0.0, 0.0, 0.0)),
 }
 
+#: The bounds the pinned limits meet: probe 1 relative to the dilation, probes 2 and 3
+#: absolute (their limit is 0).
+PROBE_BOUNDS = (4e-16, 3e-16, 2.5e-13)
+
+#: (map, probe) whose reported error lies below the limit's true error.
+PROBE_ERRORS_BELOW_TRUTH = {("blaschke", 1), ("ball_auto", 1), ("ball_auto", 3), ("compose", 1)}
+
 
 def test_probe_outputs_pinned():
+    """Every pinned limit lies within PROBE_BOUNDS of its closed form, and the
+    reported error bounds the true one but in PROBE_ERRORS_BELOW_TRUTH: probe 1
+    of blaschke and compose reports 0 at 1.1e-16 and 1.4e-16 off, probe 1 of
+    ball_auto 8.3e-17 at 5.8e-16 off, and its probe 3 1.7e-13 at 2.5e-13 off.
+    The ladder's error has no round-off term yet; these are where that shows."""
+    exact = _exact_dilations()
     for label, m, p, q, _ in _bench_maps():
         limit1, maxima, levels, rest = PROBE_PINS[label]
+        assert oracle.rel_error(limit1, exact[label]) <= PROBE_BOUNDS[0], label
+        assert rest[0] <= PROBE_BOUNDS[1] and rest[1] <= PROBE_BOUNDS[2], label
         calls = []
 
         def jacobian(z, m=m):
@@ -561,11 +598,17 @@ def test_probe_outputs_pinned():
         assert _within_2_ulp(rep.probe1_limit.real, limit1.real), label
         assert all(_within_2_ulp(rep.probe_max[i], want) for i, want in enumerate(maxima, 1)), label
         assert rep.levels == levels, label
-        # round-off parts stay round-off; the others are kept to 2 ulp
+        # round-off parts stay round-off, and within the bounds; the others are kept to 2 ulp
         got = (rep.probe1_limit.imag, rep.probe2_limit, rep.probe3_limit,
                rep.probe2_tail, rep.probe3_tail)
         for x, want in zip(got, (limit1.imag,) + rest):
             assert abs(x) < 1e-10 if abs(want) < 1e-10 else _within_2_ulp(x, want), label
+        assert rep.probe2_limit <= PROBE_BOUNDS[1] and rep.probe3_limit <= PROBE_BOUNDS[2], label
+        truths = (abs(oracle.mp.mpc(rep.probe1_limit) - exact[label]),
+                  rep.probe2_limit, rep.probe3_limit)
+        errors = (rep.probe1_error, rep.probe2_error, rep.probe3_error)
+        below = {(label, i) for i, (t, e) in enumerate(zip(truths, errors), 1) if t > e}
+        assert below == {case for case in PROBE_ERRORS_BELOW_TRUTH if case[0] == label}
 
 
 # Half the dilation makes about half the horoball samples violations; the

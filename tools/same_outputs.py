@@ -68,8 +68,10 @@ _PER_POINT = [
 ]
 
 #: Command lines compared besides the README's: each of ``_PER_POINT`` in every format with
-#: one point and with two, every --help, a usage error (a missing --pole), and the
-#: geodesic table, whose kernel values come from one array call on phi's rows.
+#: one point and with two, every --help, a usage error (a missing --pole), the
+#: geodesic table, whose kernel values come from one array call on phi's rows, and the
+#: probes of the benchmark's ball_auto map at its anchor and pole, whose probe-2 and
+#: probe-3 limits (0 in exact arithmetic) are round-off, unlike the README's Blaschke map's.
 CLI_MATRIX = (
     [f"plurikernel {command} {' '.join(points[:k])} --format {fmt}"
      for command, points in _PER_POINT for k in (1, 2) for fmt in ("json", "csv", "plotdata")]
@@ -78,6 +80,9 @@ CLI_MATRIX = (
        for sub in ("kernel", "bounds", "geodesic", "green", "reproduce", "julia")]
     + ["plurikernel kernel --domain unit_ball:2 --point 0"]
     + ["plurikernel geodesic --domain unit_ball:2 --pole e1 --through 0.4,0.2 --format csv"]
+    + ["plurikernel julia --map '{\"ball_auto\": {\"anchor\": [[0.3, 0.1], [-0.2, 0.15]]}}' "
+       "--p 0.6,0.8i --q -0.3513454671188006+0.2801335477590813i,"
+       "-0.49855406656693896-0.7412998049807855i --probes"]
 )
 
 sys.path.insert(0, str(BENCH))
